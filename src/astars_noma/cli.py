@@ -224,44 +224,51 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
     trials = cfg.mc_trials if trials is None else int(trials)
     seed = cfg.seed if seed is None else int(seed)
 
-    # simulate once per (scheme, axis point); rows share the cache
-    rows_by_metric: dict[str, list[list[str]]] = {m: [] for m in spec.metrics}
+    # one simulate call per (point config, scheme): the draws do not depend
+    # on the power, so a power axis draws each block once per scheme
+    cells = []
+    powers_by_group: dict[tuple[NetworkConfig, str], list[float]] = {}
     for value in spec.values:
         cfg_pt = _point_config(cfg, spec, value)
-        axis_label = (f"{value[0]:g};{value[1]:g}" if spec.axis == "beta_a_grid"
-                      else repr(float(value)))
         for scheme in spec.schemes:
-            flag = ""
-            sims = None
-            ps = None
             try:
                 ps = _point_power(cfg_pt, spec, value, scheme)
             except ConfigError:
-                flag = "infeasible_budget"
-            if flag == "":
-                sims = mc.simulate(cfg_pt, scheme, ps, trials=trials,
-                                   seed=seed, workers=workers)
-            for metric in spec.metrics:
-                modes = ((SicMode.PSIC,) if metric in _MODE_FREE_METRICS
-                         or scheme == "astars_oma" else spec.modes)
-                for mode in modes:
-                    mode_label = ("-" if metric in _MODE_FREE_METRICS
-                                  or scheme == "astars_oma" else mode.value)
-                    analytic_val = None
-                    mc_mean = mc_ci = None
-                    if flag == "":
-                        if scheme == "astars_noma":
-                            analytic_val = _ANALYTIC_FNS[metric](cfg_pt, mode, ps)
-                        est = sims[_mc_key(metric, mode, scheme)]
-                        mc_mean, mc_ci = est.mean, est.ci95_halfwidth
-                        _check_cell(metric, analytic_val)
-                        _check_cell(metric, mc_mean)
-                    rows_by_metric[metric].append([
-                        spec.axis, axis_label, metric, mode_label, scheme,
-                        _fmt(analytic_val), _fmt(mc_mean), _fmt(mc_ci),
-                        str(trials) if flag == "" else "",
-                        flag,
-                    ])
+                ps = None
+            else:
+                powers_by_group.setdefault((cfg_pt, scheme), []).append(ps)
+            cells.append((value, cfg_pt, scheme, ps))
+    # each group's estimates come back in the order its cells were listed
+    sims_by_group = {group: iter(mc.simulate(group[0], group[1], powers, trials=trials,
+                                             seed=seed, workers=workers))
+                     for group, powers in powers_by_group.items()}
+
+    rows_by_metric: dict[str, list[list[str]]] = {m: [] for m in spec.metrics}
+    for value, cfg_pt, scheme, ps in cells:
+        axis_label = (f"{value[0]:g};{value[1]:g}" if spec.axis == "beta_a_grid"
+                      else repr(float(value)))
+        sims = None if ps is None else next(sims_by_group[cfg_pt, scheme])
+        for metric in spec.metrics:
+            modes = ((SicMode.PSIC,) if metric in _MODE_FREE_METRICS
+                     or scheme == "astars_oma" else spec.modes)
+            for mode in modes:
+                mode_label = ("-" if metric in _MODE_FREE_METRICS
+                              or scheme == "astars_oma" else mode.value)
+                analytic_val = None
+                mc_mean = mc_ci = None
+                if sims is not None:
+                    if scheme == "astars_noma":
+                        analytic_val = _ANALYTIC_FNS[metric](cfg_pt, mode, ps)
+                    est = sims[_mc_key(metric, mode, scheme)]
+                    mc_mean, mc_ci = est.mean, est.ci95_halfwidth
+                    _check_cell(metric, analytic_val)
+                    _check_cell(metric, mc_mean)
+                rows_by_metric[metric].append([
+                    spec.axis, axis_label, metric, mode_label, scheme,
+                    _fmt(analytic_val), _fmt(mc_mean), _fmt(mc_ci),
+                    str(trials) if sims is not None else "",
+                    "" if sims is not None else "infeasible_budget",
+                ])
 
     written: list[Path] = []
     for metric, rows in rows_by_metric.items():
@@ -400,11 +407,25 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     def gate(name: str, observed: float, tolerance: str, passed: bool):
         gates.append(GateResult(name, observed, tolerance, bool(passed)))
 
+    # one simulate call per (config, scheme), keyed by budget in dBm
+    def simulate_budgets(cfg_s: NetworkConfig, scheme: str, dbms, active=True):
+        powers = [mc.budget_to_ps(dbm_to_watts(q), cfg_s, active=active) for q in dbms]
+        return dict(zip(dbms, mc.simulate(cfg_s, scheme, powers, trials=trials,
+                                          seed=seed, workers=workers)))
+
+    rates_cfg = replace(cfg, a_r=0.2, a_t=0.8)
+    rate_dbms = (20.0, 30.0, 40.0)
+    order_dbms = (20.0, 30.0, 40.0, 50.0)
+    noma = simulate_budgets(cfg, "astars_noma",
+                            tuple(dict.fromkeys((*powers_dbm, *order_dbms))))
+    noma_rates = simulate_budgets(rates_cfg, "astars_noma", rate_dbms)
+    oma = simulate_budgets(cfg, "astars_oma", order_dbms)
+    pst = simulate_budgets(cfg, "pstars_noma", order_dbms, active=False)
+
     # 1. outage agreement
     for q_dbm in powers_dbm:
         ps = mc.budget_to_ps(dbm_to_watts(q_dbm), cfg, active=True)
-        sims = mc.simulate(cfg, "astars_noma", ps, trials=trials, seed=seed,
-                           workers=workers)
+        sims = noma[q_dbm]
         for metric, value in (
                 ("outage_r_psic", an.outage_r(cfg, SicMode.PSIC, ps)),
                 ("outage_r_ipsic", an.outage_r(cfg, SicMode.IPSIC, ps)),
@@ -435,11 +456,9 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     gate("floor/outage_r_ipsic", rel, "<= 5% of ipSIC@60dBm", rel <= 0.05)
 
     # 3. ergodic-rate agreement
-    rates_cfg = replace(cfg, a_r=0.2, a_t=0.8)
-    for q_dbm in (20.0, 30.0, 40.0):
+    for q_dbm in rate_dbms:
         ps = mc.budget_to_ps(dbm_to_watts(q_dbm), rates_cfg, active=True)
-        sims = mc.simulate(rates_cfg, "astars_noma", ps, trials=trials,
-                           seed=seed, workers=workers)
+        sims = noma_rates[q_dbm]
         for metric, value in (
                 ("rate_r_psic", an.ergodic_rate_r(rates_cfg, SicMode.PSIC, ps)),
                 ("rate_r_ipsic", an.ergodic_rate_r(rates_cfg, SicMode.IPSIC, ps)),
@@ -471,21 +490,12 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     gate("jensen/dominates", worst_margin, ">= -1e-9", worst_margin >= -1.0e-9)
 
     # 5. scheme orderings (CI-aware)
-    for q_dbm in (20.0, 30.0, 40.0, 50.0):
-        q = dbm_to_watts(q_dbm)
-        ps_act = mc.budget_to_ps(q, cfg, active=True)
-        ps_pas = mc.budget_to_ps(q, cfg, active=False)
-        noma = mc.simulate(cfg, "astars_noma", ps_act, trials=trials, seed=seed,
-                           workers=workers)
-        oma = mc.simulate(cfg, "astars_oma", ps_act, trials=trials, seed=seed,
-                          workers=workers)
-        pst = mc.simulate(cfg, "pstars_noma", ps_pas, trials=trials, seed=seed,
-                          workers=workers)
-        t_n, t_o = noma["throughput_limited_psic"], oma["throughput_limited"]
+    for q_dbm in order_dbms:
+        t_n, t_o = noma[q_dbm]["throughput_limited_psic"], oma[q_dbm]["throughput_limited"]
         slack = 3.0 * (t_n.ci95_halfwidth + t_o.ci95_halfwidth)
         gate(f"order/throughput_noma_vs_oma@{q_dbm:g}dBm", t_n.mean - t_o.mean,
              f">= -3ci={-slack:.3g}", t_n.mean - t_o.mean >= -slack)
-        s_n, s_p = noma["outage_system_psic"], pst["outage_system_psic"]
+        s_n, s_p = noma[q_dbm]["outage_system_psic"], pst[q_dbm]["outage_system_psic"]
         slack = 3.0 * (s_n.ci95_halfwidth + s_p.ci95_halfwidth)
         gate(f"order/sysout_astars_vs_pstars@{q_dbm:g}dBm", s_p.mean - s_n.mean,
              f">= -3ci={-slack:.3g}", s_p.mean - s_n.mean >= -slack)
@@ -515,7 +525,7 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["gate", "observed", "tolerance", "verdict"])
             for g in gates:
-                writer.writerow([g.name, repr(g.observed), g.tolerance,
+                writer.writerow([g.name, _fmt(g.observed), g.tolerance,
                                  "pass" if g.passed else "FAIL"])
     return (0 if all_pass else 2), gates
 

@@ -14,18 +14,22 @@ each block draws from its own counter-based substream keyed by
 (seed, block index).  Per-block partials are reduced in block order with
 exact (fsum) accumulation, so results are bit-identical for a given
 (config, seed) regardless of the worker count used to compute the blocks.
+The draws do not depend on the transmit power, so one call evaluates a
+whole vector of powers on each block it draws, and every power gets the
+estimates a call with that power alone would give.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import SicMode, target_sinr
+from .analytic import target_sinr
 from .model import ConfigError, NetworkConfig, noise_power_factor, sample_distance
 
 __all__ = [
@@ -34,11 +38,8 @@ __all__ = [
     "SCHEMES",
     "SinrSet",
     "TrialDraw",
-    "baseline_estimate",
     "budget_to_ps",
     "draw_trial",
-    "estimate_ergodic",
-    "estimate_outage",
     "simulate",
     "sinr_set",
     "surface_output_power",
@@ -55,24 +56,38 @@ _MASK64 = (1 << 64) - 1
 class TrialDraw:
     """One channel realization: small-scale gains (BS->surface and
     surface->user), per-element thermal noise, residual-interference
-    power, and the two user distances."""
+    power, and the two user distances.  The block simulator stacks a
+    block of realizations along a leading trial axis."""
 
     h_s: np.ndarray
     h_r: np.ndarray
     h_t: np.ndarray
-    n_s: np.ndarray
-    h_re_sq: float
-    d_r: float
-    d_t: float
+    n_s: np.ndarray | None
+    h_re_sq: float | np.ndarray
+    d_r: float | np.ndarray
+    d_t: float | np.ndarray
 
 
 class SinrSet(NamedTuple):
-    """The four link SINRs of one trial at one transmit power."""
+    """The four link SINRs of one trial at one transmit power (or of every
+    trial of a block, as arrays)."""
 
     gamma_r_to_t: float
     gamma_r_psic: float
     gamma_r_ipsic: float
     gamma_t: float
+
+
+class _Terms(NamedTuple):
+    """Per-trial terms of a block that do not depend on the transmit power:
+    the received-signal gains, the amplified-noise powers and the
+    residual-interference power."""
+
+    g_r: np.ndarray
+    g_t: np.ndarray
+    noise_r: np.ndarray
+    noise_t: np.ndarray
+    h_re_sq: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -97,6 +112,12 @@ def _rician(rng: np.random.Generator, kappa: float, shape) -> np.ndarray:
             + 1j * scatter * rng.standard_normal(shape))
 
 
+def _check_power(ps: float) -> None:
+    # NaN compares false both ways, so test finiteness explicitly
+    if not (math.isfinite(ps) and ps > 0.0):
+        raise ValueError(f"transmit power must be positive and finite, got {ps}")
+
+
 def draw_trial(rng: np.random.Generator, cfg: NetworkConfig) -> TrialDraw:
     """Draw one independent channel realization."""
     L = cfg.num_elements
@@ -112,55 +133,10 @@ def draw_trial(rng: np.random.Generator, cfg: NetworkConfig) -> TrialDraw:
                      h_re_sq=h_re_sq, d_r=d_r, d_t=d_t)
 
 
-def _side_terms(cfg: NetworkConfig, h_s, h_user, n_s, dist, beta):
-    """Per-trial received-signal gain and amplified-noise power on one side.
-
-    The phase controller aligns the cascade, so its amplitude is the sum of
-    per-element products of envelopes; the thermal noise keeps its random
-    phases and rides the same path loss.  In mean-noise mode the drawn
-    noise power is replaced by its analysis value zeta sigma_s^2.
-    """
-    alpha = cfg.path_alpha
-    eta0 = cfg.path_eta0
-    cascade_amp = np.sum(np.abs(h_s) * np.abs(h_user), axis=-1)
-    gain = eta0 ** 2 * (cfg.dist_bs * dist) ** -alpha * cascade_amp ** 2
-    if cfg.mean_noise_mode:
-        zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
-        noise_sum = np.broadcast_to(zeta * cfg.noise_sigma_s2,
-                                    np.shape(dist)).astype(float)
-    else:
-        noise_sum = np.abs(np.sum(n_s * h_user, axis=-1)) ** 2
-    noise_amp = cfg.amp_lambda * beta * eta0 * dist ** -alpha * noise_sum
-    return gain, noise_amp
-
-
-def sinr_set(trial: TrialDraw, cfg: NetworkConfig, ps: float) -> SinrSet:
-    """The four SINRs of one trial: the reflection user decoding the
-    transmission user's signal, then its own signal under pSIC and ipSIC,
-    and the transmission user decoding its own signal."""
-    if ps <= 0.0:
-        raise ValueError(f"transmit power must be positive, got {ps}")
-    lam = cfg.amp_lambda
-    g_r, noise_r = _side_terms(cfg, trial.h_s, trial.h_r, trial.n_s, trial.d_r, cfg.beta_r)
-    g_t, noise_t = _side_terms(cfg, trial.h_s, trial.h_t, trial.n_s, trial.d_t, cfg.beta_t)
-    s_r = lam * cfg.beta_r * ps * g_r
-    s_t = lam * cfg.beta_t * ps * g_t
-    den_r = noise_r + cfg.noise_sigma_02
-    return SinrSet(
-        gamma_r_to_t=cfg.a_t * s_r / (cfg.a_r * s_r + den_r),
-        gamma_r_psic=cfg.a_r * s_r / den_r,
-        gamma_r_ipsic=cfg.a_r * s_r / (den_r + trial.h_re_sq * ps),
-        gamma_t=cfg.a_t * s_t / (cfg.a_r * s_t + noise_t + cfg.noise_sigma_02),
-    )
-
-
-def _moments(values: np.ndarray) -> tuple[float, float, int]:
-    return float(values.sum()), float((values * values).sum()), values.size
-
-
-def _block_partials(cfg: NetworkConfig, scheme: str, ps: float,
-                    seed: int, block: int, size: int) -> dict[str, tuple | int]:
-    """Simulate one block of trials and return raw partial sums."""
+def _draw_block(cfg: NetworkConfig, scheme: str, seed: int, block: int,
+                size: int) -> TrialDraw:
+    """Draw one block of trials from its (seed, block) substream.  The
+    passive surface injects no noise, so its stream skips those draws."""
     rng = _rng_for_block(seed, block)
     L = cfg.num_elements
     kappa = cfg.rician_kappa
@@ -176,80 +152,127 @@ def _block_partials(cfg: NetworkConfig, scheme: str, ps: float,
     h_re_sq = rng.exponential(cfg.noise_sigma_re2, size)
     d_r = sample_distance(rng, cfg.radius_d, size)
     d_t = sample_distance(rng, cfg.radius_d, size)
+    return TrialDraw(h_s=h_s, h_r=h_r, h_t=h_t, n_s=n_s,
+                     h_re_sq=h_re_sq, d_r=d_r, d_t=d_t)
 
-    gamma_r_hat = target_sinr(cfg.target_rate_r)
-    gamma_t_hat = target_sinr(cfg.target_rate_t)
+
+def _terms(cfg: NetworkConfig, scheme: str, draw: TrialDraw) -> _Terms:
+    """Reduce a block of draws to its power-free per-trial terms.
+
+    The phase controller aligns the cascade, so its amplitude is the sum of
+    per-element products of envelopes; the thermal noise keeps its random
+    phases and rides the same path loss.  In mean-noise mode the drawn
+    noise power is replaced by its analysis value zeta sigma_s^2.
+    """
     alpha = cfg.path_alpha
     eta0 = cfg.path_eta0
-    sigma_02 = cfg.noise_sigma_02
 
     def side(h_user, dist, beta):
-        cascade_amp = np.sum(np.abs(h_s) * np.abs(h_user), axis=1)
+        cascade_amp = np.sum(np.abs(draw.h_s) * np.abs(h_user), axis=1)
         gain = eta0 ** 2 * (cfg.dist_bs * dist) ** -alpha * cascade_amp ** 2
         if scheme == "pstars_noma":
-            noise_amp = np.zeros(size)
+            noise_amp = np.zeros(dist.shape)
         elif cfg.mean_noise_mode:
-            zeta = noise_power_factor(kappa, L)
+            zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
             noise_amp = (cfg.amp_lambda * beta * eta0 * dist ** -alpha
-                         * zeta * cfg.noise_sigma_s2) * np.ones(size)
+                         * zeta * cfg.noise_sigma_s2) * np.ones(dist.shape)
         else:
-            noise_sum = np.abs(np.sum(n_s * h_user, axis=1)) ** 2
+            noise_sum = np.abs(np.sum(draw.n_s * h_user, axis=1)) ** 2
             noise_amp = cfg.amp_lambda * beta * eta0 * dist ** -alpha * noise_sum
         return gain, noise_amp
 
-    lam = 1.0 if scheme == "pstars_noma" else cfg.amp_lambda
-    g_r, noise_r = side(h_r, d_r, cfg.beta_r)
-    g_t, noise_t = side(h_t, d_t, cfg.beta_t)
-    s_r = lam * cfg.beta_r * ps * g_r
-    s_t = lam * cfg.beta_t * ps * g_t
+    g_r, noise_r = side(draw.h_r, draw.d_r, cfg.beta_r)
+    g_t, noise_t = side(draw.h_t, draw.d_t, cfg.beta_t)
+    return _Terms(g_r, g_t, noise_r, noise_t, draw.h_re_sq)
 
-    out: dict[str, tuple | int] = {"n": size}
+
+def _sinrs(cfg: NetworkConfig, scheme: str, terms: _Terms,
+           ps: float) -> SinrSet | tuple[np.ndarray, np.ndarray]:
+    """The SINR kernel: every trial's link SINRs at transmit power ps.
+
+    NOMA schemes give a SinrSet of arrays: the reflection user decoding the
+    transmission user's signal, then its own signal under pSIC and ipSIC,
+    and the transmission user decoding its own signal.  astars_oma gives
+    the pair (gamma_r, gamma_t) of the dedicated full-power slots.
+    """
+    lam = 1.0 if scheme == "pstars_noma" else cfg.amp_lambda
+    sigma_02 = cfg.noise_sigma_02
+    s_r = lam * cfg.beta_r * ps * terms.g_r
+    s_t = lam * cfg.beta_t * ps * terms.g_t
+    if scheme == "astars_oma":
+        return s_r / (terms.noise_r + sigma_02), s_t / (terms.noise_t + sigma_02)
+    den_r = terms.noise_r + sigma_02
+    return SinrSet(
+        gamma_r_to_t=cfg.a_t * s_r / (cfg.a_r * s_r + den_r),
+        gamma_r_psic=cfg.a_r * s_r / den_r,
+        gamma_r_ipsic=cfg.a_r * s_r / (den_r + terms.h_re_sq * ps),
+        gamma_t=cfg.a_t * s_t / (cfg.a_r * s_t + terms.noise_t + sigma_02),
+    )
+
+
+def sinr_set(trial: TrialDraw, cfg: NetworkConfig, ps: float) -> SinrSet:
+    """The four SINRs of one trial of the main scheme, through the same
+    kernel as the block simulator."""
+    _check_power(ps)
+    one = TrialDraw(h_s=trial.h_s[None, :], h_r=trial.h_r[None, :],
+                    h_t=trial.h_t[None, :], n_s=trial.n_s[None, :],
+                    h_re_sq=np.array([trial.h_re_sq]),
+                    d_r=np.array([trial.d_r]), d_t=np.array([trial.d_t]))
+    sinrs = _sinrs(cfg, "astars_noma", _terms(cfg, "astars_noma", one), ps)
+    return SinrSet(*(float(gamma[0]) for gamma in sinrs))
+
+
+def _moments(values: np.ndarray) -> tuple[float, float]:
+    return float(values.sum()), float((values * values).sum())
+
+
+def _partials(cfg: NetworkConfig, scheme: str, terms: _Terms,
+              ps: float) -> dict[str, int | tuple[float, float]]:
+    """Raw partial sums of one block at one transmit power, keyed by the
+    metric names of the estimates: event counts for outages, (sum, sum of
+    squares) for rates and throughputs."""
+    out: dict[str, int | tuple[float, float]] = {}
     if scheme == "astars_oma":
         # dedicated slots: full power, doubled spectral-efficiency target,
         # per-user rate halved by the slot structure
-        gamma_r = s_r / (noise_r + sigma_02)
-        gamma_t = s_t / (noise_t + sigma_02)
+        gamma_r, gamma_t = _sinrs(cfg, scheme, terms, ps)
         out_r = gamma_r <= target_sinr(2.0 * cfg.target_rate_r)
         out_t = gamma_t <= target_sinr(2.0 * cfg.target_rate_t)
         rate_r = 0.5 * np.log2(1.0 + gamma_r)
         rate_t = 0.5 * np.log2(1.0 + gamma_t)
-        out["out_r"] = int(out_r.sum())
-        out["out_t"] = int(out_t.sum())
-        out["out_sys"] = int((out_r | out_t).sum())
-        out["rate_r"] = _moments(rate_r)[:2]
-        out["rate_t"] = _moments(rate_t)[:2]
-        tol = rate_r + rate_t
+        out["outage_r"] = int(out_r.sum())
+        out["outage_t"] = int(out_t.sum())
+        out["outage_system"] = int((out_r | out_t).sum())
+        out["rate_r"] = _moments(rate_r)
+        out["rate_t"] = _moments(rate_t)
         lim = ((1.0 - out_r) * cfg.target_rate_r + (1.0 - out_t) * cfg.target_rate_t)
-        out["thr_tolerant"] = _moments(tol)[:2]
-        out["thr_limited"] = _moments(lim)[:2]
+        out["throughput_tolerant"] = _moments(rate_r + rate_t)
+        out["throughput_limited"] = _moments(lim)
         return out
 
-    den_r = noise_r + sigma_02
-    gamma_r_to_t = cfg.a_t * s_r / (cfg.a_r * s_r + den_r)
-    gamma_r_psic = cfg.a_r * s_r / den_r
-    gamma_r_ipsic = cfg.a_r * s_r / (den_r + h_re_sq * ps)
-    gamma_t = cfg.a_t * s_t / (cfg.a_r * s_t + noise_t + sigma_02)
+    gamma_r_hat = target_sinr(cfg.target_rate_r)
+    gamma_t_hat = target_sinr(cfg.target_rate_t)
+    s = _sinrs(cfg, scheme, terms, ps)
+    out_r_psic = (s.gamma_r_to_t <= gamma_t_hat) | (s.gamma_r_psic <= gamma_r_hat)
+    out_r_ipsic = (s.gamma_r_to_t <= gamma_t_hat) | (s.gamma_r_ipsic <= gamma_r_hat)
+    out_t = s.gamma_t <= gamma_t_hat
+    rate_r_psic = np.log2(1.0 + s.gamma_r_psic)
+    rate_r_ipsic = np.log2(1.0 + s.gamma_r_ipsic)
+    rate_t = np.log2(1.0 + s.gamma_t)
 
-    out_r_psic = (gamma_r_to_t <= gamma_t_hat) | (gamma_r_psic <= gamma_r_hat)
-    out_r_ipsic = (gamma_r_to_t <= gamma_t_hat) | (gamma_r_ipsic <= gamma_r_hat)
-    out_t = gamma_t <= gamma_t_hat
-    rate_r_psic = np.log2(1.0 + gamma_r_psic)
-    rate_r_ipsic = np.log2(1.0 + gamma_r_ipsic)
-    rate_t = np.log2(1.0 + gamma_t)
-
-    out["out_r_psic"] = int(out_r_psic.sum())
-    out["out_r_ipsic"] = int(out_r_ipsic.sum())
-    out["out_t"] = int(out_t.sum())
-    out["out_sys_psic"] = int((out_r_psic | out_t).sum())
-    out["out_sys_ipsic"] = int((out_r_ipsic | out_t).sum())
-    out["rate_r_psic"] = _moments(rate_r_psic)[:2]
-    out["rate_r_ipsic"] = _moments(rate_r_ipsic)[:2]
-    out["rate_t"] = _moments(rate_t)[:2]
+    out["outage_r_psic"] = int(out_r_psic.sum())
+    out["outage_r_ipsic"] = int(out_r_ipsic.sum())
+    out["outage_t"] = int(out_t.sum())
+    out["outage_system_psic"] = int((out_r_psic | out_t).sum())
+    out["outage_system_ipsic"] = int((out_r_ipsic | out_t).sum())
+    out["rate_r_psic"] = _moments(rate_r_psic)
+    out["rate_r_ipsic"] = _moments(rate_r_ipsic)
+    out["rate_t"] = _moments(rate_t)
     for mode, out_r, rate_r in (("psic", out_r_psic, rate_r_psic),
                                 ("ipsic", out_r_ipsic, rate_r_ipsic)):
         lim = ((1.0 - out_r) * cfg.target_rate_r + (1.0 - out_t) * cfg.target_rate_t)
-        out[f"thr_limited_{mode}"] = _moments(lim)[:2]
-        out[f"thr_tolerant_{mode}"] = _moments(rate_r + rate_t)[:2]
+        out[f"throughput_limited_{mode}"] = _moments(lim)
+        out[f"throughput_tolerant_{mode}"] = _moments(rate_r + rate_t)
     return out
 
 
@@ -269,11 +292,16 @@ def _mean_estimate(total: float, total_sq: float, trials: int, kind: str) -> Est
     return Estimate(mean=mean, trials=trials, ci95_halfwidth=hw, kind=kind)
 
 
-def simulate(cfg: NetworkConfig, scheme: str, ps: float, trials: int | None = None,
-             seed: int | None = None, workers: int = 1) -> dict[str, Estimate]:
-    """Run the block simulator for one scheme at one transmit power.
+def simulate(cfg: NetworkConfig, scheme: str, ps: float | Sequence[float],
+             trials: int | None = None, seed: int | None = None, workers: int = 1,
+             ) -> dict[str, Estimate] | list[dict[str, Estimate]]:
+    """Run the block simulator for one scheme at one or more transmit powers.
 
-    Returns estimates keyed by metric:
+    ps is one power or a sequence of powers.  Each block is drawn once and
+    evaluated at every power in turn, so the estimates for a power are the
+    same whatever other powers share the call.  A sequence gives a list
+    with one dict of estimates per power, in order; a single power gives
+    its dict alone.  The dicts are keyed by metric:
     NOMA schemes: outage_r_psic, outage_r_ipsic, outage_t,
     outage_system_psic, outage_system_ipsic, rate_r_psic, rate_r_ipsic,
     rate_t, throughput_limited_{psic,ipsic}, throughput_tolerant_{psic,ipsic}.
@@ -282,8 +310,12 @@ def simulate(cfg: NetworkConfig, scheme: str, ps: float, trials: int | None = No
     """
     if scheme not in SCHEMES:
         raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    if ps <= 0.0:
-        raise ValueError(f"transmit power must be positive, got {ps}")
+    scalar = np.ndim(ps) == 0
+    powers = [ps] if scalar else list(ps)
+    if not powers:
+        raise ValueError("at least one transmit power required")
+    for p in powers:
+        _check_power(p)
     trials = cfg.mc_trials if trials is None else int(trials)
     if trials < 1:
         raise ValueError("at least one trial required")
@@ -292,98 +324,30 @@ def simulate(cfg: NetworkConfig, scheme: str, ps: float, trials: int | None = No
     if trials % BLOCK_TRIALS:
         sizes.append(trials % BLOCK_TRIALS)
 
-    def run(block: int) -> dict:
-        return _block_partials(cfg, scheme, ps, seed, block, sizes[block])
+    def run(block: int) -> list[dict]:
+        terms = _terms(cfg, scheme, _draw_block(cfg, scheme, seed, block, sizes[block]))
+        return [_partials(cfg, scheme, terms, p) for p in powers]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, range(len(sizes))))
+            by_block = list(pool.map(run, range(len(sizes))))
     else:
-        partials = [run(b) for b in range(len(sizes))]
-
-    keys = [k for k in partials[0] if k != "n"]
-    merged: dict[str, float | tuple] = {}
-    for key in keys:
-        first = partials[0][key]
-        if isinstance(first, tuple):
-            merged[key] = (math.fsum(p[key][0] for p in partials),
-                           math.fsum(p[key][1] for p in partials))
-        else:
-            merged[key] = sum(p[key] for p in partials)
+        by_block = [run(b) for b in range(len(sizes))]
 
     tag = f"{scheme}:"
-    estimates: dict[str, Estimate] = {}
-    renames = {
-        "out_r_psic": "outage_r_psic", "out_r_ipsic": "outage_r_ipsic",
-        "out_r": "outage_r", "out_t": "outage_t",
-        "out_sys_psic": "outage_system_psic", "out_sys_ipsic": "outage_system_ipsic",
-        "out_sys": "outage_system",
-        "thr_limited_psic": "throughput_limited_psic",
-        "thr_limited_ipsic": "throughput_limited_ipsic",
-        "thr_limited": "throughput_limited",
-        "thr_tolerant_psic": "throughput_tolerant_psic",
-        "thr_tolerant_ipsic": "throughput_tolerant_ipsic",
-        "thr_tolerant": "throughput_tolerant",
-    }
-    for key, value in merged.items():
-        name = renames.get(key, key)
-        if isinstance(value, tuple):
-            estimates[name] = _mean_estimate(value[0], value[1], trials, tag + name)
-        else:
-            estimates[name] = _outage_estimate(value, trials, tag + name)
-    return estimates
-
-
-def estimate_outage(cfg: NetworkConfig, mode: SicMode, ps: float,
-                    trials: int | None = None, seed: int | None = None,
-                    workers: int = 1) -> dict[str, Estimate]:
-    """Outage estimates for the main scheme under the given SIC mode,
-    keyed "r", "t", "system".
-
-    The reflection-user failure event is the exact compound one: the
-    companion signal could not be decoded, or the own signal could not
-    after cancellation.
-    """
-    sims = simulate(cfg, "astars_noma", ps, trials=trials, seed=seed, workers=workers)
-    suffix = "psic" if mode is SicMode.PSIC else "ipsic"
-    return {
-        "r": sims[f"outage_r_{suffix}"],
-        "t": sims["outage_t"],
-        "system": sims[f"outage_system_{suffix}"],
-    }
-
-
-def estimate_ergodic(cfg: NetworkConfig, mode: SicMode, ps: float,
-                     trials: int | None = None, seed: int | None = None,
-                     workers: int = 1) -> dict[str, Estimate]:
-    """Ergodic-rate estimates for the main scheme, keyed "r", "t"."""
-    sims = simulate(cfg, "astars_noma", ps, trials=trials, seed=seed, workers=workers)
-    suffix = "psic" if mode is SicMode.PSIC else "ipsic"
-    return {"r": sims[f"rate_r_{suffix}"], "t": sims["rate_t"]}
-
-
-def baseline_estimate(cfg: NetworkConfig, scheme: str, ps: float,
-                      trials: int | None = None, seed: int | None = None,
-                      workers: int = 1, mode: SicMode = SicMode.PSIC) -> dict[str, Estimate]:
-    """Estimates for a comparison scheme, normalized to mode-free keys:
-    outage_r, outage_t, outage_system, rate_r, rate_t, throughput_limited,
-    throughput_tolerant.  For the passive-surface NOMA baseline the SIC
-    mode selects which reflection-user variant is reported."""
-    if scheme not in ("astars_oma", "pstars_noma"):
-        raise ConfigError(f"unknown baseline scheme {scheme!r}")
-    sims = simulate(cfg, scheme, ps, trials=trials, seed=seed, workers=workers)
-    if scheme == "astars_oma":
-        return sims
-    suffix = "psic" if mode is SicMode.PSIC else "ipsic"
-    return {
-        "outage_r": sims[f"outage_r_{suffix}"],
-        "outage_t": sims["outage_t"],
-        "outage_system": sims[f"outage_system_{suffix}"],
-        "rate_r": sims[f"rate_r_{suffix}"],
-        "rate_t": sims["rate_t"],
-        "throughput_limited": sims[f"throughput_limited_{suffix}"],
-        "throughput_tolerant": sims[f"throughput_tolerant_{suffix}"],
-    }
+    results: list[dict[str, Estimate]] = []
+    for partials in zip(*by_block):
+        estimates: dict[str, Estimate] = {}
+        for key, first in partials[0].items():
+            if isinstance(first, tuple):
+                estimates[key] = _mean_estimate(math.fsum(p[key][0] for p in partials),
+                                                math.fsum(p[key][1] for p in partials),
+                                                trials, tag + key)
+            else:
+                estimates[key] = _outage_estimate(sum(p[key] for p in partials),
+                                                  trials, tag + key)
+        results.append(estimates)
+    return results[0] if scalar else results
 
 
 def surface_output_power(cfg: NetworkConfig, ps: float) -> float:

@@ -7,12 +7,14 @@ from pathlib import Path
 
 import pytest
 
+from astars_noma import montecarlo as mc
 from astars_noma.analytic import SicMode
 from astars_noma.cli import (CSV_HEADER, SweepSpec, figure_ids, main,
                              parse_config, run_sweep, validate)
 from astars_noma.model import ConfigError, NetworkConfig
 
 TRIALS = 4000
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_cfg(tmp_path: Path, text: str) -> Path:
@@ -123,6 +125,48 @@ def test_sweep_worker_count_does_not_change_csv(tmp_path):
     assert a[0].read_bytes() == b[0].read_bytes()
 
 
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sweep_matches_golden_csv(tmp_path, workers):
+    # frozen with one simulate call per (point, scheme), before power
+    # batching; the analytic column is frozen too, so a quadrature change
+    # must re-freeze these files
+    spec = SweepSpec(axis="q_tot_dbm", values=(-20.0, -8.0, 0.0, 15.0, 30.0),
+                     metrics=("outage_r", "rate_t"), modes=(SicMode.PSIC, SicMode.IPSIC),
+                     schemes=("astars_noma", "astars_oma", "pstars_noma"))
+    paths = run_sweep(NetworkConfig(), spec, tmp_path, trials=2 * 8192 + 100, seed=7,
+                      plots=False, workers=workers, stem="golden")
+    assert [p.name for p in paths] == ["golden_outage_r.csv", "golden_rate_t.csv"]
+    for path in paths:
+        assert path.read_bytes() == (GOLDEN / path.name).read_bytes(), path.name
+
+
+def _count_simulate_calls(monkeypatch) -> list:
+    calls = []
+    real = mc.simulate
+
+    def counting(cfg, scheme, ps, *args, **kwargs):
+        calls.append((cfg.num_elements, scheme, len(ps)))
+        return real(cfg, scheme, ps, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "simulate", counting)
+    return calls
+
+
+def test_sweep_simulates_once_per_config_and_scheme(tmp_path, monkeypatch):
+    calls = _count_simulate_calls(monkeypatch)
+    cfg = NetworkConfig()
+    # -45 dBm is infeasible for both schemes and is left out of the calls
+    power = SweepSpec(axis="q_tot_dbm", values=(-45.0, 10.0, 20.0, 30.0),
+                      metrics=("outage_r",), schemes=("astars_noma", "pstars_noma"))
+    run_sweep(cfg, power, tmp_path / "q", trials=TRIALS, plots=False)
+    assert calls == [(10, "astars_noma", 3), (10, "pstars_noma", 3)]
+    calls.clear()
+    elements = SweepSpec(axis="num_elements", values=(4, 10), metrics=("outage_r",),
+                         fixed_q_tot_dbm=20.0)
+    run_sweep(cfg, elements, tmp_path / "L", trials=TRIALS, plots=False)
+    assert calls == [(4, "astars_noma", 1), (10, "astars_noma", 1)]
+
+
 def test_sweep_baseline_rows_have_empty_analytic(tmp_path):
     cfg = NetworkConfig()
     spec = SweepSpec(axis="q_tot_dbm", values=(20.0,), metrics=("outage_system",),
@@ -210,16 +254,25 @@ def test_figure_unknown_id(tmp_path, capsys):
 # validate + exit codes
 # ---------------------------------------------------------------------------
 
-def test_validate_all_gates_pass_and_report_written(tmp_path):
+def test_validate_all_gates_pass_and_report_written(tmp_path, monkeypatch):
+    calls = _count_simulate_calls(monkeypatch)
     cfg = NetworkConfig()
     code, gates = validate(cfg, out_dir=tmp_path, trials=20_000)
     assert code == 0
     assert all(g.passed for g in gates)
+    # one call per (config, scheme); the main scheme's agreement and
+    # ordering budgets share one call
+    assert [(scheme, n) for _, scheme, n in calls] == [
+        ("astars_noma", 5), ("astars_noma", 3), ("astars_oma", 4), ("pstars_noma", 4)]
     report = tmp_path / "gates.csv"
     assert report.exists()
     lines = report.read_text().splitlines()
     assert lines[0] == "gate,observed,tolerance,verdict"
     assert len(lines) == len(gates) + 1
+    rows = _read(report)
+    for row, g in zip(rows, gates):
+        assert row["gate"] == g.name
+        assert float(row["observed"]) == g.observed, row["observed"]
 
 
 def test_validate_cli_runs_green(tmp_path, capsys):

@@ -14,9 +14,8 @@ import pytest
 
 from astars_noma.analytic import SicMode
 from astars_noma.model import ConfigError, NetworkConfig, dbm_to_watts, noise_power_factor
-from astars_noma.montecarlo import (BLOCK_TRIALS, Estimate, baseline_estimate,
-                                    budget_to_ps, draw_trial, estimate_ergodic,
-                                    estimate_outage, simulate, sinr_set,
+from astars_noma.montecarlo import (BLOCK_TRIALS, SCHEMES, Estimate, budget_to_ps,
+                                    draw_trial, simulate, sinr_set,
                                     surface_output_power)
 
 CFG = NetworkConfig()
@@ -65,8 +64,6 @@ def test_pure_los_limit_gains_become_deterministic():
 def test_small_scale_gain_unit_power():
     rng = np.random.default_rng(2)
     n = 1_000_000
-    trials = [draw_trial(rng, replace(CFG, num_elements=1)) for _ in range(0)]
-    # vectorized equivalent: draw a block of gains directly
     from astars_noma.montecarlo import _rician
     h = _rician(rng, CFG.rician_kappa, n)
     power = np.abs(h) ** 2
@@ -121,8 +118,9 @@ def test_sinr_monotone_in_power():
 def test_sinr_set_rejects_nonpositive_power():
     rng = np.random.default_rng(7)
     trial = draw_trial(rng, CFG)
-    with pytest.raises(ValueError):
-        sinr_set(trial, CFG, 0.0)
+    for ps in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sinr_set(trial, CFG, ps)
 
 
 def test_mean_noise_mode_isolates_the_analysis_noise_substitution():
@@ -187,53 +185,74 @@ def test_seed_changes_estimates():
     assert a["outage_r_psic"].mean != b["outage_r_psic"].mean
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_power_vector_matches_single_power_calls(scheme):
+    powers = [dbm_to_watts(d) for d in (0.0, 15.0, 30.0)]
+    trials = 3 * BLOCK_TRIALS + 17
+    singles = [simulate(CFG, scheme, ps, trials=trials, seed=99) for ps in powers]
+    for workers in (1, 2, 7):
+        batched = simulate(CFG, scheme, powers, trials=trials, seed=99, workers=workers)
+        assert len(batched) == len(powers)
+        for one, many in zip(singles, batched):
+            assert list(many) == list(one)
+            for key, est in one.items():
+                assert many[key] == est, (workers, key)
+
+
+@pytest.mark.parametrize("powers", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                                    [1.0, math.nan, 2.0], [1.0, math.inf], []])
+def test_simulate_rejects_bad_powers(powers):
+    with pytest.raises(ValueError):
+        simulate(CFG, "astars_noma", powers, trials=10)
+
+
 def test_zero_targets_never_outage():
     cfg = replace(CFG, target_rate_r=0.0, target_rate_t=0.0)
-    out = estimate_outage(cfg, SicMode.PSIC, dbm_to_watts(0.0), trials=20_000)
-    assert out["r"].mean == 0.0
-    assert out["t"].mean == 0.0
-    assert out["system"].mean == 0.0
+    sims = simulate(cfg, "astars_noma", dbm_to_watts(0.0), trials=20_000)
+    assert sims["outage_r_psic"].mean == 0.0
+    assert sims["outage_t"].mean == 0.0
+    assert sims["outage_system_psic"].mean == 0.0
 
 
 def test_degenerate_allocation_sure_outage():
     cfg = replace(CFG, target_rate_t=2.0)  # a_t < gamma_t_hat a_r
-    out = estimate_outage(cfg, SicMode.PSIC, dbm_to_watts(30.0), trials=20_000)
-    assert out["t"].mean == 1.0
+    sims = simulate(cfg, "astars_noma", dbm_to_watts(30.0), trials=20_000)
+    assert sims["outage_t"].mean == 1.0
 
 
 def test_estimate_outage_compound_event_consistency():
-    ps = dbm_to_watts(15.0)
-    psic = estimate_outage(CFG, SicMode.PSIC, ps, trials=50_000)
-    ipsic = estimate_outage(CFG, SicMode.IPSIC, ps, trials=50_000)
-    assert ipsic["r"].mean >= psic["r"].mean
+    sims = simulate(CFG, "astars_noma", dbm_to_watts(15.0), trials=50_000)
+    r, r_ipsic = sims["outage_r_psic"].mean, sims["outage_r_ipsic"].mean
+    t, system = sims["outage_t"].mean, sims["outage_system_psic"].mean
+    assert r_ipsic >= r
     # system event contains each per-user event
-    assert psic["system"].mean >= psic["r"].mean
-    assert psic["system"].mean >= psic["t"].mean
+    assert system >= r
+    assert system >= t
     # and is at most their sum
-    assert psic["system"].mean <= psic["r"].mean + psic["t"].mean
+    assert system <= r + t
 
 
 def test_ci_definitions():
-    ps = dbm_to_watts(15.0)
-    out = estimate_outage(CFG, SicMode.PSIC, ps, trials=50_000)["r"]
+    sims = simulate(CFG, "astars_noma", dbm_to_watts(15.0), trials=50_000)
+    out = sims["outage_r_psic"]
     assert out.ci95_halfwidth == pytest.approx(
         1.96 * math.sqrt(out.mean * (1.0 - out.mean) / out.trials), rel=1e-12)
-    rate = estimate_ergodic(CFG, SicMode.PSIC, ps, trials=50_000)["r"]
+    rate = sims["rate_r_psic"]
     assert rate.ci95_halfwidth > 0.0
     assert rate.trials == 50_000
 
 
 def test_rate_t_estimate_respects_allocation_ceiling():
-    est = estimate_ergodic(CFG, SicMode.PSIC, dbm_to_watts(45.0), trials=50_000)
+    est = simulate(CFG, "astars_noma", dbm_to_watts(45.0), trials=50_000)["rate_t"]
     ceiling = math.log2(1.0 + CFG.a_t / CFG.a_r)
-    assert est["t"].mean <= ceiling + est["t"].ci95_halfwidth
-    assert est["t"].mean == pytest.approx(ceiling, abs=0.01)
+    assert est.mean <= ceiling + est.ci95_halfwidth
+    assert est.mean == pytest.approx(ceiling, abs=0.01)
 
 
 def test_rates_vanish_at_tiny_power():
-    est = estimate_ergodic(CFG, SicMode.PSIC, 1e-12, trials=5_000)
-    assert est["r"].mean < 1e-6
-    assert est["t"].mean < 1e-6
+    sims = simulate(CFG, "astars_noma", 1e-12, trials=5_000)
+    assert sims["rate_r_psic"].mean < 1e-6
+    assert sims["rate_t"].mean < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +293,21 @@ def test_pstars_reduction_matches_unamplified_astars():
         assert diff <= 3.0 * (act[key].ci95_halfwidth + pas[key].ci95_halfwidth)
 
 
-def test_baseline_estimate_key_normalization():
+def test_scheme_metric_keys():
     ps = dbm_to_watts(20.0)
-    oma = baseline_estimate(CFG, "astars_oma", ps, trials=10_000)
-    pst = baseline_estimate(CFG, "pstars_noma", ps, trials=10_000)
-    expected = {"outage_r", "outage_t", "outage_system", "rate_r", "rate_t",
-                "throughput_limited", "throughput_tolerant"}
-    assert expected <= set(oma)
-    assert expected == set(pst)
-    with pytest.raises(ConfigError):
-        baseline_estimate(CFG, "astars_noma", ps, trials=10)
+    sims = {s: simulate(CFG, s, ps, trials=10_000) for s in SCHEMES}
+    assert set(sims["astars_oma"]) == {
+        "outage_r", "outage_t", "outage_system", "rate_r", "rate_t",
+        "throughput_limited", "throughput_tolerant"}
+    noma_keys = {"outage_r_psic", "outage_r_ipsic", "outage_t",
+                 "outage_system_psic", "outage_system_ipsic", "rate_r_psic",
+                 "rate_r_ipsic", "rate_t", "throughput_limited_psic",
+                 "throughput_limited_ipsic", "throughput_tolerant_psic",
+                 "throughput_tolerant_ipsic"}
+    assert set(sims["astars_noma"]) == set(sims["pstars_noma"]) == noma_keys
+    for scheme, estimates in sims.items():
+        for key, est in estimates.items():
+            assert est.kind == f"{scheme}:{key}"
     with pytest.raises(ConfigError):
         simulate(CFG, "no_such_scheme", ps, trials=10)
 
