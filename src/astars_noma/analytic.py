@@ -11,6 +11,12 @@ Every evaluator composes three ingredients:
 * for imperfect-SIC quantities, a Gauss-Laguerre rule over the exponential
   residual-interference power.
 
+The reflection user's ergodic rate is one contraction for both SIC modes
+(pSIC is the one-node residual axis y = 0): the amplitude and residual
+axes are pruned of nodes below 1e-30 of their rule's mass, and the
+log-sum is taken chunk by chunk in one reused buffer and contracted with
+two BLAS matrix-vector products (see _triple_log_sum).
+
 Probabilities are never clamped: a value outside [0, 1] beyond 1e-9 raises
 NumericIntegrityError, which is how formula-transcription bugs surface.
 """
@@ -178,29 +184,87 @@ def system_outage(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
     return _check_probability(1.0 - (1.0 - p_r) * (1.0 - p_t), "outage_system")
 
 
-def _gamma_density_weights(approx, rule) -> np.ndarray:
-    """Laguerre weights folded with the Gamma(p) density factor
-    t^{p-1}/Gamma(p), evaluated in log space so large shapes cannot
-    overflow."""
-    return rule.weights * np.exp(
-        (approx.p - 1.0) * np.log(rule.nodes) - math.lgamma(approx.p))
+# Rate-sum nodes whose weight is below this fraction of their rule's mass
+# are dropped (see _triple_log_sum for the bound on what they carry).
+_PRUNE_REL = 1.0e-30
+# The Gamma-weighted amplitude rule must give the Gamma(p) density unit mass
+# within this.  A rule whose usable nodes stop short of the density's bulk
+# fails it: Laguerre weights underflow beyond t ~ 745 at any rule size,
+# while a strong line-of-sight fit (kappa = 20 dB, L = 10) has p ~ 1005.
+_GAMMA_MASS_TOL = 1.0e-3
+# Elements of the log-sum work buffer (512 KiB, cache-sized); a chunk holds
+# at least one amplitude row whatever its size.
+_CHUNK_ELEMS = 1 << 16
+
+
+def _amplitude_rule(cfg: NetworkConfig) -> tuple[float, np.ndarray, np.ndarray]:
+    """Gamma-fit scale q, amplitude nodes t and their weights: Laguerre
+    weights folded with the Gamma(p) density factor t^{p-1}/Gamma(p).
+
+    The weights are formed in log space so large shapes cannot overflow;
+    rule weights at the subnormal floor carry no value and are left out.
+    A non-finite mass, or one off 1 by more than _GAMMA_MASS_TOL, means
+    the rule cannot resolve the density and raises NumericIntegrityError.
+    Nodes below _PRUNE_REL of the mass are dropped.
+    """
+    approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
+    rule = gauss_laguerre_rule(cfg.quad_q)
+    resolved = rule.weights > np.finfo(float).smallest_subnormal
+    t = rule.nodes[resolved]
+    with np.errstate(over="ignore"):
+        weights = np.exp(np.log(rule.weights[resolved])
+                         + ((approx.p - 1.0) * np.log(t) - math.lgamma(approx.p)))
+    mass = float(weights.sum())
+    if not abs(mass - 1.0) <= _GAMMA_MASS_TOL:
+        raise NumericIntegrityError(
+            f"{cfg.quad_q}-node amplitude rule gives the Gamma(p={approx.p:.6g}) "
+            f"density mass {mass}, not 1 within {_GAMMA_MASS_TOL:g}")
+    keep = weights > _PRUNE_REL * mass
+    return approx.q, t[keep], weights[keep]
+
+
+def _residual_rule(cfg: NetworkConfig, mode: SicMode) -> tuple[np.ndarray, np.ndarray]:
+    """Residual-interference power nodes and weights: the Gauss-Laguerre
+    rule pruned below _PRUNE_REL of its mass under ipSIC, and the one node
+    y = 0 of weight 1 under pSIC."""
+    if mode is SicMode.PSIC:
+        return np.zeros(1), np.ones(1)
+    rule = gauss_laguerre_rule(cfg.quad_k)
+    keep = rule.weights > _PRUNE_REL * rule.weights.sum()
+    return rule.nodes[keep], rule.weights[keep]
 
 
 def _triple_log_sum(gamma_w: np.ndarray, t_nodes: np.ndarray,
                     k_weights: np.ndarray, dist_w: np.ndarray,
                     snr_scale: np.ndarray) -> float:
-    """sum_{q,k,u} gamma_w[q] k_w[k] dist_w[u] log2(1 + scale[k,u] t[q]^2),
-    chunked over the amplitude axis so peak memory stays bounded for large
-    quadrature sizes."""
-    ku = snr_scale.size
-    chunk = max(1, (1 << 24) // max(ku, 1))
-    total = 0.0
-    for start in range(0, len(t_nodes), chunk):
-        t2 = t_nodes[start:start + chunk, None, None] ** 2
-        vals = np.log1p(snr_scale[None, :, :] * t2)
-        total += float(np.einsum("q,k,u,qku->", gamma_w[start:start + chunk],
-                                 k_weights, dist_w, vals))
-    return total / math.log(2.0)
+    """sum_{q,k,u} gamma_w[q] k_w[k] dist_w[u] log2(1 + scale[k,u] t[q]^2).
+
+    The amplitude and residual axes arrive pruned of nodes below _PRUNE_REL
+    of their rule's mass.  What that drops is below rounding: the
+    integrand falls as the residual power y_k grows, so a dropped residual
+    node carries at most its weight's share of the sum; and since
+    log1p(a x) <= a log1p(x) for a >= 1, a dropped amplitude node adds at
+    most _PRUNE_REL t_max^2 log1p(scale) per unit of rule mass.
+
+    Rows of amplitude nodes are taken in chunks of about _CHUNK_ELEMS
+    elements: each chunk fills one reused buffer with scale t^2, takes
+    log1p in place, and is contracted against the flattened k_w (x) dist_w
+    by one BLAS matrix-vector product; the row sums then meet gamma_w in a
+    second.  Memory stays bounded for any amplitude rule size.
+    """
+    kw = np.outer(k_weights, dist_w).ravel()
+    scale = snr_scale.ravel()
+    rows = max(1, _CHUNK_ELEMS // scale.size)
+    buf = np.empty((min(rows, t_nodes.size), scale.size))
+    t2 = t_nodes ** 2
+    row_sums = np.empty(t_nodes.size)
+    for start in range(0, t_nodes.size, rows):
+        stop = min(start + rows, t_nodes.size)
+        block = buf[:stop - start]
+        np.multiply(t2[start:stop, None], scale[None, :], out=block)
+        np.log1p(block, out=block)
+        np.dot(block, kw, out=row_sums[start:stop])
+    return float(gamma_w @ row_sums) / math.log(2.0)
 
 
 def ergodic_rate_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
@@ -208,30 +272,22 @@ def ergodic_rate_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
 
     Substituting t = S/q (the Gamma-distributed cascade amplitude) turns
     the rate expectation into a Laguerre sum over t, a disk average over
-    the user distance, and, for ipSIC, a second Laguerre sum over the
-    residual-interference power.
+    the user distance, and a Laguerre sum over the residual-interference
+    power, which under pSIC is the one node y = 0.
     """
     if ps <= 0.0:
         raise ValueError(f"transmit power must be positive, got {ps}")
-    approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
+    q, t, gamma_w = _amplitude_rule(cfg)
+    y, k_w = _residual_rule(cfg, mode)
     chi, w = _distance_rule(cfg)
     base, static = _reflection_brackets(cfg, chi)
-    lag_q = gauss_laguerre_rule(cfg.quad_q)
-    gamma_w = _gamma_density_weights(approx, lag_q)
-    dsa = cfg.dist_bs ** cfg.path_alpha
-    if mode is SicMode.PSIC:
-        # SNR = (q t)^2 * a_r ps / (d_s^alpha * bracket(d))
-        snr_scale = cfg.a_r * ps * approx.q ** 2 / (dsa * (base + static))
-        vals = np.log1p(snr_scale[None, :] * lag_q.nodes[:, None] ** 2)
-        value = float(gamma_w @ vals @ w) / math.log(2.0)
-    else:
-        lag_k = gauss_laguerre_rule(cfg.quad_k)
-        residual = (chi[None, :] ** cfg.path_alpha / cfg.path_eta0 ** 2
-                    * lag_k.nodes[:, None] * ps * cfg.noise_sigma_re2
-                    / (cfg.beta_r * cfg.amp_lambda))
-        snr_scale = cfg.a_r * ps * approx.q ** 2 / (
-            dsa * (base + static[None, :] + residual))        # (K, U)
-        value = _triple_log_sum(gamma_w, lag_q.nodes, lag_k.weights, w, snr_scale)
+    residual = (chi[None, :] ** cfg.path_alpha / cfg.path_eta0 ** 2
+                * y[:, None] * ps * cfg.noise_sigma_re2
+                / (cfg.beta_r * cfg.amp_lambda))
+    # SNR = (q t)^2 * a_r ps / (d_s^alpha * bracket(d, y))
+    snr_scale = cfg.a_r * ps * q ** 2 / (
+        cfg.dist_bs ** cfg.path_alpha * (base + static[None, :] + residual))  # (K, U)
+    value = _triple_log_sum(gamma_w, t, k_w, w, snr_scale)
     if value < 0.0:
         raise NumericIntegrityError(f"rate_r[{mode.value}] negative: {value}")
     return value

@@ -24,7 +24,7 @@ import numpy as np
 
 from .model import NetworkConfig, element_moments, gamma_fit, noise_power_factor
 from .numerics import gauss_chebyshev_nodes, gauss_laguerre_rule, hyp2f1_series, reg_lower_gamma
-from .analytic import (_distance_rule, _gamma_density_weights,
+from .analytic import (SicMode, _amplitude_rule, _distance_rule, _residual_rule,
                        _triple_log_sum, rate_ceiling_t, target_sinr)
 
 __all__ = [
@@ -164,16 +164,14 @@ def ergodic_asym_r_ipsic(cfg: NetworkConfig) -> float:
     user: at infinite power the SINR reduces to the residual-interference-
     limited ratio, averaged over the cascade amplitude, the residual power,
     and the user distance."""
-    approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
+    q, t, gamma_w = _amplitude_rule(cfg)
+    y, k_w = _residual_rule(cfg, SicMode.IPSIC)
     chi, w = _distance_rule(cfg)
-    lag_q = gauss_laguerre_rule(cfg.quad_q)
-    lag_k = gauss_laguerre_rule(cfg.quad_k)
-    gamma_w = _gamma_density_weights(approx, lag_q)
-    snr_scale = (cfg.path_eta0 ** 2 * approx.q ** 2 * cfg.a_r * cfg.beta_r
+    snr_scale = (cfg.path_eta0 ** 2 * q ** 2 * cfg.a_r * cfg.beta_r
                  * cfg.amp_lambda
                  / (cfg.dist_bs ** cfg.path_alpha * chi[None, :] ** cfg.path_alpha
-                    * lag_k.nodes[:, None] * cfg.noise_sigma_re2))
-    return _triple_log_sum(gamma_w, lag_q.nodes, lag_k.weights, w, snr_scale)
+                    * y[:, None] * cfg.noise_sigma_re2))
+    return _triple_log_sum(gamma_w, t, k_w, w, snr_scale)
 
 
 def ergodic_bound_r_psic(cfg: NetworkConfig, ps: float) -> float:

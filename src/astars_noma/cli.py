@@ -202,6 +202,8 @@ def _fmt(x) -> str:
 def _check_cell(metric: str, value: float | None):
     if value is None:
         return
+    if not math.isfinite(value):
+        raise an.NumericIntegrityError(f"{metric} cell not finite: {value}")
     if metric.startswith("outage") and not -1e-9 <= value <= 1.0 + 1e-9:
         raise an.NumericIntegrityError(f"{metric} cell escaped [0,1]: {value}")
     if not metric.startswith("outage") and value < -1e-9:

@@ -11,7 +11,7 @@ power; both approximations are quantified by the Monte Carlo suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -91,6 +91,10 @@ class NetworkConfig:
         def fail(constraint: str):
             raise ConfigError(constraint + " violated")
 
+        # NaN passes every comparison below, so finiteness comes first
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                fail(f"{f.name} finite")
         if self.rician_kappa < 0.0:
             fail("kappa >= 0")
         if self.amp_lambda <= 1.0:

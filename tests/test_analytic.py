@@ -8,6 +8,7 @@ by the size-doubling test.
 """
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -16,13 +17,15 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 
 from astars_noma.analytic import (MetricPoint, NumericIntegrityError, SicMode,
+                                  _distance_rule, _reflection_brackets,
                                   ergodic_rate_r, ergodic_rate_t, outage_r,
                                   outage_t, rate_ceiling_t, system_outage,
                                   target_sinr, throughput_delay_limited,
                                   throughput_delay_tolerant)
-from astars_noma.model import (NetworkConfig, dbm_to_watts, gamma_fit,
-                               noise_power_factor)
-from astars_noma.numerics import reg_lower_gamma
+from astars_noma.asymptotic import ergodic_asym_r_ipsic
+from astars_noma.model import (NetworkConfig, db_to_linear, dbm_to_watts,
+                               gamma_fit, noise_power_factor)
+from astars_noma.numerics import gauss_laguerre_rule, reg_lower_gamma
 
 CFG = NetworkConfig()
 RATES_CFG = NetworkConfig(a_r=0.2, a_t=0.8)
@@ -354,3 +357,88 @@ def test_rate_t_vs_adaptive_integration(q_dbm):
                                0.0, cfg.a_t / cfg.a_r,
                                epsabs=1e-13, epsrel=1e-10, limit=200)
     assert closed == pytest.approx(oracle, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the pruned ergodic-rate kernel against the exhaustive sum
+# ---------------------------------------------------------------------------
+
+def _unpruned_rate_r(cfg, ps=None, mode=SicMode.IPSIC):
+    """The reflection rate over the full amplitude, residual and distance
+    rules in one einsum, with the Gamma weights formed directly; ps=None
+    gives the power-free ipSIC ceiling."""
+    fit = gamma_fit(cfg.rician_kappa, cfg.num_elements)
+    lag_q, lag_k = gauss_laguerre_rule(cfg.quad_q), gauss_laguerre_rule(cfg.quad_k)
+    gamma_w = lag_q.weights * np.exp(
+        (fit.p - 1.0) * np.log(lag_q.nodes) - math.lgamma(fit.p))
+    chi, w = _distance_rule(cfg)
+    dsa = cfg.dist_bs ** cfg.path_alpha
+    if ps is None:
+        scale = (cfg.path_eta0 ** 2 * fit.q ** 2 * cfg.a_r * cfg.beta_r * cfg.amp_lambda
+                 / (dsa * chi[None, :] ** cfg.path_alpha * lag_k.nodes[:, None]
+                    * cfg.noise_sigma_re2))
+    else:
+        base, static = _reflection_brackets(cfg, chi)
+        if mode is SicMode.PSIC:
+            vals = np.log1p(cfg.a_r * ps * fit.q ** 2 / (dsa * (base + static))
+                            * lag_q.nodes[:, None] ** 2)
+            return np.einsum("q,u,qu->", gamma_w, w, vals) / math.log(2.0)
+        residual = (chi[None, :] ** cfg.path_alpha / cfg.path_eta0 ** 2
+                    * lag_k.nodes[:, None] * ps * cfg.noise_sigma_re2
+                    / (cfg.beta_r * cfg.amp_lambda))
+        scale = cfg.a_r * ps * fit.q ** 2 / (dsa * (base + static[None, :] + residual))
+    vals = np.log1p(scale[None, :, :] * lag_q.nodes[:, None, None] ** 2)
+    return np.einsum("q,k,u,qku->", gamma_w, lag_k.weights, w, vals) / math.log(2.0)
+
+
+@pytest.mark.parametrize("kappa_db", [None, -5.0, 10.0])
+@pytest.mark.parametrize("L", [1, 4, 10, 40])
+def test_pruned_rate_kernel_matches_exhaustive_sum(L, kappa_db):
+    kappa = 0.0 if kappa_db is None else db_to_linear(kappa_db)
+    cfg = replace(RATES_CFG, num_elements=L, rician_kappa=kappa, path_alpha=3.0)
+    worst = 0.0
+    for q_dbm in range(-40, 121, 40):
+        ps = dbm_to_watts(q_dbm)
+        for mode in SicMode:
+            ref = _unpruned_rate_r(cfg, ps, mode)
+            worst = max(worst, abs(ergodic_rate_r(cfg, mode, ps) - ref) / ref)
+    ref = _unpruned_rate_r(cfg)
+    worst = max(worst, abs(ergodic_asym_r_ipsic(cfg) - ref) / ref)
+    assert worst <= 1e-13
+
+
+def test_rate_kernel_memory_stays_chunked():
+    # unchunked, this call would hold all 293 kept amplitude rows of the
+    # (235 x 1000) residual-distance grid at once: about 550 MB
+    cfg = replace(CFG, quad_q=2000, quad_k=2000, quad_u=1000)
+    gauss_laguerre_rule(2000)           # build the rule outside the trace
+    tracemalloc.start()
+    try:
+        value = ergodic_rate_r(cfg, SicMode.IPSIC, dbm_to_watts(20.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == pytest.approx(ergodic_rate_r(CFG, SicMode.IPSIC, dbm_to_watts(20.0)),
+                                  rel=1e-4)
+    assert peak < 32 * 2 ** 20
+
+
+def test_amplitude_rule_skips_underflowed_weights():
+    # at p ~ 422 an 800-node rule's floored tail weights (t > 745) would
+    # multiply t^(p-1) into an overflow; the resolved nodes carry the mass
+    cfg = replace(CFG, rician_kappa=db_to_linear(10.0), num_elements=40)
+    big = replace(cfg, quad_q=800)
+    ps = dbm_to_watts(20.0)
+    for mode in SicMode:
+        assert ergodic_rate_r(big, mode, ps) == pytest.approx(
+            ergodic_rate_r(cfg, mode, ps), rel=1e-12)
+
+
+def test_unresolvable_gamma_density_raises():
+    # kappa = 20 dB: p ~ 1005 sits past every representable Laguerre weight
+    cfg = replace(CFG, rician_kappa=db_to_linear(20.0))
+    for mode in SicMode:
+        with pytest.raises(NumericIntegrityError, match="density mass"):
+            ergodic_rate_r(cfg, mode, dbm_to_watts(20.0))
+    with pytest.raises(NumericIntegrityError, match="density mass"):
+        ergodic_asym_r_ipsic(cfg)

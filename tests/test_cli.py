@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from astars_noma import montecarlo as mc
-from astars_noma.analytic import SicMode
-from astars_noma.cli import (CSV_HEADER, SweepSpec, figure_ids, main,
+from astars_noma.analytic import NumericIntegrityError, SicMode
+from astars_noma.cli import (CSV_HEADER, SweepSpec, _check_cell, figure_ids, main,
                              parse_config, run_sweep, validate)
 from astars_noma.model import ConfigError, NetworkConfig
 
@@ -289,6 +289,34 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     rc = main(["--config", str(bad), "--out", str(tmp_path), "show-config"])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_non_finite_config_value_exit_code(tmp_path, capsys):
+    cfg_file = write_cfg(tmp_path, "lambda = nan\n")
+    rc = main(["--config", str(cfg_file), "--out", str(tmp_path), "show-config"])
+    assert rc == 1
+    assert "amp_lambda finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("metric", ["outage_r", "rate_r", "throughput_tolerant"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_check_cell_rejects_non_finite_values(metric, value):
+    with pytest.raises(NumericIntegrityError, match="not finite"):
+        _check_cell(metric, value)
+
+
+def test_cli_unresolvable_rate_rule_exits_2_without_csv(tmp_path, capsys):
+    # kappa = 20 dB gives a Gamma shape p ~ 1005, past a 200-node rule's
+    # last node: the rate must fail loudly instead of writing inf cells
+    cfg_file = write_cfg(tmp_path, "kappa_db = 20\n")
+    out = tmp_path / "out"
+    rc = main(["--config", str(cfg_file), "--out", str(out), "--trials", "64",
+               "--no-plots", "sweep", "--axis", "ps_dbm", "--start", "0",
+               "--stop", "20", "--step", "10", "--metrics", "rate_r",
+               "--modes", "pSIC,ipSIC"])
+    assert rc == 2
+    assert "numeric integrity failure" in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
 
 
 def test_cli_missing_config_is_io_error(tmp_path, capsys):

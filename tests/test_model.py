@@ -5,6 +5,7 @@ closed-form moments and the fitted CDF against them.
 """
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -78,6 +79,16 @@ def test_default_config_is_reference_point():
 def test_config_invariant_violations(bad):
     with pytest.raises(ConfigError):
         NetworkConfig(**bad)
+
+
+FLOAT_FIELDS = [f.name for f in fields(NetworkConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_config_rejects_non_finite_floats(name, value):
+    with pytest.raises(ConfigError, match=f"{name} finite"):
+        NetworkConfig(**{name: value})
 
 
 def test_gamma_approx_requires_positive_parameters():
