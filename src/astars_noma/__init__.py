@@ -7,22 +7,22 @@ and passive-surface baselines), and a CLI that sweeps, cross-validates,
 and emits figure data.
 """
 
-from .analytic import (MetricPoint, NumericIntegrityError, SicMode,
-                       ergodic_rate_r, ergodic_rate_t, outage_r, outage_t,
-                       rate_ceiling_t, system_outage, target_sinr,
-                       throughput_delay_limited, throughput_delay_tolerant)
+from .analytic import (NumericIntegrityError, SicMode, ergodic_rate_r,
+                       ergodic_rate_t, outage_r, outage_t, rate_ceiling_t,
+                       system_outage, target_sinr, throughput_delay_limited,
+                       throughput_delay_tolerant)
 from .asymptotic import (OutOfRegimeError, SlopeFit, ergodic_asym_r_ipsic,
-                         ergodic_asym_t, ergodic_bound_r_psic, fit_order,
-                         high_snr_cascade_cdf, outage_asym_r_psic,
-                         outage_asym_t, outage_floor_r_ipsic)
+                         ergodic_bound_r_psic, fit_order, high_snr_cascade_cdf,
+                         outage_asym_r_psic, outage_asym_t,
+                         outage_floor_r_ipsic)
 from .model import (ConfigError, GammaApprox, NetworkConfig, cascade_cdf,
                     db_to_linear, dbm_to_watts, distance_pdf, element_moments,
                     gamma_fit, noise_power_factor, sample_distance,
                     watts_to_dbm)
 from .montecarlo import (Estimate, SinrSet, TrialDraw, budget_to_ps,
                          draw_trial, simulate, sinr_set, surface_output_power)
-from .numerics import (QuadratureRule, bessel_k, gauss_chebyshev_nodes,
-                       gauss_laguerre_rule, hyp2f1_series, laguerre_half,
-                       lower_incomplete_gamma, reg_lower_gamma)
+from .numerics import (QuadratureRule, bessel_k, gauss_laguerre_rule,
+                       gauss_legendre_rule, hyp2f1_series, laguerre_half,
+                       reg_lower_gamma)
 
 __version__ = "0.1.0"

@@ -3,19 +3,20 @@ and both throughput modes for the two-sided amplifying-surface NOMA link.
 
 Every evaluator composes three ingredients:
 
-* the Gamma moment-matched CDF of the squared phase-aligned cascade gain,
-* a Gauss-Chebyshev rule over the user-distance disk (substitution
-  chi_u = (x_u + 1) D / 2, Jacobian folded into the weight
-  pi (x_u + 1) sqrt(1 - x_u^2) / (2U), renormalized to unit mass so
-  probability outputs respect [0, 1] at machine precision),
+* the Gamma moment-matched law of the phase-aligned cascade amplitude
+  (its CDF for outages, a generalized Gauss-Laguerre rule built for the
+  Gamma density for rates),
+* a Gauss-Legendre rule over the user-distance disk in the area
+  coordinate u = (d/D)^2, which is uniform on [0, 1] under the disk law,
 * for imperfect-SIC quantities, a Gauss-Laguerre rule over the exponential
   residual-interference power.
 
-The reflection user's ergodic rate is one contraction for both SIC modes
-(pSIC is the one-node residual axis y = 0): the amplitude and residual
-axes are pruned of nodes below 1e-30 of their rule's mass, and the
-log-sum is taken chunk by chunk in one reused buffer and contracted with
-two BLAS matrix-vector products (see _triple_log_sum).
+Both users' ergodic rates are one contraction (see _triple_log_sum): the
+reflection user's for both SIC modes (pSIC is the one-node residual axis
+y = 0), and the transmission user's as the difference of two such sums.
+The amplitude and residual axes are pruned of nodes below 1e-30 of their
+rule's mass, and the log-sum is taken chunk by chunk in one reused buffer
+and contracted with two BLAS matrix-vector products.
 
 Probabilities are never clamped: a value outside [0, 1] beyond 1e-9 raises
 NumericIntegrityError, which is how formula-transcription bugs surface.
@@ -25,15 +26,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .model import NetworkConfig, gamma_fit, noise_power_factor
-from .numerics import gauss_chebyshev_nodes, gauss_laguerre_rule, reg_lower_gamma
+from .numerics import gauss_laguerre_rule, gauss_legendre_rule, reg_lower_gamma
 
 __all__ = [
-    "MetricPoint",
     "NumericIntegrityError",
     "SicMode",
     "ergodic_rate_r",
@@ -65,30 +64,15 @@ class SicMode(enum.Enum):
         return 0.0 if self is SicMode.PSIC else 1.0
 
 
-_METRIC_KINDS = frozenset({
-    "outage_r", "outage_t", "outage_system", "rate_r", "rate_t", "throughput",
-})
-
-
-@dataclass(frozen=True)
-class MetricPoint:
-    """One evaluated metric at one transmit power."""
-
-    ps_watts: float
-    value: float
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in _METRIC_KINDS:
-            raise ValueError(f"unknown metric kind {self.kind!r}")
-        if self.kind.startswith("outage") and not -_PROB_TOL <= self.value <= 1.0 + _PROB_TOL:
-            raise NumericIntegrityError(
-                f"{self.kind} at ps={self.ps_watts} outside [0,1]: {self.value}")
-
-
 def target_sinr(rate: float) -> float:
     """Decoding threshold 2^rate - 1 for a target of `rate` BPCU."""
     return 2.0 ** rate - 1.0
+
+
+def _check_power(ps: float) -> None:
+    # NaN compares false both ways, so test finiteness explicitly
+    if not (math.isfinite(ps) and ps > 0.0):
+        raise ValueError(f"transmit power must be positive and finite, got {ps}")
 
 
 def _check_probability(value: float, label: str) -> float:
@@ -98,25 +82,30 @@ def _check_probability(value: float, label: str) -> float:
 
 
 def _distance_rule(cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Distance nodes chi_u = (x_u+1)D/2 and unit-mass weights for averaging
-    over the disk law 2x/D^2."""
-    rule = gauss_chebyshev_nodes(cfg.quad_u)
-    x = rule.nodes
-    weights = rule.weights * (x + 1.0) * np.sqrt(1.0 - x * x) / 2.0
-    weights = weights / weights.sum()
-    chi = (x + 1.0) * cfg.radius_d / 2.0
-    return chi, weights
+    """Distance nodes chi and weights for averaging over the disk law
+    2x/D^2: a Gauss-Legendre rule in u = (x/D)^2, uniform on [0, 1], so
+    chi = D sqrt(u) and the weights are the rule's."""
+    rule = gauss_legendre_rule(cfg.quad_u)
+    return cfg.radius_d * np.sqrt(rule.nodes), rule.weights
 
 
-def _reflection_brackets(cfg: NetworkConfig, chi: np.ndarray) -> tuple[float, np.ndarray]:
-    """Common noise bracket pieces on the reflection side: the mean
-    amplified-noise term zeta sigma_s^2/eta0 and the per-distance static
-    noise chi^alpha sigma_0^2/(eta0^2 beta_r lambda)."""
+def _noise_bracket(cfg: NetworkConfig, chi: np.ndarray, beta: float) -> np.ndarray:
+    """Noise bracket of the user with amplitude share beta at distances chi:
+    the mean amplified surface noise zeta sigma_s^2/eta0 plus the receiver
+    noise chi^alpha sigma_0^2/(eta0^2 beta lambda).  A user's SNR is
+    (q t)^2 ps / (d_s^alpha bracket)."""
     zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
-    base = zeta * cfg.noise_sigma_s2 / cfg.path_eta0
-    static = chi ** cfg.path_alpha * cfg.noise_sigma_02 / (
-        cfg.path_eta0 ** 2 * cfg.beta_r * cfg.amp_lambda)
-    return base, static
+    return (zeta * cfg.noise_sigma_s2 / cfg.path_eta0
+            + chi ** cfg.path_alpha * cfg.noise_sigma_02
+            / (cfg.path_eta0 ** 2 * beta * cfg.amp_lambda))
+
+
+def _residual_term(cfg: NetworkConfig, chi: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Residual-interference addition to the reflection user's bracket per
+    unit transmit power, at residual powers y (rows) and distances chi
+    (columns): chi^alpha y sigma_re^2/(eta0^2 beta_r lambda)."""
+    return (chi[None, :] ** cfg.path_alpha * y[:, None] * cfg.noise_sigma_re2
+            / (cfg.path_eta0 ** 2 * cfg.beta_r * cfg.amp_lambda))
 
 
 def outage_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
@@ -124,29 +113,26 @@ def outage_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
 
     Degenerate allocation a_t <= gamma_t_hat * a_r makes the interference
     ceiling unreachable and the outage is surely 1.  Otherwise the outage
-    is the disk average (Gauss-Chebyshev) of the cascade CDF at the decode
+    is the disk average (Gauss-Legendre) of the cascade CDF at the decode
     threshold; under ipSIC the exponential residual-interference power is
     integrated out with a Gauss-Laguerre rule.
     """
-    if ps <= 0.0:
-        raise ValueError(f"transmit power must be positive, got {ps}")
+    _check_power(ps)
     gamma_r_hat = target_sinr(cfg.target_rate_r)
     gamma_t_hat = target_sinr(cfg.target_rate_t)
     if cfg.a_t <= gamma_t_hat * cfg.a_r:
         return 1.0
     approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
     chi, w = _distance_rule(cfg)
-    base, static = _reflection_brackets(cfg, chi)
+    bracket = _noise_bracket(cfg, chi, cfg.beta_r)
     scale = gamma_r_hat * cfg.dist_bs ** cfg.path_alpha / (cfg.a_r * ps)
     if mode is SicMode.PSIC:
-        args = np.sqrt(scale * (base + static)) / approx.q
+        args = np.sqrt(scale * bracket) / approx.q
         value = float(w @ reg_lower_gamma(approx.p, args))
     else:
         lag = gauss_laguerre_rule(cfg.quad_k)
-        residual = (chi[None, :] ** cfg.path_alpha / cfg.path_eta0 ** 2
-                    * lag.nodes[:, None] * ps * cfg.noise_sigma_re2
-                    / (cfg.beta_r * cfg.amp_lambda))
-        args = np.sqrt(scale * (base + static[None, :] + residual)) / approx.q
+        residual = _residual_term(cfg, chi, lag.nodes) * ps
+        args = np.sqrt(scale * (bracket[None, :] + residual)) / approx.q
         value = float(lag.weights @ reg_lower_gamma(approx.p, args) @ w)
     return _check_probability(value, f"outage_r[{mode.value}]")
 
@@ -155,22 +141,18 @@ def outage_t(cfg: NetworkConfig, ps: float) -> float:
     """Outage probability of the transmission-side user.
 
     Same degenerate branch as the reflection user; otherwise a single
-    Gauss-Chebyshev disk average with the interference-limited threshold
+    Gauss-Legendre disk average with the interference-limited threshold
     gamma_t_hat/(a_t - gamma_t_hat a_r) and the transmission amplitude
     coefficient beta_t.
     """
-    if ps <= 0.0:
-        raise ValueError(f"transmit power must be positive, got {ps}")
+    _check_power(ps)
     gamma_t_hat = target_sinr(cfg.target_rate_t)
     if cfg.a_t <= gamma_t_hat * cfg.a_r:
         return 1.0
     partial = gamma_t_hat / (cfg.a_t - gamma_t_hat * cfg.a_r)
     approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
-    zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
     chi, w = _distance_rule(cfg)
-    bracket = (chi ** cfg.path_alpha * cfg.noise_sigma_02
-               / (cfg.path_eta0 ** 2 * cfg.beta_t * cfg.amp_lambda)
-               + zeta * cfg.noise_sigma_s2 / cfg.path_eta0)
+    bracket = _noise_bracket(cfg, chi, cfg.beta_t)
     args = np.sqrt(partial * cfg.dist_bs ** cfg.path_alpha / ps * bracket) / approx.q
     value = float(w @ reg_lower_gamma(approx.p, args))
     return _check_probability(value, "outage_t")
@@ -187,40 +169,24 @@ def system_outage(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
 # Rate-sum nodes whose weight is below this fraction of their rule's mass
 # are dropped (see _triple_log_sum for the bound on what they carry).
 _PRUNE_REL = 1.0e-30
-# The Gamma-weighted amplitude rule must give the Gamma(p) density unit mass
-# within this.  A rule whose usable nodes stop short of the density's bulk
-# fails it: Laguerre weights underflow beyond t ~ 745 at any rule size,
-# while a strong line-of-sight fit (kappa = 20 dB, L = 10) has p ~ 1005.
-_GAMMA_MASS_TOL = 1.0e-3
 # Elements of the log-sum work buffer (512 KiB, cache-sized); a chunk holds
 # at least one amplitude row whatever its size.
 _CHUNK_ELEMS = 1 << 16
 
 
 def _amplitude_rule(cfg: NetworkConfig) -> tuple[float, np.ndarray, np.ndarray]:
-    """Gamma-fit scale q, amplitude nodes t and their weights: Laguerre
-    weights folded with the Gamma(p) density factor t^{p-1}/Gamma(p).
-
-    The weights are formed in log space so large shapes cannot overflow;
-    rule weights at the subnormal floor carry no value and are left out.
-    A non-finite mass, or one off 1 by more than _GAMMA_MASS_TOL, means
-    the rule cannot resolve the density and raises NumericIntegrityError.
-    Nodes below _PRUNE_REL of the mass are dropped.
-    """
+    """Gamma-fit scale q, amplitude nodes t and their weights: the
+    generalized Gauss-Laguerre rule for the Gamma(p) density of the
+    cascade amplitude S = q t, pruned below _PRUNE_REL of its mass.  A rule
+    with non-finite weights raises NumericIntegrityError."""
     approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
-    rule = gauss_laguerre_rule(cfg.quad_q)
-    resolved = rule.weights > np.finfo(float).smallest_subnormal
-    t = rule.nodes[resolved]
-    with np.errstate(over="ignore"):
-        weights = np.exp(np.log(rule.weights[resolved])
-                         + ((approx.p - 1.0) * np.log(t) - math.lgamma(approx.p)))
-    mass = float(weights.sum())
-    if not abs(mass - 1.0) <= _GAMMA_MASS_TOL:
+    rule = gauss_laguerre_rule(cfg.quad_q, approx.p - 1.0)
+    if not np.all(np.isfinite(rule.weights)):
         raise NumericIntegrityError(
-            f"{cfg.quad_q}-node amplitude rule gives the Gamma(p={approx.p:.6g}) "
-            f"density mass {mass}, not 1 within {_GAMMA_MASS_TOL:g}")
-    keep = weights > _PRUNE_REL * mass
-    return approx.q, t[keep], weights[keep]
+            f"{cfg.quad_q}-node amplitude rule for the Gamma(p={approx.p:.6g}) "
+            f"density has non-finite weights")
+    keep = rule.weights > _PRUNE_REL * rule.weights.sum()
+    return approx.q, rule.nodes[keep], rule.weights[keep]
 
 
 def _residual_rule(cfg: NetworkConfig, mode: SicMode) -> tuple[np.ndarray, np.ndarray]:
@@ -270,23 +236,20 @@ def _triple_log_sum(gamma_w: np.ndarray, t_nodes: np.ndarray,
 def ergodic_rate_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
     """Ergodic rate of the reflection-side user after SIC, in BPCU.
 
-    Substituting t = S/q (the Gamma-distributed cascade amplitude) turns
-    the rate expectation into a Laguerre sum over t, a disk average over
-    the user distance, and a Laguerre sum over the residual-interference
+    The rate expectation over the Gamma-distributed cascade amplitude
+    S = q t is a generalized Laguerre sum over t, a disk average over the
+    user distance, and a Laguerre sum over the residual-interference
     power, which under pSIC is the one node y = 0.
     """
-    if ps <= 0.0:
-        raise ValueError(f"transmit power must be positive, got {ps}")
+    _check_power(ps)
     q, t, gamma_w = _amplitude_rule(cfg)
     y, k_w = _residual_rule(cfg, mode)
     chi, w = _distance_rule(cfg)
-    base, static = _reflection_brackets(cfg, chi)
-    residual = (chi[None, :] ** cfg.path_alpha / cfg.path_eta0 ** 2
-                * y[:, None] * ps * cfg.noise_sigma_re2
-                / (cfg.beta_r * cfg.amp_lambda))
+    bracket = _noise_bracket(cfg, chi, cfg.beta_r)
     # SNR = (q t)^2 * a_r ps / (d_s^alpha * bracket(d, y))
     snr_scale = cfg.a_r * ps * q ** 2 / (
-        cfg.dist_bs ** cfg.path_alpha * (base + static[None, :] + residual))  # (K, U)
+        cfg.dist_bs ** cfg.path_alpha
+        * (bracket[None, :] + _residual_term(cfg, chi, y) * ps))  # (K, U)
     value = _triple_log_sum(gamma_w, t, k_w, w, snr_scale)
     if value < 0.0:
         raise NumericIntegrityError(f"rate_r[{mode.value}] negative: {value}")
@@ -302,33 +265,22 @@ def rate_ceiling_t(cfg: NetworkConfig) -> float:
 def ergodic_rate_t(cfg: NetworkConfig, ps: float) -> float:
     """Ergodic rate of the transmission-side user, in BPCU.
 
-    The exceedance form int_0^{a_t/a_r} (1 - F(x)) / ((1+x) ln 2) dx is
-    evaluated with an outer Chebyshev rule over the SINR interval (its
-    weights pinned to the exactly known F = 0 integral, the rate ceiling)
-    and the inner disk average of the cascade CDF.  The result is capped
-    by the ceiling structurally.
+    With g = (q t)^2 ps / (d_s^alpha bracket) the SINR is a_t g/(a_r g + 1),
+    and log2(1 + a_t g/(a_r g + 1)) = log2(1 + (a_r + a_t) g) - log2(1 + a_r g):
+    two log-sums over the amplitude and distance rules on the one-node
+    residual axis.  The result must stay below the ceiling log2(1 + a_t/a_r).
     """
-    if ps <= 0.0:
-        raise ValueError(f"transmit power must be positive, got {ps}")
-    approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
-    zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
+    _check_power(ps)
+    q, t, gamma_w = _amplitude_rule(cfg)
     chi, w = _distance_rule(cfg)
-    outer = gauss_chebyshev_nodes(cfg.cheb_n)
-    y = (outer.nodes + 1.0) * cfg.a_t / (2.0 * cfg.a_r)
-    coeff = (cfg.a_t / (2.0 * cfg.a_r * math.log(2.0))
-             * outer.weights * np.sqrt(1.0 - outer.nodes ** 2) / (1.0 + y))
-    ceiling = rate_ceiling_t(cfg)
-    coeff = coeff * (ceiling / coeff.sum())
-    bracket = (chi ** cfg.path_alpha * cfg.noise_sigma_02
-               / (cfg.path_eta0 ** 2 * cfg.beta_t * cfg.amp_lambda)
-               + zeta * cfg.noise_sigma_s2 / cfg.path_eta0)
-    args = np.sqrt(
-        y[:, None] * cfg.dist_bs ** cfg.path_alpha
-        / (ps * (cfg.a_t - y[:, None] * cfg.a_r)) * bracket[None, :]) / approx.q
-    exceed = 1.0 - reg_lower_gamma(approx.p, args) @ w
-    value = float(coeff @ exceed)
+    snr = ps * q ** 2 / (cfg.dist_bs ** cfg.path_alpha
+                         * _noise_bracket(cfg, chi, cfg.beta_t))
+    one = np.ones(1)
+    value = (_triple_log_sum(gamma_w, t, one, w, (cfg.a_r + cfg.a_t) * snr)
+             - _triple_log_sum(gamma_w, t, one, w, cfg.a_r * snr))
     if value < -1.0e-12:
         raise NumericIntegrityError(f"rate_t negative: {value}")
+    ceiling = rate_ceiling_t(cfg)
     if value > ceiling + 1.0e-6:
         raise NumericIntegrityError(
             f"rate_t {value} above its ceiling {ceiling}")

@@ -22,16 +22,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NetworkConfig, element_moments, gamma_fit, noise_power_factor
-from .numerics import gauss_chebyshev_nodes, gauss_laguerre_rule, hyp2f1_series, reg_lower_gamma
-from .analytic import (SicMode, _amplitude_rule, _distance_rule, _residual_rule,
-                       _triple_log_sum, rate_ceiling_t, target_sinr)
+from .model import NetworkConfig, element_moments, gamma_fit
+from .numerics import gauss_laguerre_rule, hyp2f1_series, reg_lower_gamma
+from .analytic import (SicMode, _amplitude_rule, _check_power, _distance_rule,
+                       _noise_bracket, _residual_rule, _residual_term,
+                       _triple_log_sum, target_sinr)
 
 __all__ = [
     "OutOfRegimeError",
     "SlopeFit",
     "ergodic_asym_r_ipsic",
-    "ergodic_asym_t",
     "ergodic_bound_r_psic",
     "fit_order",
     "high_snr_cascade_cdf",
@@ -108,34 +108,26 @@ def outage_asym_r_psic(cfg: NetworkConfig, ps: float) -> float:
     """High-SNR outage asymptote of the reflection user with pSIC: the
     disk average of the degree-L cascade CDF at the decode threshold.
     Decays as ps^{-L}, which is the full diversity order."""
-    if ps <= 0.0:
-        raise ValueError(f"transmit power must be positive, got {ps}")
+    _check_power(ps)
     gamma_r_hat = target_sinr(cfg.target_rate_r)
-    zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
     chi, w = _distance_rule(cfg)
-    bracket = (chi ** cfg.path_alpha * cfg.noise_sigma_02
-               / (cfg.path_eta0 ** 2 * cfg.beta_r * cfg.amp_lambda)
-               + zeta * cfg.noise_sigma_s2 / cfg.path_eta0)
-    thresholds = gamma_r_hat * cfg.dist_bs ** cfg.path_alpha / (cfg.a_r * ps) * bracket
+    thresholds = (gamma_r_hat * cfg.dist_bs ** cfg.path_alpha / (cfg.a_r * ps)
+                  * _noise_bracket(cfg, chi, cfg.beta_r))
     return _asym_outage(cfg, ps, thresholds, w, "asymptotic pSIC outage")
 
 
 def outage_asym_t(cfg: NetworkConfig, ps: float) -> float:
     """High-SNR outage asymptote of the transmission user; degenerate
     power allocations have no asymptote (the outage is surely 1)."""
-    if ps <= 0.0:
-        raise ValueError(f"transmit power must be positive, got {ps}")
+    _check_power(ps)
     gamma_t_hat = target_sinr(cfg.target_rate_t)
     if cfg.a_t <= gamma_t_hat * cfg.a_r:
         raise OutOfRegimeError(
             "degenerate allocation a_t <= gamma_t_hat a_r: outage is surely 1")
     partial = gamma_t_hat / (cfg.a_t - gamma_t_hat * cfg.a_r)
-    zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
     chi, w = _distance_rule(cfg)
-    bracket = (chi ** cfg.path_alpha * cfg.noise_sigma_02
-               / (cfg.path_eta0 ** 2 * cfg.beta_t * cfg.amp_lambda)
-               + zeta * cfg.noise_sigma_s2 / cfg.path_eta0)
-    thresholds = partial * cfg.dist_bs ** cfg.path_alpha / ps * bracket
+    thresholds = (partial * cfg.dist_bs ** cfg.path_alpha / ps
+                  * _noise_bracket(cfg, chi, cfg.beta_t))
     return _asym_outage(cfg, ps, thresholds, w, "asymptotic outage_t")
 
 
@@ -152,9 +144,7 @@ def outage_floor_r_ipsic(cfg: NetworkConfig) -> float:
     chi, w = _distance_rule(cfg)
     lag = gauss_laguerre_rule(cfg.quad_k)
     thr = (gamma_r_hat * cfg.dist_bs ** cfg.path_alpha / cfg.a_r
-           * chi[None, :] ** cfg.path_alpha / cfg.path_eta0 ** 2
-           * lag.nodes[:, None] * cfg.noise_sigma_re2
-           / (cfg.beta_r * cfg.amp_lambda))
+           * _residual_term(cfg, chi, lag.nodes))
     args = np.sqrt(thr) / approx.q
     return float(lag.weights @ reg_lower_gamma(approx.p, args) @ w)
 
@@ -167,10 +157,8 @@ def ergodic_asym_r_ipsic(cfg: NetworkConfig) -> float:
     q, t, gamma_w = _amplitude_rule(cfg)
     y, k_w = _residual_rule(cfg, SicMode.IPSIC)
     chi, w = _distance_rule(cfg)
-    snr_scale = (cfg.path_eta0 ** 2 * q ** 2 * cfg.a_r * cfg.beta_r
-                 * cfg.amp_lambda
-                 / (cfg.dist_bs ** cfg.path_alpha * chi[None, :] ** cfg.path_alpha
-                    * y[:, None] * cfg.noise_sigma_re2))
+    snr_scale = cfg.a_r * q ** 2 / (cfg.dist_bs ** cfg.path_alpha
+                                    * _residual_term(cfg, chi, y))
     return _triple_log_sum(gamma_w, t, k_w, w, snr_scale)
 
 
@@ -182,28 +170,14 @@ def ergodic_bound_r_psic(cfg: NetworkConfig, ps: float) -> float:
     disk average of 1/(noise(d)) taken exactly (distance quadrature), so
     the bound provably dominates the exact rate of the same model.
     """
-    if ps <= 0.0:
-        raise ValueError(f"transmit power must be positive, got {ps}")
+    _check_power(ps)
     mean, var = element_moments(cfg.rician_kappa)
     L = cfg.num_elements
-    zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
     mean_gain = L * (var + L * mean * mean)
     chi, w = _distance_rule(cfg)
-    noise_amp = cfg.amp_lambda * cfg.beta_r * cfg.path_eta0 * zeta * cfg.noise_sigma_s2
-    inv_noise = float(w @ (1.0 / (noise_amp + cfg.noise_sigma_02 * chi ** cfg.path_alpha)))
-    mean_snr = (cfg.a_r * cfg.amp_lambda * cfg.beta_r * ps * cfg.path_eta0 ** 2
-                / cfg.dist_bs ** cfg.path_alpha * mean_gain * inv_noise)
+    inv_bracket = float(w @ (1.0 / _noise_bracket(cfg, chi, cfg.beta_r)))
+    mean_snr = cfg.a_r * ps / cfg.dist_bs ** cfg.path_alpha * mean_gain * inv_bracket
     return math.log2(1.0 + mean_snr)
-
-
-def ergodic_asym_t(cfg: NetworkConfig) -> float:
-    """High-SNR ergodic-rate asymptote of the transmission user: the
-    Chebyshev approximation of int_0^{a_t/a_r} dx/((1+x) ln 2), which
-    converges to the rate ceiling log2(1 + a_t/a_r) as the rule grows."""
-    rule = gauss_chebyshev_nodes(cfg.cheb_n)
-    y = (rule.nodes + 1.0) * cfg.a_t / (2.0 * cfg.a_r)
-    return float(cfg.a_t / (2.0 * cfg.a_r * math.log(2.0))
-                 * np.sum(rule.weights * np.sqrt(1.0 - rule.nodes ** 2) / (1.0 + y)))
 
 
 def fit_order(points: Sequence[tuple[float, float]], scale: str = "loglog") -> SlopeFit:

@@ -79,7 +79,6 @@ class NetworkConfig:
     quad_k: int = 200
     quad_u: int = 200
     quad_q: int = 200
-    cheb_n: int = 200
     mc_trials: int = 100_000
     seed: int = 123456789
     pc_watts: float = dbm_to_watts(-20.0)
@@ -128,10 +127,8 @@ class NetworkConfig:
             fail("quad_k in [1, 2000]")
         if not 1 <= self.quad_q <= 2000:
             fail("quad_q in [1, 2000]")
-        if not 1 <= self.quad_u <= 10_000:
-            fail("quad_u in [1, 10^4]")
-        if not 1 <= self.cheb_n <= 10_000:
-            fail("cheb_n in [1, 10^4]")
+        if not 1 <= self.quad_u <= 2000:
+            fail("quad_u in [1, 2000]")
         if self.mc_trials < 1:
             fail("mc_trials >= 1")
         if self.pc_watts < 0.0 or self.pd_watts < 0.0:

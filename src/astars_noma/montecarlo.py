@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import target_sinr
+from .analytic import _check_power, target_sinr
 from .model import ConfigError, NetworkConfig, noise_power_factor, sample_distance
 
 __all__ = [
@@ -110,12 +110,6 @@ def _rician(rng: np.random.Generator, kappa: float, shape) -> np.ndarray:
     scatter = math.sqrt(1.0 / (2.0 * (kappa + 1.0)))
     return (los + scatter * rng.standard_normal(shape)
             + 1j * scatter * rng.standard_normal(shape))
-
-
-def _check_power(ps: float) -> None:
-    # NaN compares false both ways, so test finiteness explicitly
-    if not (math.isfinite(ps) and ps > 0.0):
-        raise ValueError(f"transmit power must be positive and finite, got {ps}")
 
 
 def draw_trial(rng: np.random.Generator, cfg: NetworkConfig) -> TrialDraw:

@@ -6,11 +6,11 @@ Only numpy is required.
 
 Contents
 --------
-* regularized / plain lower incomplete gamma (series + continued fraction)
+* the regularized lower incomplete gamma (series + continued fraction)
 * modified Bessel functions: exponentially scaled I0/I1 and general K_nu
 * the half-order Laguerre polynomial L_{1/2} used by Rician moments
-* Gauss-Laguerre rules via the Golub-Welsch tridiagonal eigenproblem
-* Gauss-Chebyshev (first kind) node sets
+* generalized Gauss-Laguerre rules (weight t^alpha e^{-t}) via the
+  Golub-Welsch tridiagonal eigenproblem, and Gauss-Legendre rules on [0, 1]
 * the Gauss hypergeometric series 2F1(a, b; c; z) on [0, 1)
 """
 
@@ -25,11 +25,10 @@ import numpy as np
 __all__ = [
     "QuadratureRule",
     "bessel_k",
-    "gauss_chebyshev_nodes",
     "gauss_laguerre_rule",
+    "gauss_legendre_rule",
     "hyp2f1_series",
     "laguerre_half",
-    "lower_incomplete_gamma",
     "reg_lower_gamma",
 ]
 
@@ -42,10 +41,10 @@ _MAX_ITER = 20000
 class QuadratureRule:
     """Abscissae and weights of a fixed quadrature rule.
 
-    kind is "laguerre" (weight e^{-t} on (0, inf), weights sum to 1) or
-    "chebyshev" (first-kind nodes cos((2u-1)pi/2U) with the uniform weight
-    pi/U attached; the caller composes the sqrt(1-x^2) factor).  Nodes are
-    stored strictly increasing and the arrays are read-only.
+    kind is "laguerre" (the Gamma(alpha+1) density t^alpha e^{-t}/Gamma(alpha+1)
+    on (0, inf)) or "legendre" (the uniform density on [0, 1]); either way
+    the weights sum to 1.  Nodes are stored strictly increasing and the
+    arrays are read-only.
     """
 
     kind: str
@@ -131,20 +130,6 @@ def reg_lower_gamma(a: float, x):
     if np.ndim(x) == 0:
         return float(out[0])
     return out
-
-
-def lower_incomplete_gamma(a: float, x: float) -> float:
-    """Lower incomplete gamma gamma(a, x) = int_0^x t^{a-1} e^{-t} dt.
-
-    Nondecreasing in x and bounded by Gamma(a).  Uses the regularized
-    routine internally, so the shape must keep Gamma(a) representable in
-    float64 (a <~ 171).
-    """
-    if a <= 0.0:
-        raise ValueError(f"gamma shape must be positive, got a={a}")
-    if x < 0.0:
-        raise ValueError(f"integration limit must be nonnegative, got x={x}")
-    return math.gamma(a) * float(reg_lower_gamma(a, x))
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +303,20 @@ def bessel_k(order: float, x: float) -> float:
 # Quadrature rules
 # ---------------------------------------------------------------------------
 
-def _laguerre_pair(size: int, y: np.ndarray):
-    """L_size(y) and L_{size-1}(y) as (mantissa, mantissa, log-scale).
+def _laguerre_pair(size: int, alpha: float, y: np.ndarray):
+    """L^alpha_size(y) and L^alpha_{size-1}(y) as (mantissa, mantissa,
+    log-scale).
 
     Three-term recurrence with per-node renormalization so the true values
     mantissa * exp(scale) never overflow even for thousands of terms at
     arguments of a few thousand.
     """
     prev = np.ones_like(y)        # L_0
-    cur = 1.0 - y                 # L_1
+    cur = 1.0 + alpha - y         # L_1
     scale = np.zeros_like(y)
     for n in range(1, size):
-        prev, cur = cur, ((2.0 * n + 1.0 - y) * cur - n * prev) / (n + 1.0)
+        prev, cur = cur, (((2.0 * n + 1.0 + alpha - y) * cur - (n + alpha) * prev)
+                          / (n + 1.0))
         mag = np.maximum(np.abs(cur), np.abs(prev))
         wild = (mag > 1.0e100) | ((mag > 0.0) & (mag < 1.0e-100))
         if np.any(wild):
@@ -341,33 +328,39 @@ def _laguerre_pair(size: int, y: np.ndarray):
 
 
 @lru_cache(maxsize=64)
-def gauss_laguerre_rule(size: int) -> QuadratureRule:
-    """Gauss-Laguerre rule: sum_k w_k f(y_k) = int_0^inf e^{-t} f(t) dt,
-    exact for polynomials of degree <= 2K - 1.
+def gauss_laguerre_rule(size: int, alpha: float = 0.0) -> QuadratureRule:
+    """Generalized Gauss-Laguerre rule for the Gamma(alpha+1) density:
+    sum_k w_k f(y_k) = int_0^inf t^alpha e^{-t} f(t) dt / Gamma(alpha+1),
+    exact for polynomials of degree <= 2K - 1; alpha > -1.
 
     Golub-Welsch seeding: the nodes start as eigenvalues of the symmetric
-    tridiagonal Jacobi matrix (diagonal 2i+1, off-diagonal i) and are then
-    Newton-polished on the Laguerre recurrence to full relative precision.
-    Weights come from the derivative identity w_k = 1/(y_k L_K'(y_k)^2)
-    evaluated in log form; tail weights whose true value sits below the
-    float64 subnormal range are floored at the smallest subnormal so every
-    weight stays strictly positive.  Weights sum to 1 = int e^{-t} dt.
+    tridiagonal Jacobi matrix (diagonal 2i+1+alpha, off-diagonal
+    sqrt(i(i+alpha))) and are then Newton-polished on the Laguerre
+    recurrence to full relative precision.  Weights come from the
+    derivative identity w_k = Gamma(K+alpha+1)/(K! Gamma(alpha+1))
+    / (y_k L_K'(y_k)^2) evaluated in log form; tail weights whose true
+    value sits below the float64 subnormal range are floored at the
+    smallest subnormal so every weight stays strictly positive.  Weights
+    sum to 1.
     """
     if not 1 <= size <= 2000:
         raise ValueError(f"Gauss-Laguerre size must be in [1, 2000], got {size}")
+    if not alpha > -1.0:
+        raise ValueError(f"Gauss-Laguerre alpha must exceed -1, got {alpha}")
     idx = np.arange(size, dtype=float)
-    jacobi = np.diag(2.0 * idx + 1.0)
+    jacobi = np.diag(2.0 * idx + 1.0 + alpha)
     if size > 1:
-        off = np.arange(1, size, dtype=float)
+        off = np.sqrt(idx[1:] * (idx[1:] + alpha))
         jacobi += np.diag(off, 1) + np.diag(off, -1)
     nodes = np.linalg.eigvalsh(jacobi)
-    # Newton steps: L_K'(y) = K (L_K(y) - L_{K-1}(y)) / y
+    # Newton steps: y L_K'(y) = K (L_K(y) - L_{K-1}(y)) - alpha L_{K-1}(y)
     for _ in range(3):
-        lk, lkm1, _ = _laguerre_pair(size, nodes)
-        nodes = nodes - lk * nodes / (size * (lk - lkm1))
-    lk, lkm1, scale = _laguerre_pair(size, nodes)
-    log_deriv = np.log(size * np.abs(lk - lkm1) / nodes) + scale
-    log_w = -np.log(nodes) - 2.0 * log_deriv
+        lk, lkm1, _ = _laguerre_pair(size, alpha, nodes)
+        nodes = nodes - lk * nodes / (size * (lk - lkm1) - alpha * lkm1)
+    lk, lkm1, scale = _laguerre_pair(size, alpha, nodes)
+    log_deriv = np.log(np.abs(size * (lk - lkm1) - alpha * lkm1) / nodes) + scale
+    log_w = (math.lgamma(size + alpha + 1.0) - math.lgamma(size + 1.0)
+             - math.lgamma(alpha + 1.0) - np.log(nodes) - 2.0 * log_deriv)
     with np.errstate(under="ignore"):
         weights = np.exp(log_w)
     weights = np.maximum(weights, np.finfo(float).smallest_subnormal)
@@ -375,21 +368,15 @@ def gauss_laguerre_rule(size: int) -> QuadratureRule:
 
 
 @lru_cache(maxsize=64)
-def gauss_chebyshev_nodes(size: int) -> QuadratureRule:
-    """First-kind Chebyshev nodes cos((2u-1)pi/2U), sorted ascending, with
-    the uniform weight pi/U attached:
-
-        int_{-1}^{1} f(x)/sqrt(1-x^2) dx = (pi/U) sum_u f(x_u)
-
-    exact for f of degree <= 2U - 1.  Callers integrating a plain dx
-    measure multiply f by sqrt(1-x_u^2) themselves.
+def gauss_legendre_rule(size: int) -> QuadratureRule:
+    """Gauss-Legendre rule for the uniform density on [0, 1]:
+    sum_u w_u f(x_u) = int_0^1 f(x) dx, exact for polynomials of degree
+    <= 2U - 1.  numpy's leggauss rule on [-1, 1], shifted and halved.
     """
-    if not 1 <= size <= 10_000:
-        raise ValueError(f"Gauss-Chebyshev size must be in [1, 10^4], got {size}")
-    u = np.arange(1, size + 1, dtype=float)
-    nodes = np.cos((2.0 * u - 1.0) * math.pi / (2.0 * size))[::-1]
-    weights = np.full(size, math.pi / size)
-    return QuadratureRule("chebyshev", nodes.copy(), weights)
+    if not 1 <= size <= 2000:
+        raise ValueError(f"Gauss-Legendre size must be in [1, 2000], got {size}")
+    x, w = np.polynomial.legendre.leggauss(size)
+    return QuadratureRule("legendre", (x + 1.0) / 2.0, w / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -453,29 +440,16 @@ def _hyp2f1_balanced(a: float, b: float, z: float) -> float:
 def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
     """Gauss hypergeometric function 2F1(a, b; c; z) for 0 <= z < 1.
 
-    Direct power series with a term-size stopping test for z <= 0.5.
-    Closer to the singular point the series is rearranged around 1 - z:
-    the logarithmic connection series when c = a + b (the case used by
-    the high-SNR constants, divergent at z = 1 itself) and the standard
-    two-term linear transformation when c - a - b is not an integer.
-    z = 1 is always rejected; consumers of the balanced case must pass a
-    regularized argument strictly below 1.
+    Direct power series with a term-size stopping test, except for
+    z > 0.5 when c = a + b (the case used by the high-SNR constants,
+    divergent at z = 1 itself): there the logarithmic connection series
+    around 1 - z takes over.  z = 1 is always rejected; consumers of the
+    balanced case must pass a regularized argument strictly below 1.
     """
     if not 0.0 <= z < 1.0:
         raise ValueError(f"2F1 series requires 0 <= z < 1, got z={z}")
     if c <= 0.0 and c == round(c):
         raise ValueError(f"2F1 undefined for nonpositive integer c={c}")
-    if z <= 0.5:
-        return _hyp2f1_direct(a, b, c, z)
-    s = c - a - b
-    if abs(s) < 1.0e-12:
+    if z > 0.5 and abs(c - a - b) < 1.0e-12:
         return _hyp2f1_balanced(a, b, z)
-    if abs(s - round(s)) > 1.0e-9:
-        w = 1.0 - z
-        t1 = (math.gamma(c) * math.gamma(s) / (math.gamma(c - a) * math.gamma(c - b))
-              * _hyp2f1_direct(a, b, 1.0 - s, w))
-        t2 = (w ** s * math.gamma(c) * math.gamma(-s) / (math.gamma(a) * math.gamma(b))
-              * _hyp2f1_direct(c - a, c - b, 1.0 + s, w))
-        return t1 + t2
-    # nonzero integer c-a-b: the direct series still converges for z < 1
     return _hyp2f1_direct(a, b, c, z)

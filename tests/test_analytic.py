@@ -14,24 +14,28 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
-from scipy import integrate
+from scipy import integrate, special
 
-from astars_noma.analytic import (MetricPoint, NumericIntegrityError, SicMode,
-                                  _distance_rule, _reflection_brackets,
-                                  ergodic_rate_r, ergodic_rate_t, outage_r,
+from astars_noma import analytic
+from astars_noma.analytic import (NumericIntegrityError, SicMode, _amplitude_rule,
+                                  _distance_rule, _noise_bracket, ergodic_rate_r,
+                                  ergodic_rate_t, outage_r,
                                   outage_t, rate_ceiling_t, system_outage,
                                   target_sinr, throughput_delay_limited,
                                   throughput_delay_tolerant)
-from astars_noma.asymptotic import ergodic_asym_r_ipsic
+from astars_noma.asymptotic import (ergodic_asym_r_ipsic, ergodic_bound_r_psic,
+                                    outage_asym_r_psic, outage_asym_t)
 from astars_noma.model import (NetworkConfig, db_to_linear, dbm_to_watts,
                                gamma_fit, noise_power_factor)
-from astars_noma.numerics import gauss_laguerre_rule, reg_lower_gamma
+from astars_noma.numerics import QuadratureRule, gauss_laguerre_rule, reg_lower_gamma
 
 CFG = NetworkConfig()
 RATES_CFG = NetworkConfig(a_r=0.2, a_t=0.8)
 # large rules for the transcription cross-checks (quadrature error well
 # below the 1e-6 agreement bar)
-HI = dict(quad_u=6000, quad_k=500, quad_q=500, cheb_n=4000)
+HI = dict(quad_u=2000, quad_k=500, quad_q=500)
+# strong line of sight: Gamma shape p ~ 1005 at L = 10
+KAPPA_20DB = db_to_linear(20.0)
 SWEEP_DBM = np.linspace(2.0, 40.0, 20)
 
 
@@ -69,12 +73,18 @@ def test_outage_approaches_one_at_vanishing_power():
 
 
 def test_positive_power_required():
-    for fn in (lambda: outage_r(CFG, SicMode.PSIC, 0.0),
-               lambda: outage_t(CFG, -1.0),
-               lambda: ergodic_rate_r(CFG, SicMode.PSIC, 0.0),
-               lambda: ergodic_rate_t(CFG, 0.0)):
-        with pytest.raises(ValueError):
-            fn()
+    for ps in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        for fn in (lambda: outage_r(CFG, SicMode.PSIC, ps),
+                   lambda: outage_r(CFG, SicMode.IPSIC, ps),
+                   lambda: outage_t(CFG, ps),
+                   lambda: ergodic_rate_r(CFG, SicMode.PSIC, ps),
+                   lambda: ergodic_rate_r(CFG, SicMode.IPSIC, ps),
+                   lambda: ergodic_rate_t(CFG, ps),
+                   lambda: outage_asym_r_psic(CFG, ps),
+                   lambda: outage_asym_t(CFG, ps),
+                   lambda: ergodic_bound_r_psic(CFG, ps)):
+            with pytest.raises(ValueError):
+                fn()
 
 
 # ---------------------------------------------------------------------------
@@ -165,20 +175,12 @@ def test_throughput_limits():
         2.0, abs=1e-9)
 
 
-def test_metric_point_integrity():
-    MetricPoint(1.0, 0.5, "outage_r")
-    with pytest.raises(NumericIntegrityError):
-        MetricPoint(1.0, 1.5, "outage_r")
-    with pytest.raises(ValueError):
-        MetricPoint(1.0, 0.5, "bogus_kind")
-
-
 # ---------------------------------------------------------------------------
 # quadrature convergence gate
 # ---------------------------------------------------------------------------
 
 def test_doubling_quadrature_sizes_moves_outputs_below_1e4_relative():
-    doubled = replace(RATES_CFG, quad_k=400, quad_u=400, quad_q=400, cheb_n=400)
+    doubled = replace(RATES_CFG, quad_k=400, quad_u=400, quad_q=400)
     ps = dbm_to_watts(20.0)
     pairs = [
         (outage_r(RATES_CFG, SicMode.PSIC, ps), outage_r(doubled, SicMode.PSIC, ps)),
@@ -284,9 +286,22 @@ def test_outage_t_vs_adaptive_integration(q_dbm):
     assert closed == pytest.approx(oracle, rel=1e-6)
 
 
-@pytest.mark.parametrize("q_dbm", [10.0, 25.0, 40.0])
-def test_psic_rate_vs_adaptive_integration(q_dbm):
-    cfg = replace(RATES_CFG, **HI)
+def _gamma_span(p, top):
+    """An interval holding all but a negligible share of the Gamma(p)
+    density: 0 to top for the shapes near the reference point, and 15
+    standard deviations either side of the mean for strong line of sight."""
+    if p < 100.0:
+        return 0.0, top
+    return p - 15.0 * math.sqrt(p), p + 15.0 * math.sqrt(p)
+
+
+@pytest.mark.parametrize("q_dbm, kappa", [(10.0, CFG.rician_kappa),
+                                          (25.0, CFG.rician_kappa),
+                                          (40.0, CFG.rician_kappa),
+                                          (20.0, KAPPA_20DB)],
+                         ids=["10.0", "25.0", "40.0", "kappa20dB-20.0"])
+def test_psic_rate_vs_adaptive_integration(q_dbm, kappa):
+    cfg = replace(RATES_CFG, rician_kappa=kappa, **HI)
     ps = dbm_to_watts(q_dbm)
     closed = ergodic_rate_r(cfg, SicMode.PSIC, ps)
     fit = gamma_fit(cfg.rician_kappa, cfg.num_elements)
@@ -300,7 +315,7 @@ def test_psic_rate_vs_adaptive_integration(q_dbm):
         val, _ = integrate.quad(
             lambda t: math.exp(-t + (fit.p - 1.0) * math.log(t)
                                - math.lgamma(fit.p)) * math.log1p(c * t * t),
-            0.0, 250.0, epsabs=1e-13, epsrel=1e-10, limit=200)
+            *_gamma_span(fit.p, 250.0), epsabs=1e-13, epsrel=1e-10, limit=200)
         return val / math.log(2.0)
 
     oracle, _ = integrate.quad(lambda z: 2.0 * z / cfg.radius_d ** 2 * rate_at(z),
@@ -308,9 +323,13 @@ def test_psic_rate_vs_adaptive_integration(q_dbm):
     assert closed == pytest.approx(oracle, rel=1e-6)
 
 
-@pytest.mark.parametrize("q_dbm", [15.0, 25.0, 35.0])
-def test_ipsic_rate_vs_adaptive_integration(q_dbm):
-    cfg = replace(RATES_CFG, quad_u=2000, quad_k=400, quad_q=400, cheb_n=2000)
+@pytest.mark.parametrize("q_dbm, kappa", [(15.0, CFG.rician_kappa),
+                                          (25.0, CFG.rician_kappa),
+                                          (35.0, CFG.rician_kappa),
+                                          (25.0, KAPPA_20DB)],
+                         ids=["15.0", "25.0", "35.0", "kappa20dB-25.0"])
+def test_ipsic_rate_vs_adaptive_integration(q_dbm, kappa):
+    cfg = replace(RATES_CFG, rician_kappa=kappa, quad_u=2000, quad_k=400, quad_q=400)
     ps = dbm_to_watts(q_dbm)
     closed = ergodic_rate_r(cfg, SicMode.IPSIC, ps)
     fit = gamma_fit(cfg.rician_kappa, cfg.num_elements)
@@ -324,7 +343,7 @@ def test_ipsic_rate_vs_adaptive_integration(q_dbm):
         val, _ = integrate.quad(
             lambda t: math.exp(-t + (fit.p - 1.0) * math.log(t)
                                - math.lgamma(fit.p)) * math.log1p(c * t * t),
-            0.0, 200.0, epsabs=1e-12, epsrel=1e-10, limit=100)
+            *_gamma_span(fit.p, 200.0), epsabs=1e-12, epsrel=1e-10, limit=100)
         return val / math.log(2.0)
 
     def over_residual(z):
@@ -337,26 +356,63 @@ def test_ipsic_rate_vs_adaptive_integration(q_dbm):
     assert closed == pytest.approx(oracle, rel=1e-6)
 
 
-@pytest.mark.parametrize("q_dbm", [10.0, 25.0, 40.0])
-def test_rate_t_vs_adaptive_integration(q_dbm):
-    cfg = replace(RATES_CFG, **HI)
+@pytest.mark.parametrize("q_dbm, overrides, rel", [
+    (10.0, HI, 1e-6), (25.0, HI, 1e-6), (40.0, HI, 1e-6),
+    # default rules at a steep path loss and low power
+    (0.0, dict(path_alpha=3.0), 1e-4),
+    (20.0, dict(rician_kappa=KAPPA_20DB, **HI), 1e-6),
+], ids=["10.0", "25.0", "40.0", "alpha3-0.0", "kappa20dB-20.0"])
+def test_rate_t_vs_adaptive_integration(q_dbm, overrides, rel):
+    cfg = replace(RATES_CFG, **overrides)
     ps = dbm_to_watts(q_dbm)
     closed = ergodic_rate_t(cfg, ps)
     fit = gamma_fit(cfg.rician_kappa, cfg.num_elements)
     zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
     zs, zw = _gl_distance(cfg)
-    bracket = (zs ** 2 * cfg.noise_sigma_02
+    bracket = (zs ** cfg.path_alpha * cfg.noise_sigma_02
                / (cfg.path_eta0 ** 2 * cfg.beta_t * cfg.amp_lambda)
                + zeta * cfg.noise_sigma_s2 / cfg.path_eta0)
 
     def cdf(x):
-        args = np.sqrt(x * cfg.dist_bs ** 2 / (ps * (cfg.a_t - x * cfg.a_r)) * bracket) / fit.q
+        args = np.sqrt(x * cfg.dist_bs ** cfg.path_alpha / (ps * (cfg.a_t - x * cfg.a_r))
+                       * bracket) / fit.q
         return float(zw @ (2.0 * zs / cfg.radius_d ** 2 * reg_lower_gamma(fit.p, args)))
 
     oracle, _ = integrate.quad(lambda x: (1.0 - cdf(x)) / ((1.0 + x) * math.log(2.0)),
                                0.0, cfg.a_t / cfg.a_r,
                                epsabs=1e-13, epsrel=1e-10, limit=200)
-    assert closed == pytest.approx(oracle, rel=1e-6)
+    assert closed == pytest.approx(oracle, rel=rel)
+
+
+@pytest.mark.parametrize("kappa", [CFG.rician_kappa, KAPPA_20DB],
+                         ids=["kappa-5dB", "kappa20dB"])
+def test_ipsic_rate_ceiling_vs_adaptive_integration(kappa):
+    # the residual power Y ~ Exp(1) is integrated out in closed form,
+    # E[ln(1 + c/Y)] = ln c + e^c E1(c) + euler_gamma, leaving an adaptive
+    # double integral over the cascade amplitude and the distance
+    cfg = replace(RATES_CFG, rician_kappa=kappa)
+    closed = ergodic_asym_r_ipsic(cfg)
+    fit = gamma_fit(cfg.rician_kappa, cfg.num_elements)
+    snr = (cfg.a_r * fit.q ** 2 * cfg.path_eta0 ** 2 * cfg.beta_r * cfg.amp_lambda
+           / (cfg.dist_bs ** cfg.path_alpha * cfg.noise_sigma_re2))
+
+    def over_residual(c):
+        if c > 600.0:   # e^c E1(c) by its asymptotic series
+            tail = sum((-1) ** k * math.factorial(k) / c ** (k + 1) for k in range(6))
+        else:
+            tail = math.exp(c) * special.exp1(c)
+        return math.log(c) + tail + np.euler_gamma
+
+    def integrand(z, t):
+        return (math.exp(-t + (fit.p - 1.0) * math.log(t) - math.lgamma(fit.p))
+                * 2.0 * z / cfg.radius_d ** 2
+                * over_residual(snr * t * t / z ** cfg.path_alpha))
+
+    oracle, _ = integrate.dblquad(integrand, *_gamma_span(fit.p, 250.0), 0.0, cfg.radius_d,
+                                  epsabs=1e-12, epsrel=1e-10)
+    # the Laguerre rule on the residual axis converges slowly against the
+    # log(1/y) singularity of the ceiling's integrand: 7.5e-4 at 200 nodes
+    assert closed == pytest.approx(oracle / math.log(2.0), rel=1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -365,12 +421,10 @@ def test_rate_t_vs_adaptive_integration(q_dbm):
 
 def _unpruned_rate_r(cfg, ps=None, mode=SicMode.IPSIC):
     """The reflection rate over the full amplitude, residual and distance
-    rules in one einsum, with the Gamma weights formed directly; ps=None
-    gives the power-free ipSIC ceiling."""
+    rules in one einsum; ps=None gives the power-free ipSIC ceiling."""
     fit = gamma_fit(cfg.rician_kappa, cfg.num_elements)
-    lag_q, lag_k = gauss_laguerre_rule(cfg.quad_q), gauss_laguerre_rule(cfg.quad_k)
-    gamma_w = lag_q.weights * np.exp(
-        (fit.p - 1.0) * np.log(lag_q.nodes) - math.lgamma(fit.p))
+    lag_q = gauss_laguerre_rule(cfg.quad_q, fit.p - 1.0)
+    lag_k = gauss_laguerre_rule(cfg.quad_k)
     chi, w = _distance_rule(cfg)
     dsa = cfg.dist_bs ** cfg.path_alpha
     if ps is None:
@@ -378,20 +432,20 @@ def _unpruned_rate_r(cfg, ps=None, mode=SicMode.IPSIC):
                  / (dsa * chi[None, :] ** cfg.path_alpha * lag_k.nodes[:, None]
                     * cfg.noise_sigma_re2))
     else:
-        base, static = _reflection_brackets(cfg, chi)
+        bracket = _noise_bracket(cfg, chi, cfg.beta_r)
         if mode is SicMode.PSIC:
-            vals = np.log1p(cfg.a_r * ps * fit.q ** 2 / (dsa * (base + static))
+            vals = np.log1p(cfg.a_r * ps * fit.q ** 2 / (dsa * bracket)
                             * lag_q.nodes[:, None] ** 2)
-            return np.einsum("q,u,qu->", gamma_w, w, vals) / math.log(2.0)
+            return np.einsum("q,u,qu->", lag_q.weights, w, vals) / math.log(2.0)
         residual = (chi[None, :] ** cfg.path_alpha / cfg.path_eta0 ** 2
                     * lag_k.nodes[:, None] * ps * cfg.noise_sigma_re2
                     / (cfg.beta_r * cfg.amp_lambda))
-        scale = cfg.a_r * ps * fit.q ** 2 / (dsa * (base + static[None, :] + residual))
+        scale = cfg.a_r * ps * fit.q ** 2 / (dsa * (bracket[None, :] + residual))
     vals = np.log1p(scale[None, :, :] * lag_q.nodes[:, None, None] ** 2)
-    return np.einsum("q,k,u,qku->", gamma_w, lag_k.weights, w, vals) / math.log(2.0)
+    return np.einsum("q,k,u,qku->", lag_q.weights, lag_k.weights, w, vals) / math.log(2.0)
 
 
-@pytest.mark.parametrize("kappa_db", [None, -5.0, 10.0])
+@pytest.mark.parametrize("kappa_db", [None, -5.0, 10.0, 20.0])
 @pytest.mark.parametrize("L", [1, 4, 10, 40])
 def test_pruned_rate_kernel_matches_exhaustive_sum(L, kappa_db):
     kappa = 0.0 if kappa_db is None else db_to_linear(kappa_db)
@@ -408,10 +462,12 @@ def test_pruned_rate_kernel_matches_exhaustive_sum(L, kappa_db):
 
 
 def test_rate_kernel_memory_stays_chunked():
-    # unchunked, this call would hold all 293 kept amplitude rows of the
-    # (235 x 1000) residual-distance grid at once: about 550 MB
+    # unchunked, this call would hold all kept amplitude rows of the
+    # (235 x 1000) residual-distance grid at once: hundreds of MB
     cfg = replace(CFG, quad_q=2000, quad_k=2000, quad_u=1000)
-    gauss_laguerre_rule(2000)           # build the rule outside the trace
+    # build the rules outside the trace
+    gauss_laguerre_rule(2000, gamma_fit(cfg.rician_kappa, cfg.num_elements).p - 1.0)
+    gauss_laguerre_rule(2000)
     tracemalloc.start()
     try:
         value = ergodic_rate_r(cfg, SicMode.IPSIC, dbm_to_watts(20.0))
@@ -424,21 +480,42 @@ def test_rate_kernel_memory_stays_chunked():
 
 
 def test_amplitude_rule_skips_underflowed_weights():
-    # at p ~ 422 an 800-node rule's floored tail weights (t > 745) would
-    # multiply t^(p-1) into an overflow; the resolved nodes carry the mass
-    cfg = replace(CFG, rician_kappa=db_to_linear(10.0), num_elements=40)
-    big = replace(cfg, quad_q=800)
-    ps = dbm_to_watts(20.0)
+    # at p ~ 422 an 800-node rule's far-tail weights sit at the subnormal
+    # floor; the prune leaves them out and the rates stay finite
+    cfg = replace(CFG, rician_kappa=db_to_linear(10.0), num_elements=40, quad_q=800)
+    rule = gauss_laguerre_rule(800, gamma_fit(cfg.rician_kappa, cfg.num_elements).p - 1.0)
+    floored = rule.weights == np.finfo(float).smallest_subnormal
+    assert np.any(floored)
+    _, t, gamma_w = _amplitude_rule(cfg)
+    assert t.size <= np.count_nonzero(~floored)
+    assert np.all(gamma_w > 1e-30 * rule.weights.sum())
     for mode in SicMode:
-        assert ergodic_rate_r(big, mode, ps) == pytest.approx(
-            ergodic_rate_r(cfg, mode, ps), rel=1e-12)
+        assert math.isfinite(ergodic_rate_r(cfg, mode, dbm_to_watts(20.0)))
 
 
-def test_unresolvable_gamma_density_raises():
-    # kappa = 20 dB: p ~ 1005 sits past every representable Laguerre weight
-    cfg = replace(CFG, rician_kappa=db_to_linear(20.0))
-    for mode in SicMode:
-        with pytest.raises(NumericIntegrityError, match="density mass"):
-            ergodic_rate_r(cfg, mode, dbm_to_watts(20.0))
-    with pytest.raises(NumericIntegrityError, match="density mass"):
-        ergodic_asym_r_ipsic(cfg)
+def test_amplitude_rule_with_non_finite_weights_raises(monkeypatch):
+    real = analytic.gauss_laguerre_rule
+
+    def corrupted(size, alpha=0.0):
+        rule = real(size, alpha)
+        if alpha == 0.0:
+            return rule
+        weights = rule.weights.copy()
+        weights[-1] = math.inf
+        return QuadratureRule("laguerre", rule.nodes.copy(), weights)
+
+    monkeypatch.setattr(analytic, "gauss_laguerre_rule", corrupted)
+    for evaluate in (lambda: ergodic_rate_r(RATES_CFG, SicMode.IPSIC, 1.0),
+                     lambda: ergodic_rate_t(RATES_CFG, 1.0),
+                     lambda: ergodic_asym_r_ipsic(RATES_CFG)):
+        with pytest.raises(NumericIntegrityError, match="non-finite weights"):
+            evaluate()
+
+
+def test_distance_rule_disk_moments():
+    # the disk law 2x/D^2 has E[d^a] = 2 D^a / (a + 2)
+    chi, w = _distance_rule(CFG)
+    assert w.sum() == pytest.approx(1.0, abs=1e-14)
+    for a in (2.0, 4.0):
+        exact = 2.0 * CFG.radius_d ** a / (a + 2.0)
+        assert float(w @ chi ** a) == pytest.approx(exact, rel=1e-14)

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from astars_noma.analytic import SicMode, ergodic_rate_r, ergodic_rate_t, outage_r
+from astars_noma.analytic import (SicMode, ergodic_rate_r, ergodic_rate_t, outage_r,
+                                  rate_ceiling_t)
 from astars_noma.asymptotic import (OutOfRegimeError, ergodic_asym_r_ipsic,
-                                    ergodic_asym_t, ergodic_bound_r_psic,
+                                    ergodic_bound_r_psic,
                                     fit_order, high_snr_cascade_cdf,
                                     outage_asym_r_psic, outage_asym_t,
                                     outage_floor_r_ipsic)
@@ -164,7 +165,7 @@ def test_jensen_bound_slope_reaches_one():
 def test_jensen_bound_vs_independent_mean_snr():
     # dual implementation: recompute E[SINR] by adaptive integration of the
     # exact-mean formula E[X] * E[1/(noise(d))]
-    cfg = replace(RATES_CFG, quad_u=6000)
+    cfg = replace(RATES_CFG, quad_u=2000)
     ps = dbm_to_watts(40.0)
     mean, var = element_moments(cfg.rician_kappa)
     L = cfg.num_elements
@@ -182,21 +183,8 @@ def test_jensen_bound_vs_independent_mean_snr():
         math.log2(1.0 + mean_snr), rel=1e-6)
 
 
-def test_ergodic_asym_t_converges_to_allocation_log():
-    balanced = NetworkConfig(a_r=0.5, a_t=0.5, cheb_n=2000)
-    assert ergodic_asym_t(balanced) == pytest.approx(1.0, abs=1e-6)
-    skewed = replace(RATES_CFG, cheb_n=2000)
-    assert ergodic_asym_t(skewed) == pytest.approx(math.log2(5.0), abs=1e-6)
-
-
-def test_ergodic_asym_t_rule_refinement():
-    v200 = ergodic_asym_t(replace(RATES_CFG, cheb_n=200))
-    v400 = ergodic_asym_t(replace(RATES_CFG, cheb_n=400))
-    assert abs(v200 - v400) < 1e-4
-
-
 def test_rate_t_evaluator_approaches_the_asymptote():
-    asym = ergodic_asym_t(RATES_CFG)
+    asym = rate_ceiling_t(RATES_CFG)
     exact = ergodic_rate_t(RATES_CFG, dbm_to_watts(80.0))
     assert exact == pytest.approx(asym, abs=1e-3)
     assert exact <= asym + 1e-12

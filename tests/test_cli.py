@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from astars_noma import analytic as an
 from astars_noma import montecarlo as mc
 from astars_noma.analytic import NumericIntegrityError, SicMode
 from astars_noma.cli import (CSV_HEADER, SweepSpec, _check_cell, figure_ids, main,
@@ -305,18 +306,37 @@ def test_check_cell_rejects_non_finite_values(metric, value):
         _check_cell(metric, value)
 
 
-def test_cli_unresolvable_rate_rule_exits_2_without_csv(tmp_path, capsys):
-    # kappa = 20 dB gives a Gamma shape p ~ 1005, past a 200-node rule's
-    # last node: the rate must fail loudly instead of writing inf cells
+def test_cli_strong_line_of_sight_rate_sweep_exits_0(tmp_path):
+    # kappa = 20 dB gives a Gamma shape p ~ 1005, which the amplitude rule
+    # built for the Gamma density resolves: finite cells that match the
+    # evaluators, exit code 0
     cfg_file = write_cfg(tmp_path, "kappa_db = 20\n")
     out = tmp_path / "out"
     rc = main(["--config", str(cfg_file), "--out", str(out), "--trials", "64",
                "--no-plots", "sweep", "--axis", "ps_dbm", "--start", "0",
-               "--stop", "20", "--step", "10", "--metrics", "rate_r",
+               "--stop", "20", "--step", "10", "--metrics", "rate_r,rate_t",
                "--modes", "pSIC,ipSIC"])
-    assert rc == 2
-    assert "numeric integrity failure" in capsys.readouterr().err
-    assert not list(out.glob("*.csv"))
+    assert rc == 0
+    cfg = parse_config(cfg_file)
+    rows = [row for name in ("sweep_rate_r.csv", "sweep_rate_t.csv")
+            for row in csv.DictReader((out / name).read_text(encoding="utf-8").splitlines())]
+    assert len(rows) == 9
+    for row in rows:
+        ps = 10.0 ** ((float(row["axis_value"]) - 30.0) / 10.0)
+        expected = (an.ergodic_rate_t(cfg, ps) if row["metric"] == "rate_t"
+                    else an.ergodic_rate_r(cfg, SicMode(row["mode"]), ps))
+        assert float(row["analytic"]) == expected
+        assert math.isfinite(float(row["mc_mean"]))
+
+
+@pytest.mark.parametrize("option", ["--start", "--stop", "--step",
+                                    "--fixed-q-tot-dbm", "--fixed-ps-dbm"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_sweep_non_finite_grid_option_exits_1(tmp_path, capsys, option, value):
+    rc = main(["--out", str(tmp_path), "sweep", f"{option}={value}"])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_cli_missing_config_is_io_error(tmp_path, capsys):

@@ -75,6 +75,7 @@ def test_default_config_is_reference_point():
     dict(quad_u=20_000),
     dict(hyp2f1_z_cap=1.0),
     dict(rician_kappa=-0.1),
+    dict(quad_u=2001),
 ])
 def test_config_invariant_violations(bad):
     with pytest.raises(ConfigError):

@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from astars_noma.numerics import (QuadratureRule, _bessel_i01e, bessel_k,
-                                  gauss_chebyshev_nodes, gauss_laguerre_rule,
-                                  hyp2f1_series, laguerre_half,
-                                  lower_incomplete_gamma, reg_lower_gamma)
+                                  gauss_laguerre_rule, gauss_legendre_rule,
+                                  hyp2f1_series, laguerre_half, reg_lower_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -30,6 +29,11 @@ def quad_lower_gamma(a, x):
     val, _ = integrate.quad(lambda t: t ** (a - 1.0) * math.exp(-t), 0.0, x,
                             epsabs=1e-15, epsrel=1e-13, limit=200)
     return val
+
+
+def lower_incomplete_gamma(a, x):
+    """gamma(a, x) from the regularized routine: Gamma(a) P(a, x)."""
+    return math.gamma(a) * reg_lower_gamma(a, x)
 
 
 def test_lower_gamma_trivial_cases():
@@ -52,11 +56,11 @@ def test_lower_gamma_grid_vs_oracle(a, x):
 
 def test_lower_gamma_domain_errors():
     with pytest.raises(ValueError):
-        lower_incomplete_gamma(0.0, 1.0)
+        reg_lower_gamma(0.0, 1.0)
     with pytest.raises(ValueError):
-        lower_incomplete_gamma(-2.0, 1.0)
+        reg_lower_gamma(-2.0, 1.0)
     with pytest.raises(ValueError):
-        lower_incomplete_gamma(1.0, -0.5)
+        reg_lower_gamma(1.0, -0.5)
 
 
 def test_reg_lower_gamma_vectorized_matches_scalar():
@@ -236,26 +240,50 @@ def test_gauss_laguerre_range_errors():
         gauss_laguerre_rule(2001)
 
 
-def test_chebyshev_small_rules():
-    assert gauss_chebyshev_nodes(1).nodes == pytest.approx([0.0], abs=1e-15)
-    rule = gauss_chebyshev_nodes(2)
-    assert rule.nodes == pytest.approx([-math.sqrt(2) / 2, math.sqrt(2) / 2], abs=1e-15)
-    assert rule.weights == pytest.approx([math.pi / 2] * 2, abs=1e-15)
+@pytest.mark.parametrize("size", [20, 200])
+@pytest.mark.parametrize("p", [0.6, 8.9, 1005.0, 4020.0])
+def test_generalized_laguerre_gamma_moments(p, size):
+    # the rule for alpha = p - 1 integrates t^m against the Gamma(p)
+    # density: the rising factorial p (p+1) ... (p+m-1)
+    rule = gauss_laguerre_rule(size, p - 1.0)
+    assert rule.kind == "laguerre"
+    assert np.all(np.diff(rule.nodes) > 0.0) and np.all(rule.nodes > 0.0)
+    for m in range(11):
+        est = float(np.sum(rule.weights * rule.nodes ** m))
+        assert est == pytest.approx(math.prod(p + i for i in range(m)), rel=1e-10), f"m={m}"
 
 
-def test_chebyshev_nodes_interior_and_sorted():
-    rule = gauss_chebyshev_nodes(100)
-    assert np.all((rule.nodes > -1.0) & (rule.nodes < 1.0))
+def test_generalized_laguerre_alpha_domain():
+    with pytest.raises(ValueError):
+        gauss_laguerre_rule(5, -1.0)
+
+
+def test_legendre_small_rules():
+    one = gauss_legendre_rule(1)
+    assert one.nodes == pytest.approx([0.5], abs=1e-15)
+    assert one.weights == pytest.approx([1.0], abs=1e-15)
+    rule = gauss_legendre_rule(2)
+    half_gap = 0.5 / math.sqrt(3.0)
+    assert rule.nodes == pytest.approx([0.5 - half_gap, 0.5 + half_gap], abs=1e-15)
+    assert rule.weights == pytest.approx([0.5, 0.5], abs=1e-15)
+
+
+def test_legendre_nodes_interior_sorted_and_exact():
+    rule = gauss_legendre_rule(100)
+    assert rule.kind == "legendre"
+    assert np.all((rule.nodes > 0.0) & (rule.nodes < 1.0))
     assert np.all(np.diff(rule.nodes) > 0.0)
-    # weighted rule integrates 1/sqrt(1-x^2) measure: total mass pi
-    assert rule.weights.sum() == pytest.approx(math.pi, rel=1e-14)
+    # the uniform density on [0, 1]: moments 1/(m+1) up to degree 2U - 1
+    for m in range(200):
+        est = float(np.sum(rule.weights * rule.nodes ** m))
+        assert est == pytest.approx(1.0 / (m + 1.0), rel=1e-12), f"moment {m}"
 
 
-def test_chebyshev_range_errors():
+def test_legendre_range_errors():
     with pytest.raises(ValueError):
-        gauss_chebyshev_nodes(0)
+        gauss_legendre_rule(0)
     with pytest.raises(ValueError):
-        gauss_chebyshev_nodes(10_001)
+        gauss_legendre_rule(2001)
 
 
 def test_rules_are_cached_and_frozen():
@@ -331,6 +359,6 @@ def test_hyp2f1_domain_errors():
 
 
 def test_quadrature_rule_dataclass():
-    rule = QuadratureRule("chebyshev", np.array([0.0]), np.array([math.pi]))
-    assert rule.kind == "chebyshev"
+    rule = QuadratureRule("legendre", np.array([0.5]), np.array([1.0]))
+    assert rule.kind == "legendre"
     assert len(rule) == 1
