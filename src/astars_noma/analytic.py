@@ -108,52 +108,66 @@ def _residual_term(cfg: NetworkConfig, chi: np.ndarray, y: np.ndarray) -> np.nda
             / (cfg.path_eta0 ** 2 * cfg.beta_r * cfg.amp_lambda))
 
 
+def _decode_scale_r(cfg: NetworkConfig, ps: float) -> float:
+    """Decode threshold of the reflection user's own signal: its SNR
+    a_r S^2 ps/(d_s^alpha bracket) falls to gamma_r_hat where the squared
+    cascade amplitude S^2 falls to this scale times the bracket."""
+    return target_sinr(cfg.target_rate_r) * cfg.dist_bs ** cfg.path_alpha / (cfg.a_r * ps)
+
+
+def _decode_scale_t(cfg: NetworkConfig, ps: float) -> float:
+    """The same for the transmission user's signal, decoded by that user
+    and in the reflection user's first SIC stage: with g = S^2 ps/(d_s^alpha
+    bracket), a_t g/(a_r g + 1) reaches gamma_t_hat where g reaches
+    gamma_t_hat/(a_t - gamma_t_hat a_r); infinite if a_t <= gamma_t_hat a_r."""
+    gamma_t_hat = target_sinr(cfg.target_rate_t)
+    if cfg.a_t <= gamma_t_hat * cfg.a_r:
+        return math.inf
+    return gamma_t_hat / (cfg.a_t - gamma_t_hat * cfg.a_r) * cfg.dist_bs ** cfg.path_alpha / ps
+
+
 def outage_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
     """Outage probability of the reflection-side (SIC) user.
 
-    Degenerate allocation a_t <= gamma_t_hat * a_r makes the interference
-    ceiling unreachable and the outage is surely 1.  Otherwise the outage
-    is the disk average (Gauss-Legendre) of the cascade CDF at the decode
-    threshold; under ipSIC the exponential residual-interference power is
-    integrated out with a Gauss-Laguerre rule.
+    The user is in outage when either SIC stage fails: decoding the
+    transmission user's signal, then its own.  The outage is the disk
+    average (Gauss-Legendre) of the cascade CDF at the larger of the two
+    stage thresholds; under ipSIC only the second stage carries the
+    residual interference, integrated out with a Gauss-Laguerre rule.
     """
     _check_power(ps)
-    gamma_r_hat = target_sinr(cfg.target_rate_r)
-    gamma_t_hat = target_sinr(cfg.target_rate_t)
-    if cfg.a_t <= gamma_t_hat * cfg.a_r:
+    scale_t = _decode_scale_t(cfg, ps)
+    if math.isinf(scale_t):
         return 1.0
+    scale_r = _decode_scale_r(cfg, ps)
     approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
     chi, w = _distance_rule(cfg)
     bracket = _noise_bracket(cfg, chi, cfg.beta_r)
-    scale = gamma_r_hat * cfg.dist_bs ** cfg.path_alpha / (cfg.a_r * ps)
     if mode is SicMode.PSIC:
-        args = np.sqrt(scale * bracket) / approx.q
+        args = np.sqrt(max(scale_t, scale_r) * bracket) / approx.q
         value = float(w @ reg_lower_gamma(approx.p, args))
     else:
         lag = gauss_laguerre_rule(cfg.quad_k)
         residual = _residual_term(cfg, chi, lag.nodes) * ps
-        args = np.sqrt(scale * (bracket[None, :] + residual)) / approx.q
+        thresholds = scale_r * (bracket + residual)
+        np.maximum(thresholds, scale_t * bracket, out=thresholds)
+        args = np.sqrt(thresholds) / approx.q
         value = float(lag.weights @ reg_lower_gamma(approx.p, args) @ w)
     return _check_probability(value, f"outage_r[{mode.value}]")
 
 
 def outage_t(cfg: NetworkConfig, ps: float) -> float:
-    """Outage probability of the transmission-side user.
-
-    Same degenerate branch as the reflection user; otherwise a single
-    Gauss-Legendre disk average with the interference-limited threshold
-    gamma_t_hat/(a_t - gamma_t_hat a_r) and the transmission amplitude
-    coefficient beta_t.
-    """
+    """Outage probability of the transmission-side user: the disk average
+    (Gauss-Legendre) of the cascade CDF at the interference-limited
+    threshold, with the transmission amplitude coefficient beta_t."""
     _check_power(ps)
-    gamma_t_hat = target_sinr(cfg.target_rate_t)
-    if cfg.a_t <= gamma_t_hat * cfg.a_r:
+    scale_t = _decode_scale_t(cfg, ps)
+    if math.isinf(scale_t):
         return 1.0
-    partial = gamma_t_hat / (cfg.a_t - gamma_t_hat * cfg.a_r)
     approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
     chi, w = _distance_rule(cfg)
     bracket = _noise_bracket(cfg, chi, cfg.beta_t)
-    args = np.sqrt(partial * cfg.dist_bs ** cfg.path_alpha / ps * bracket) / approx.q
+    args = np.sqrt(scale_t * bracket) / approx.q
     value = float(w @ reg_lower_gamma(approx.p, args))
     return _check_probability(value, "outage_t")
 

@@ -24,9 +24,9 @@ import numpy as np
 
 from .model import NetworkConfig, element_moments, gamma_fit
 from .numerics import gauss_laguerre_rule, hyp2f1_series, reg_lower_gamma
-from .analytic import (SicMode, _amplitude_rule, _check_power, _distance_rule,
-                       _noise_bracket, _residual_rule, _residual_term,
-                       _triple_log_sum, target_sinr)
+from .analytic import (SicMode, _amplitude_rule, _check_power, _decode_scale_r,
+                       _decode_scale_t, _distance_rule, _noise_bracket,
+                       _residual_rule, _residual_term, _triple_log_sum)
 
 __all__ = [
     "OutOfRegimeError",
@@ -93,11 +93,17 @@ def high_snr_cascade_cdf(kappa: float, num_elements: int, x: float,
     return value
 
 
-def _asym_outage(cfg: NetworkConfig, ps: float, thresholds: np.ndarray,
-                 weights: np.ndarray, label: str) -> float:
+def _asym_outage(cfg: NetworkConfig, ps: float, scale: float, beta: float,
+                 label: str) -> float:
+    """Disk average of the degree-L cascade CDF at the decode thresholds
+    scale times the noise bracket of the user with amplitude share beta."""
+    if math.isinf(scale):
+        raise OutOfRegimeError(
+            "degenerate allocation a_t <= gamma_t_hat a_r: outage is surely 1")
+    chi, w = _distance_rule(cfg)
     total = 0.0
-    for thr, w in zip(thresholds, weights):
-        total += w * high_snr_cascade_cdf(
+    for thr, wt in zip(scale * _noise_bracket(cfg, chi, beta), w):
+        total += wt * high_snr_cascade_cdf(
             cfg.rician_kappa, cfg.num_elements, thr, cfg.hyp2f1_z_cap)
     if total > 1.0:
         raise OutOfRegimeError(f"{label} = {total} > 1 at ps={ps}")
@@ -105,46 +111,35 @@ def _asym_outage(cfg: NetworkConfig, ps: float, thresholds: np.ndarray,
 
 
 def outage_asym_r_psic(cfg: NetworkConfig, ps: float) -> float:
-    """High-SNR outage asymptote of the reflection user with pSIC: the
-    disk average of the degree-L cascade CDF at the decode threshold.
-    Decays as ps^{-L}, which is the full diversity order."""
+    """High-SNR outage asymptote of the reflection user with pSIC, at the
+    larger of the two SIC stage thresholds.  Decays as ps^{-L}, which is
+    the full diversity order; degenerate power allocations have no
+    asymptote (the outage is surely 1)."""
     _check_power(ps)
-    gamma_r_hat = target_sinr(cfg.target_rate_r)
-    chi, w = _distance_rule(cfg)
-    thresholds = (gamma_r_hat * cfg.dist_bs ** cfg.path_alpha / (cfg.a_r * ps)
-                  * _noise_bracket(cfg, chi, cfg.beta_r))
-    return _asym_outage(cfg, ps, thresholds, w, "asymptotic pSIC outage")
+    scale = max(_decode_scale_t(cfg, ps), _decode_scale_r(cfg, ps))
+    return _asym_outage(cfg, ps, scale, cfg.beta_r, "asymptotic pSIC outage")
 
 
 def outage_asym_t(cfg: NetworkConfig, ps: float) -> float:
     """High-SNR outage asymptote of the transmission user; degenerate
     power allocations have no asymptote (the outage is surely 1)."""
     _check_power(ps)
-    gamma_t_hat = target_sinr(cfg.target_rate_t)
-    if cfg.a_t <= gamma_t_hat * cfg.a_r:
-        raise OutOfRegimeError(
-            "degenerate allocation a_t <= gamma_t_hat a_r: outage is surely 1")
-    partial = gamma_t_hat / (cfg.a_t - gamma_t_hat * cfg.a_r)
-    chi, w = _distance_rule(cfg)
-    thresholds = (partial * cfg.dist_bs ** cfg.path_alpha / ps
-                  * _noise_bracket(cfg, chi, cfg.beta_t))
-    return _asym_outage(cfg, ps, thresholds, w, "asymptotic outage_t")
+    return _asym_outage(cfg, ps, _decode_scale_t(cfg, ps), cfg.beta_t,
+                        "asymptotic outage_t")
 
 
 def outage_floor_r_ipsic(cfg: NetworkConfig) -> float:
     """Residual-interference error floor of the ipSIC reflection user.
 
     Exact infinite-power limit of the finite-SNR ipSIC evaluator: the
-    thermal terms vanish as 1/ps while the residual term, proportional to
-    ps, survives with ps cancelling.  The result is power-independent and
-    equals the large-ps limit of outage_r(ipSIC).
+    thermal terms and the first SIC stage vanish as 1/ps while the residual
+    term, proportional to ps, survives with ps cancelling.  The result is
+    power-independent and equals the large-ps limit of outage_r(ipSIC).
     """
-    gamma_r_hat = target_sinr(cfg.target_rate_r)
     approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
     chi, w = _distance_rule(cfg)
     lag = gauss_laguerre_rule(cfg.quad_k)
-    thr = (gamma_r_hat * cfg.dist_bs ** cfg.path_alpha / cfg.a_r
-           * _residual_term(cfg, chi, lag.nodes))
+    thr = _decode_scale_r(cfg, 1.0) * _residual_term(cfg, chi, lag.nodes)
     args = np.sqrt(thr) / approx.q
     return float(lag.weights @ reg_lower_gamma(approx.p, args) @ w)
 

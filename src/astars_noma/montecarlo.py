@@ -113,25 +113,18 @@ def _rician(rng: np.random.Generator, kappa: float, shape) -> np.ndarray:
 
 
 def draw_trial(rng: np.random.Generator, cfg: NetworkConfig) -> TrialDraw:
-    """Draw one independent channel realization."""
-    L = cfg.num_elements
-    h_s = _rician(rng, cfg.rician_kappa, L)
-    h_r = _rician(rng, cfg.rician_kappa, L)
-    h_t = _rician(rng, cfg.rician_kappa, L)
-    scale = math.sqrt(cfg.noise_sigma_s2 / 2.0)
-    n_s = scale * (rng.standard_normal(L) + 1j * rng.standard_normal(L))
-    h_re_sq = float(rng.exponential(cfg.noise_sigma_re2))
-    d_r = float(sample_distance(rng, cfg.radius_d))
-    d_t = float(sample_distance(rng, cfg.radius_d))
-    return TrialDraw(h_s=h_s, h_r=h_r, h_t=h_t, n_s=n_s,
-                     h_re_sq=h_re_sq, d_r=d_r, d_t=d_t)
+    """Draw one channel realization: the one-trial block of the main
+    scheme, unwrapped to (L,) gain and noise arrays and float scalars."""
+    one = _draw_block(rng, cfg, "astars_noma", 1)
+    return TrialDraw(h_s=one.h_s[0], h_r=one.h_r[0], h_t=one.h_t[0], n_s=one.n_s[0],
+                     h_re_sq=float(one.h_re_sq[0]), d_r=float(one.d_r[0]),
+                     d_t=float(one.d_t[0]))
 
 
-def _draw_block(cfg: NetworkConfig, scheme: str, seed: int, block: int,
+def _draw_block(rng: np.random.Generator, cfg: NetworkConfig, scheme: str,
                 size: int) -> TrialDraw:
-    """Draw one block of trials from its (seed, block) substream.  The
-    passive surface injects no noise, so its stream skips those draws."""
-    rng = _rng_for_block(seed, block)
+    """Draw one block of trials from rng.  The passive surface injects no
+    noise, so its stream skips those draws."""
     L = cfg.num_elements
     kappa = cfg.rician_kappa
     h_s = _rician(rng, kappa, (size, L))
@@ -319,7 +312,8 @@ def simulate(cfg: NetworkConfig, scheme: str, ps: float | Sequence[float],
         sizes.append(trials % BLOCK_TRIALS)
 
     def run(block: int) -> list[dict]:
-        terms = _terms(cfg, scheme, _draw_block(cfg, scheme, seed, block, sizes[block]))
+        terms = _terms(cfg, scheme, _draw_block(_rng_for_block(seed, block), cfg,
+                                                scheme, sizes[block]))
         return [_partials(cfg, scheme, terms, p) for p in powers]
 
     if workers > 1:

@@ -27,6 +27,7 @@ from astars_noma.asymptotic import (ergodic_asym_r_ipsic, ergodic_bound_r_psic,
                                     outage_asym_r_psic, outage_asym_t)
 from astars_noma.model import (NetworkConfig, db_to_linear, dbm_to_watts,
                                gamma_fit, noise_power_factor)
+from astars_noma.montecarlo import simulate
 from astars_noma.numerics import QuadratureRule, gauss_laguerre_rule, reg_lower_gamma
 
 CFG = NetworkConfig()
@@ -61,6 +62,20 @@ def test_sure_outage_when_allocation_cannot_meet_target():
     assert outage_r(cfg, SicMode.IPSIC, 1.0) == 1.0
     assert outage_t(cfg, 1.0) == 1.0
     assert system_outage(cfg, SicMode.PSIC, 1.0) == 1.0
+
+
+def test_outage_r_first_sic_stage_threshold_dominates():
+    # at target_rate_t = 1.5 decoding U_t's signal needs an SNR of 12.1 and
+    # U_r's own signal 3.33, so the first SIC stage sets the outage (the
+    # own-signal threshold alone gives 0.018); mean-noise Monte Carlo
+    # differs from the closed form only by the Gamma fit of the cascade
+    cfg = replace(CFG, target_rate_t=1.5, mean_noise_mode=True)
+    ps = dbm_to_watts(20.0)
+    sims = simulate(cfg, "astars_noma", ps, trials=20_000)
+    for mode, key in ((SicMode.PSIC, "outage_r_psic"), (SicMode.IPSIC, "outage_r_ipsic")):
+        est = sims[key]
+        assert outage_r(cfg, mode, ps) == pytest.approx(
+            est.mean, abs=max(0.02, 3.0 * est.ci95_halfwidth)), mode
 
 
 def test_outage_approaches_one_at_vanishing_power():

@@ -114,12 +114,14 @@ def test_fitted_diversity_equals_element_count(L):
 
 def test_asym_matches_evaluator_near_the_visible_crossover():
     # where the closed form passes ~1e-3 the asymptote agrees within x2
-    # (the two use different tail models, so the ratio then drifts)
-    cfg = replace(CFG, num_elements=4)
-    ps = dbm_to_watts(35.0)
-    exact = outage_r(cfg, SicMode.PSIC, ps)
-    asym = outage_asym_r_psic(cfg, ps)
-    assert 0.5 <= asym / exact <= 2.0
+    # (the two use different tail models, so the ratio then drifts); at
+    # target_rate_t = 1.5 the first SIC stage sets the threshold
+    for target_rate_t, q_dbm in ((1.0, 35.0), (1.5, 40.0)):
+        cfg = replace(CFG, num_elements=4, target_rate_t=target_rate_t)
+        ps = dbm_to_watts(q_dbm)
+        exact = outage_r(cfg, SicMode.PSIC, ps)
+        asym = outage_asym_r_psic(cfg, ps)
+        assert 0.5 <= asym / exact <= 2.0, target_rate_t
 
 
 def test_asym_out_of_regime_at_low_power():
@@ -131,6 +133,8 @@ def test_asym_t_degenerate_allocation():
     cfg = replace(CFG, target_rate_t=2.0)
     with pytest.raises(OutOfRegimeError):
         outage_asym_t(cfg, dbm_to_watts(120.0))
+    with pytest.raises(OutOfRegimeError):
+        outage_asym_r_psic(cfg, dbm_to_watts(120.0))
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@ presets, the validation gate table, and exit codes."""
 
 import csv
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from astars_noma import analytic as an
+from astars_noma import asymptotic as asy
+from astars_noma import cli
 from astars_noma import montecarlo as mc
 from astars_noma.analytic import NumericIntegrityError, SicMode
 from astars_noma.cli import (CSV_HEADER, SweepSpec, _check_cell, figure_ids, main,
@@ -282,6 +285,49 @@ def test_validate_cli_runs_green(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gates passed" in out
     assert "FAIL" not in out
+
+
+def test_every_validate_gate_can_fail(monkeypatch):
+    # break what each gate reads, through the names validate looks up
+    def shifted(fn, delta):
+        return lambda *args: fn(*args) + delta
+
+    def scaled(fn, factor):
+        return lambda *args: fn(*args) * factor
+
+    for name in ("outage_r", "outage_t"):
+        monkeypatch.setattr(an, name, shifted(getattr(an, name), 0.5))
+    for name in ("ergodic_rate_r", "ergodic_rate_t"):
+        monkeypatch.setattr(an, name, scaled(getattr(an, name), 2.0))
+    fit_order = asy.fit_order
+    monkeypatch.setattr(asy, "fit_order", lambda *args: replace(
+        fit_order(*args), slope=fit_order(*args).slope + 10.0))
+    monkeypatch.setattr(asy, "ergodic_bound_r_psic", shifted(asy.ergodic_bound_r_psic, -1.0))
+    broken = {"astars_oma": ("throughput_limited", 10.0),
+              "pstars_noma": ("outage_system_psic", -1.0)}
+    simulate = mc.simulate
+
+    def broken_simulate(cfg, scheme, ps, **kwargs):
+        results = simulate(cfg, scheme, ps, **kwargs)
+        if scheme in broken:
+            key, mean = broken[scheme]
+            for sims in results:
+                sims[key] = replace(sims[key], mean=mean)
+        return results
+
+    monkeypatch.setattr(mc, "simulate", broken_simulate)
+    rule = cli.gauss_laguerre_rule
+    monkeypatch.setattr(cli, "gauss_laguerre_rule",
+                        lambda size: replace(rule(size), weights=2.0 * rule(size).weights))
+    monkeypatch.setattr(cli, "reg_lower_gamma", shifted(cli.reg_lower_gamma, 1.0))
+    monkeypatch.setattr(cli, "bessel_k", shifted(cli.bessel_k, 1.0))
+    gamma_fit = cli.gamma_fit
+    monkeypatch.setattr(cli, "gamma_fit", lambda *args: replace(
+        gamma_fit(*args), p=2.0 * gamma_fit(*args).p))
+    code, gates = validate(NetworkConfig(), trials=mc.BLOCK_TRIALS)
+    assert len(gates) == 49
+    assert [g.name for g in gates if g.passed] == []
+    assert code == 2
 
 
 def test_cli_config_error_exit_code(tmp_path, capsys):
