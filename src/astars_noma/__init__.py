@@ -19,8 +19,7 @@ from .model import (ConfigError, GammaApprox, NetworkConfig, cascade_cdf,
                     db_to_linear, dbm_to_watts, distance_pdf, element_moments,
                     gamma_fit, noise_power_factor, sample_distance,
                     watts_to_dbm)
-from .montecarlo import (Estimate, SinrSet, TrialDraw, budget_to_ps,
-                         draw_trial, simulate, sinr_set, surface_output_power)
+from .montecarlo import Estimate, budget_to_ps, simulate, surface_output_power
 from .numerics import (QuadratureRule, bessel_k, gauss_laguerre_rule,
                        gauss_legendre_rule, hyp2f1_series, laguerre_half,
                        reg_lower_gamma)

@@ -30,7 +30,8 @@ import math
 import numpy as np
 
 from .model import NetworkConfig, gamma_fit, noise_power_factor
-from .numerics import gauss_laguerre_rule, gauss_legendre_rule, reg_lower_gamma
+from .numerics import (NumericIntegrityError, gauss_laguerre_rule, gauss_legendre_rule,
+                       reg_lower_gamma)
 
 __all__ = [
     "NumericIntegrityError",
@@ -46,10 +47,6 @@ __all__ = [
 ]
 
 _PROB_TOL = 1.0e-9
-
-
-class NumericIntegrityError(ArithmeticError):
-    """A computed metric violates a structural bound; fail loudly."""
 
 
 class SicMode(enum.Enum):

@@ -26,8 +26,8 @@ from . import analytic as an
 from . import asymptotic as asy
 from . import montecarlo as mc
 from .analytic import SicMode
-from .model import (ConfigError, NetworkConfig, db_to_linear, dbm_to_watts,
-                    gamma_fit)
+from .model import (ConfigError, NetworkConfig, cascade_cdf, db_to_linear,
+                    dbm_to_watts, gamma_fit)
 from .numerics import bessel_k, gauss_laguerre_rule, reg_lower_gamma
 from .svgplot import write_line_plot
 
@@ -225,8 +225,8 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
     trials = cfg.mc_trials if trials is None else int(trials)
     seed = cfg.seed if seed is None else int(seed)
 
-    # one simulate call per (point config, scheme): the draws do not depend
-    # on the power, so a power axis draws each block once per scheme
+    # one simulate call for the whole sweep: each (point config, scheme) is
+    # one point of it, with its powers, and every point reads the same draw
     cells = []
     powers_by_group: dict[tuple[NetworkConfig, str], list[float]] = {}
     for value in spec.values:
@@ -239,10 +239,12 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
             else:
                 powers_by_group.setdefault((cfg_pt, scheme), []).append(ps)
             cells.append((value, cfg_pt, scheme, ps))
+    points = [(*group, powers) for group, powers in powers_by_group.items()]
+    sims = (mc.simulate(points, trials=trials, seed=seed, workers=workers)
+            if points else [])
     # each group's estimates come back in the order its cells were listed
-    sims_by_group = {group: iter(mc.simulate(group[0], group[1], powers, trials=trials,
-                                             seed=seed, workers=workers))
-                     for group, powers in powers_by_group.items()}
+    sims_by_group = {group: iter(group_sims)
+                     for group, group_sims in zip(powers_by_group, sims)}
 
     rows_by_metric: dict[str, list[list[str]]] = {m: [] for m in spec.metrics}
     for value, cfg_pt, scheme, ps in cells:
@@ -401,21 +403,22 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     def gate(name: str, observed: float, tolerance: str, passed: bool):
         gates.append(GateResult(name, observed, tolerance, bool(passed)))
 
-    # one simulate call per (config, scheme), keyed by budget in dBm
-    def simulate_budgets(cfg_s: NetworkConfig, scheme: str, dbms, active=True):
-        powers = [mc.budget_to_ps(dbm_to_watts(q), cfg_s, active=active) for q in dbms]
-        return dict(zip(dbms, mc.simulate(cfg_s, scheme, powers, trials=trials,
-                                          seed=seed, workers=workers)))
-
     rates_cfg = replace(cfg, a_r=0.2, a_t=0.8)
     outage_dbms = (10.0, 20.0, 30.0, 40.0)
     rate_dbms = (20.0, 30.0, 40.0)
     order_dbms = (20.0, 30.0, 40.0, 50.0)
-    noma = simulate_budgets(cfg, "astars_noma",
-                            tuple(dict.fromkeys((*outage_dbms, *order_dbms))))
-    noma_rates = simulate_budgets(rates_cfg, "astars_noma", rate_dbms)
-    oma = simulate_budgets(cfg, "astars_oma", order_dbms)
-    pst = simulate_budgets(cfg, "pstars_noma", order_dbms, active=False)
+    # one simulate call, one point per (config, scheme), keyed by budget in dBm
+    groups = ((cfg, "astars_noma", tuple(dict.fromkeys((*outage_dbms, *order_dbms)))),
+              (rates_cfg, "astars_noma", rate_dbms),
+              (cfg, "astars_oma", order_dbms),
+              (cfg, "pstars_noma", order_dbms))
+    sims = mc.simulate(
+        [(cfg_s, scheme, [mc.budget_to_ps(dbm_to_watts(q), cfg_s,
+                                          active=scheme != "pstars_noma") for q in dbms])
+         for cfg_s, scheme, dbms in groups],
+        trials=trials, seed=seed, workers=workers)
+    noma, noma_rates, oma, pst = (dict(zip(dbms, group_sims))
+                                  for (_, _, dbms), group_sims in zip(groups, sims))
 
     # 1. outage agreement
     for q_dbm in outage_dbms:
@@ -508,9 +511,11 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     gate("numerics/bessel_k_half", half, "<= 1e-10", half <= 1.0e-10)
 
     # 7. cascade-CDF approximation budget
-    for kappa in (0.0, cfg.rician_kappa):
-        for L in (1, 4, 10):
-            dist = _cascade_supnorm(kappa, L, samples=1_000_000, seed=seed)
+    kappas, lengths = (0.0, cfg.rician_kappa), (1, 4, 10)
+    supnorms = _cascade_supnorms(kappas, lengths, samples=1_000_000, seed=seed)
+    for kappa in kappas:
+        for L in lengths:
+            dist = supnorms[kappa, L]
             gate(f"cascade_cdf/kappa{kappa:.3f}/L{L}", dist, "<= 0.02 sup-norm",
                  dist <= 0.02)
 
@@ -527,26 +532,25 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     return (0 if all_pass else 2), gates
 
 
-def _cascade_supnorm(kappa: float, L: int, samples: int, seed: int) -> float:
+def _cascade_supnorms(kappas, lengths, samples: int, seed: int) -> dict:
     """Sup-norm distance between the fitted CDF of the squared cascade gain
-    and its empirical distribution, on a 50-point quantile grid."""
-    from .model import cascade_cdf
-    rng = np.random.Generator(np.random.Philox(key=np.array(
-        [seed & mc._MASK64, 0xCA5CADE], dtype=np.uint64)))
-    los = math.sqrt(kappa / (kappa + 1.0))
-    sc = math.sqrt(1.0 / (2.0 * (kappa + 1.0)))
-
-    def envelopes(n):
-        return np.abs(los + sc * (rng.standard_normal((n, L))
-                                  + 1j * rng.standard_normal((n, L))))
-
-    amp = np.sum(envelopes(samples) * envelopes(samples), axis=1)
-    gains = np.sort(amp * amp)
-    approx = gamma_fit(kappa, L)
+    and its empirical distribution, on a 50-point quantile grid, for each
+    (kappa, L).  The gains are the simulator's own: its h_s and h_r rows at
+    the seed, read block by block in one pass to the largest L, every
+    smaller L a prefix of it."""
+    gains = {(kappa, L): np.empty(samples) for kappa in kappas for L in lengths}
+    for block, start in enumerate(range(0, samples, mc.BLOCK_TRIALS)):
+        size = min(mc.BLOCK_TRIALS, samples - start)
+        sums = mc._element_sums(seed, block, size, kappas, ("h_r",), noise=False)
+        for L, at_l in zip(range(1, max(lengths) + 1), sums):
+            if L in lengths:
+                for kappa in kappas:
+                    gains[kappa, L][start:start + size] = at_l[kappa][0]["h_r"] ** 2
     grid_idx = np.linspace(0, samples - 1, 50).astype(int)
     emp = (grid_idx + 1) / samples
-    fit = cascade_cdf(approx, gains[grid_idx])
-    return float(np.max(np.abs(fit - emp)))
+    return {(kappa, L): float(np.max(np.abs(
+                cascade_cdf(gamma_fit(kappa, L), np.partition(g, grid_idx)[grid_idx]) - emp)))
+            for (kappa, L), g in gains.items()}
 
 
 # ---------------------------------------------------------------------------

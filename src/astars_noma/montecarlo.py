@@ -9,20 +9,33 @@ zeta sigma_s^2 - flip ``mean_noise_mode`` to isolate that approximation),
 the exponential residual-interference power, and the disk-law user
 distances.
 
-Determinism contract: trials are partitioned into fixed-size blocks and
-each block draws from its own counter-based substream keyed by
-(seed, block index).  Per-block partials are reduced in block order with
+Random-number stream: trials run in fixed-size blocks, and each block
+reads six counter-based substreams keyed by (seed, block, purpose): h_s,
+h_r, h_t, the surface noise n_s, the residual power E and the distance
+uniforms U.  Only the trial count shapes what is drawn; the config acts
+afterwards, through h = los + sc z, n_s = sqrt(sigma_s^2 / 2) z,
+y = sigma_re^2 E and d = D sqrt(U).  The element streams are drawn one
+element row at a time, in element order, and reduced to running sums as
+they go, so the L-element draw is exactly the first L rows of any larger
+draw (the prefix property), and a lone point's reduction is the same
+sequential loop stopped at its L.
+
+One ``simulate`` call evaluates a list of points (config, scheme, powers)
+on one draw per block: element counts are read off the running sums,
+every other config axis and every scheme is applied to the same sums, and
+every power to the same per-trial terms.  The points of a call thus share
+common random numbers: differences between them come out tighter, and
+each point's own estimate is what a call with that point alone gives.
+
+Determinism contract: per-block partials are reduced in block order with
 exact (fsum) accumulation, so results are bit-identical for a given
-(config, seed) regardless of the worker count used to compute the blocks.
-The draws do not depend on the transmit power, so one call evaluates a
-whole vector of powers on each block it draws, and every power gets the
-estimates a call with that power alone would give.
+(config, seed) whatever the worker count.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -31,17 +44,14 @@ import numpy as np
 
 from .analytic import _check_power, target_sinr
 from .model import ConfigError, NetworkConfig, noise_power_factor, sample_distance
+from .numerics import NumericIntegrityError
 
 __all__ = [
     "BLOCK_TRIALS",
     "Estimate",
     "SCHEMES",
-    "SinrSet",
-    "TrialDraw",
     "budget_to_ps",
-    "draw_trial",
     "simulate",
-    "sinr_set",
     "surface_output_power",
 ]
 
@@ -49,34 +59,8 @@ BLOCK_TRIALS = 8192
 
 SCHEMES = ("astars_noma", "astars_oma", "pstars_noma")
 
-_MASK64 = (1 << 64) - 1
-
-
-@dataclass(frozen=True)
-class TrialDraw:
-    """One channel realization: small-scale gains (BS->surface and
-    surface->user), per-element thermal noise, residual-interference
-    power, and the two user distances.  The block simulator stacks a
-    block of realizations along a leading trial axis."""
-
-    h_s: np.ndarray
-    h_r: np.ndarray
-    h_t: np.ndarray
-    n_s: np.ndarray | None
-    h_re_sq: float | np.ndarray
-    d_r: float | np.ndarray
-    d_t: float | np.ndarray
-
-
-class SinrSet(NamedTuple):
-    """The four link SINRs of one trial at one transmit power (or of every
-    trial of a block, as arrays)."""
-
-    gamma_r_to_t: float
-    gamma_r_psic: float
-    gamma_r_ipsic: float
-    gamma_t: float
-
+# a block's substreams; the index selects each one's counter range
+_PURPOSES = ("h_s", "h_r", "h_t", "n_s", "E", "U")
 
 class _Terms(NamedTuple):
     """Per-trial terms of a block that do not depend on the transmit power:
@@ -100,51 +84,62 @@ class Estimate:
     kind: str
 
 
-def _rng_for_block(seed: int, block: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, block & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _stream(seed: int, block: int, purpose: str) -> np.random.Generator:
+    """The block's substream for one purpose: Philox keyed by (seed, block),
+    its counter started at the purpose's index in the top word, which
+    keeps the six streams 2^192 draws apart."""
+    key = np.array([seed % 2 ** 64, block], dtype=np.uint64)
+    counter = np.array([0, 0, 0, _PURPOSES.index(purpose)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _rician(rng: np.random.Generator, kappa: float, shape) -> np.ndarray:
-    los = math.sqrt(kappa / (kappa + 1.0))
-    scatter = math.sqrt(1.0 / (2.0 * (kappa + 1.0)))
-    return (los + scatter * rng.standard_normal(shape)
-            + 1j * scatter * rng.standard_normal(shape))
+def _element_rows(seed: int, block: int, size: int, purpose: str) -> Iterator[np.ndarray]:
+    """The purpose's element rows of one block, in element order, without
+    end: complex standard normals z whose real and imaginary parts are
+    N(0, 1)."""
+    rng = _stream(seed, block, purpose)
+    while True:
+        yield rng.standard_normal(2 * size).view(np.complex128)
 
 
-def draw_trial(rng: np.random.Generator, cfg: NetworkConfig) -> TrialDraw:
-    """Draw one channel realization: the one-trial block of the main
-    scheme, unwrapped to (L,) gain and noise arrays and float scalars."""
-    one = _draw_block(rng, cfg, "astars_noma", 1)
-    return TrialDraw(h_s=one.h_s[0], h_r=one.h_r[0], h_t=one.h_t[0], n_s=one.n_s[0],
-                     h_re_sq=float(one.h_re_sq[0]), d_r=float(one.d_r[0]),
-                     d_t=float(one.d_t[0]))
+def _rician(kappa: float, z: np.ndarray) -> np.ndarray:
+    """Unit-power Rician gains los + sc z with K-factor kappa."""
+    return (math.sqrt(kappa / (kappa + 1.0))
+            + math.sqrt(1.0 / (2.0 * (kappa + 1.0))) * z)
 
 
-def _draw_block(rng: np.random.Generator, cfg: NetworkConfig, scheme: str,
-                size: int) -> TrialDraw:
-    """Draw one block of trials from rng.  The passive surface injects no
-    noise, so its stream skips those draws."""
-    L = cfg.num_elements
-    kappa = cfg.rician_kappa
-    h_s = _rician(rng, kappa, (size, L))
-    h_r = _rician(rng, kappa, (size, L))
-    h_t = _rician(rng, kappa, (size, L))
-    if scheme == "pstars_noma":
-        n_s = None
-    else:
-        scale = math.sqrt(cfg.noise_sigma_s2 / 2.0)
-        n_s = scale * (rng.standard_normal((size, L))
-                       + 1j * rng.standard_normal((size, L)))
-    h_re_sq = rng.exponential(cfg.noise_sigma_re2, size)
-    d_r = sample_distance(rng, cfg.radius_d, size)
-    d_t = sample_distance(rng, cfg.radius_d, size)
-    return TrialDraw(h_s=h_s, h_r=h_r, h_t=h_t, n_s=n_s,
-                     h_re_sq=h_re_sq, d_r=d_r, d_t=d_t)
+def _element_sums(seed: int, block: int, size: int, kappas: Sequence[float],
+                  users: Sequence[str], noise: bool) -> Iterator[dict]:
+    """Reduce one block's element rows as they are drawn, in element order.
+
+    After each element l = 1, 2, ... yields {kappa: (amp, nsum)} where, for
+    each user stream u in users, amp[u] = sum_{i<=l} |h_s,i| |h_u,i| is the
+    phase-aligned cascade amplitude and nsum[u] = sum_{i<=l} z_n,i h_u,i the
+    surface-noise sum in units of sqrt(sigma_s^2 / 2) (left empty without
+    noise).  The sums are rebound, never updated in place, so an array
+    taken from a yield keeps its value.
+    """
+    streams = {p: _element_rows(seed, block, size, p)
+               for p in ("h_s", *users, *(("n_s",) if noise else ()))}
+    sums = {kappa: ({u: 0.0 for u in users}, {u: 0.0 for u in users} if noise else {})
+            for kappa in kappas}
+    while True:
+        z = {p: next(rows) for p, rows in streams.items()}
+        for kappa, (amp, nsum) in sums.items():
+            env_s = np.abs(_rician(kappa, z["h_s"]))
+            for u in users:
+                h_u = _rician(kappa, z[u])
+                amp[u] = amp[u] + env_s * np.abs(h_u)
+                if noise:
+                    nsum[u] = nsum[u] + z["n_s"] * h_u
+        yield sums
 
 
-def _terms(cfg: NetworkConfig, scheme: str, draw: TrialDraw) -> _Terms:
-    """Reduce a block of draws to its power-free per-trial terms.
+def _terms(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict,
+           residual: np.ndarray, radial: np.ndarray) -> _Terms:
+    """A block's power-free per-trial terms at cfg, from the element sums
+    at its K-factor and element count, the standard exponentials of the
+    residual power and the two users' distances on the unit disk.
 
     The phase controller aligns the cascade, so its amplitude is the sum of
     per-element products of envelopes; the thermal noise keeps its random
@@ -154,9 +149,9 @@ def _terms(cfg: NetworkConfig, scheme: str, draw: TrialDraw) -> _Terms:
     alpha = cfg.path_alpha
     eta0 = cfg.path_eta0
 
-    def side(h_user, dist, beta):
-        cascade_amp = np.sum(np.abs(draw.h_s) * np.abs(h_user), axis=1)
-        gain = eta0 ** 2 * (cfg.dist_bs * dist) ** -alpha * cascade_amp ** 2
+    def side(user, row, beta):
+        dist = cfg.radius_d * radial[row]
+        gain = eta0 ** 2 * (cfg.dist_bs * dist) ** -alpha * amp[user] ** 2
         if scheme == "pstars_noma":
             noise_amp = np.zeros(dist.shape)
         elif cfg.mean_noise_mode:
@@ -164,20 +159,44 @@ def _terms(cfg: NetworkConfig, scheme: str, draw: TrialDraw) -> _Terms:
             noise_amp = (cfg.amp_lambda * beta * eta0 * dist ** -alpha
                          * zeta * cfg.noise_sigma_s2) * np.ones(dist.shape)
         else:
-            noise_sum = np.abs(np.sum(draw.n_s * h_user, axis=1)) ** 2
+            noise_sum = 0.5 * cfg.noise_sigma_s2 * np.abs(nsum[user]) ** 2
             noise_amp = cfg.amp_lambda * beta * eta0 * dist ** -alpha * noise_sum
         return gain, noise_amp
 
-    g_r, noise_r = side(draw.h_r, draw.d_r, cfg.beta_r)
-    g_t, noise_t = side(draw.h_t, draw.d_t, cfg.beta_t)
-    return _Terms(g_r, g_t, noise_r, noise_t, draw.h_re_sq)
+    g_r, noise_r = side("h_r", 0, cfg.beta_r)
+    g_t, noise_t = side("h_t", 1, cfg.beta_t)
+    return _Terms(g_r, g_t, noise_r, noise_t, cfg.noise_sigma_re2 * residual)
+
+
+def _block_terms(seed: int, block: int, size: int,
+                 points: Sequence[tuple[NetworkConfig, str]]) -> Iterator[tuple[int, _Terms]]:
+    """Draw one block once and yield (index, terms) for every (cfg, scheme)
+    of points, in order of element count.  Raises NumericIntegrityError if
+    any power-free term is not finite."""
+    residual = _stream(seed, block, "E").standard_exponential(size)
+    radial = sample_distance(_stream(seed, block, "U"), 1.0, (2, size))
+    by_length: dict[int, list[int]] = {}
+    for i, (cfg, _) in enumerate(points):
+        by_length.setdefault(cfg.num_elements, []).append(i)
+    kappas = tuple(dict.fromkeys(cfg.rician_kappa for cfg, _ in points))
+    noise = any(scheme != "pstars_noma" and not cfg.mean_noise_mode
+                for cfg, scheme in points)
+    sums = _element_sums(seed, block, size, kappas, ("h_r", "h_t"), noise)
+    for L, at_l in zip(range(1, max(by_length) + 1), sums):
+        for i in by_length.get(L, ()):
+            cfg, scheme = points[i]
+            terms = _terms(cfg, scheme, *at_l[cfg.rician_kappa], residual, radial)
+            if not all(np.isfinite(t).all() for t in terms):
+                raise NumericIntegrityError(
+                    f"non-finite power-free term: {scheme} block {block} at L = {L}")
+            yield i, terms
 
 
 def _sinrs(cfg: NetworkConfig, scheme: str, terms: _Terms,
-           ps: float) -> SinrSet | tuple[np.ndarray, np.ndarray]:
+           ps: float) -> tuple[np.ndarray, ...]:
     """The SINR kernel: every trial's link SINRs at transmit power ps.
 
-    NOMA schemes give a SinrSet of arrays: the reflection user decoding the
+    NOMA schemes give four arrays: the reflection user decoding the
     transmission user's signal, then its own signal under pSIC and ipSIC,
     and the transmission user decoding its own signal.  astars_oma gives
     the pair (gamma_r, gamma_t) of the dedicated full-power slots.
@@ -189,24 +208,10 @@ def _sinrs(cfg: NetworkConfig, scheme: str, terms: _Terms,
     if scheme == "astars_oma":
         return s_r / (terms.noise_r + sigma_02), s_t / (terms.noise_t + sigma_02)
     den_r = terms.noise_r + sigma_02
-    return SinrSet(
-        gamma_r_to_t=cfg.a_t * s_r / (cfg.a_r * s_r + den_r),
-        gamma_r_psic=cfg.a_r * s_r / den_r,
-        gamma_r_ipsic=cfg.a_r * s_r / (den_r + terms.h_re_sq * ps),
-        gamma_t=cfg.a_t * s_t / (cfg.a_r * s_t + terms.noise_t + sigma_02),
-    )
-
-
-def sinr_set(trial: TrialDraw, cfg: NetworkConfig, ps: float) -> SinrSet:
-    """The four SINRs of one trial of the main scheme, through the same
-    kernel as the block simulator."""
-    _check_power(ps)
-    one = TrialDraw(h_s=trial.h_s[None, :], h_r=trial.h_r[None, :],
-                    h_t=trial.h_t[None, :], n_s=trial.n_s[None, :],
-                    h_re_sq=np.array([trial.h_re_sq]),
-                    d_r=np.array([trial.d_r]), d_t=np.array([trial.d_t]))
-    sinrs = _sinrs(cfg, "astars_noma", _terms(cfg, "astars_noma", one), ps)
-    return SinrSet(*(float(gamma[0]) for gamma in sinrs))
+    return (cfg.a_t * s_r / (cfg.a_r * s_r + den_r),
+            cfg.a_r * s_r / den_r,
+            cfg.a_r * s_r / (den_r + terms.h_re_sq * ps),
+            cfg.a_t * s_t / (cfg.a_r * s_t + terms.noise_t + sigma_02))
 
 
 def _moments(values: np.ndarray) -> tuple[float, float]:
@@ -218,103 +223,101 @@ def _partials(cfg: NetworkConfig, scheme: str, terms: _Terms,
     """Raw partial sums of one block at one transmit power, keyed by the
     metric names of the estimates: event counts for outages, (sum, sum of
     squares) for rates and throughputs."""
-    out: dict[str, int | tuple[float, float]] = {}
     if scheme == "astars_oma":
         # dedicated slots: full power, doubled spectral-efficiency target,
         # per-user rate halved by the slot structure
         gamma_r, gamma_t = _sinrs(cfg, scheme, terms, ps)
-        out_r = gamma_r <= target_sinr(2.0 * cfg.target_rate_r)
         out_t = gamma_t <= target_sinr(2.0 * cfg.target_rate_t)
-        rate_r = 0.5 * np.log2(1.0 + gamma_r)
         rate_t = 0.5 * np.log2(1.0 + gamma_t)
-        out["outage_r"] = int(out_r.sum())
-        out["outage_t"] = int(out_t.sum())
-        out["outage_system"] = int((out_r | out_t).sum())
-        out["rate_r"] = _moments(rate_r)
-        out["rate_t"] = _moments(rate_t)
-        lim = ((1.0 - out_r) * cfg.target_rate_r + (1.0 - out_t) * cfg.target_rate_t)
-        out["throughput_tolerant"] = _moments(rate_r + rate_t)
-        out["throughput_limited"] = _moments(lim)
-        return out
-
-    gamma_r_hat = target_sinr(cfg.target_rate_r)
-    gamma_t_hat = target_sinr(cfg.target_rate_t)
-    s = _sinrs(cfg, scheme, terms, ps)
-    out_r_psic = (s.gamma_r_to_t <= gamma_t_hat) | (s.gamma_r_psic <= gamma_r_hat)
-    out_r_ipsic = (s.gamma_r_to_t <= gamma_t_hat) | (s.gamma_r_ipsic <= gamma_r_hat)
-    out_t = s.gamma_t <= gamma_t_hat
-    rate_r_psic = np.log2(1.0 + s.gamma_r_psic)
-    rate_r_ipsic = np.log2(1.0 + s.gamma_r_ipsic)
-    rate_t = np.log2(1.0 + s.gamma_t)
-
-    out["outage_r_psic"] = int(out_r_psic.sum())
-    out["outage_r_ipsic"] = int(out_r_ipsic.sum())
-    out["outage_t"] = int(out_t.sum())
-    out["outage_system_psic"] = int((out_r_psic | out_t).sum())
-    out["outage_system_ipsic"] = int((out_r_ipsic | out_t).sum())
-    out["rate_r_psic"] = _moments(rate_r_psic)
-    out["rate_r_ipsic"] = _moments(rate_r_ipsic)
-    out["rate_t"] = _moments(rate_t)
-    for mode, out_r, rate_r in (("psic", out_r_psic, rate_r_psic),
-                                ("ipsic", out_r_ipsic, rate_r_ipsic)):
-        lim = ((1.0 - out_r) * cfg.target_rate_r + (1.0 - out_t) * cfg.target_rate_t)
-        out[f"throughput_limited_{mode}"] = _moments(lim)
-        out[f"throughput_tolerant_{mode}"] = _moments(rate_r + rate_t)
+        by_mode = {"": (gamma_r <= target_sinr(2.0 * cfg.target_rate_r),
+                        0.5 * np.log2(1.0 + gamma_r))}
+    else:
+        gamma_r_hat = target_sinr(cfg.target_rate_r)
+        gamma_t_hat = target_sinr(cfg.target_rate_t)
+        gamma_r_to_t, gamma_r_psic, gamma_r_ipsic, gamma_t = _sinrs(cfg, scheme, terms, ps)
+        out_t = gamma_t <= gamma_t_hat
+        rate_t = np.log2(1.0 + gamma_t)
+        # the reflection user first decodes the transmission user's signal
+        by_mode = {f"_{mode}": ((gamma_r_to_t <= gamma_t_hat) | (gamma <= gamma_r_hat),
+                                np.log2(1.0 + gamma))
+                   for mode, gamma in (("psic", gamma_r_psic), ("ipsic", gamma_r_ipsic))}
+    out: dict[str, int | tuple[float, float]] = {
+        "outage_t": int(out_t.sum()), "rate_t": _moments(rate_t)}
+    for suffix, (out_r, rate_r) in by_mode.items():
+        lim = (1.0 - out_r) * cfg.target_rate_r + (1.0 - out_t) * cfg.target_rate_t
+        out[f"outage_r{suffix}"] = int(out_r.sum())
+        out[f"outage_system{suffix}"] = int((out_r | out_t).sum())
+        out[f"rate_r{suffix}"] = _moments(rate_r)
+        out[f"throughput_limited{suffix}"] = _moments(lim)
+        out[f"throughput_tolerant{suffix}"] = _moments(rate_r + rate_t)
     return out
 
 
-def _outage_estimate(count: float, trials: int, kind: str) -> Estimate:
-    p = count / trials
-    hw = 1.96 * math.sqrt(max(p * (1.0 - p), 0.0) / trials)
-    return Estimate(mean=p, trials=trials, ci95_halfwidth=hw, kind=kind)
+def _estimates(partials: Sequence[dict], trials: int, tag: str) -> dict[str, Estimate]:
+    """Reduce one power's per-block partials, in block order: outage counts
+    get the binomial CI, (sum, sum of squares) the sample-variance CI."""
+    estimates: dict[str, Estimate] = {}
+    for key, first in partials[0].items():
+        if isinstance(first, tuple):
+            total = math.fsum(p[key][0] for p in partials)
+            total_sq = math.fsum(p[key][1] for p in partials)
+            mean = total / trials
+            var = (max(total_sq - total * total / trials, 0.0) / (trials - 1)
+                   if trials > 1 else 0.0)
+        else:
+            mean = sum(p[key] for p in partials) / trials
+            var = max(mean * (1.0 - mean), 0.0)
+        estimates[key] = Estimate(mean=mean, trials=trials, kind=tag + key,
+                                  ci95_halfwidth=1.96 * math.sqrt(var / trials))
+    return estimates
 
 
-def _mean_estimate(total: float, total_sq: float, trials: int, kind: str) -> Estimate:
-    mean = total / trials
-    if trials > 1:
-        var = max(total_sq - total * total / trials, 0.0) / (trials - 1)
-    else:
-        var = 0.0
-    hw = 1.96 * math.sqrt(var / trials)
-    return Estimate(mean=mean, trials=trials, ci95_halfwidth=hw, kind=kind)
+def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
+             ps: float | Sequence[float] | None = None, trials: int | None = None,
+             seed: int | None = None, workers: int = 1) -> dict | list:
+    """Run the block simulator at one point or at a list of points.
 
-
-def simulate(cfg: NetworkConfig, scheme: str, ps: float | Sequence[float],
-             trials: int | None = None, seed: int | None = None, workers: int = 1,
-             ) -> dict[str, Estimate] | list[dict[str, Estimate]]:
-    """Run the block simulator for one scheme at one or more transmit powers.
-
-    ps is one power or a sequence of powers.  Each block is drawn once and
-    evaluated at every power in turn, so the estimates for a power are the
-    same whatever other powers share the call.  A sequence gives a list
-    with one dict of estimates per power, in order; a single power gives
-    its dict alone.  The dicts are keyed by metric:
+    A point is (cfg, scheme, ps), where ps is one transmit power or a
+    sequence of powers.  ``simulate(cfg, scheme, ps)`` runs one point and
+    returns its estimates: a dict for one power, or a list with one dict
+    per power, in order.  ``simulate(points)`` runs every point of the list
+    on one draw per block and returns, per point, what its lone call would
+    return, bit for bit: the configs, schemes, element counts and powers
+    that share a call change no point's estimates.  trials and seed default
+    to the first point's config.  The dicts are keyed by metric:
     NOMA schemes: outage_r_psic, outage_r_ipsic, outage_t,
     outage_system_psic, outage_system_ipsic, rate_r_psic, rate_r_ipsic,
     rate_t, throughput_limited_{psic,ipsic}, throughput_tolerant_{psic,ipsic}.
     astars_oma: outage_r, outage_t, outage_system, rate_r, rate_t,
     throughput_limited, throughput_tolerant.
     """
-    if scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {scheme!r}; expected one of {SCHEMES}")
-    scalar = np.ndim(ps) == 0
-    powers = [ps] if scalar else list(ps)
-    if not powers:
-        raise ValueError("at least one transmit power required")
-    for p in powers:
-        _check_power(p)
-    trials = cfg.mc_trials if trials is None else int(trials)
+    lone = isinstance(cfg, NetworkConfig)
+    points = [(cfg, scheme, ps)] if lone else list(cfg)
+    if not points:
+        raise ValueError("at least one point required")
+    runs = []
+    for cfg_p, scheme_p, ps_p in points:
+        if scheme_p not in SCHEMES:
+            raise ConfigError(f"unknown scheme {scheme_p!r}; expected one of {SCHEMES}")
+        powers = [ps_p] if np.ndim(ps_p) == 0 else list(ps_p)
+        if not powers:
+            raise ValueError("at least one transmit power required")
+        for p in powers:
+            _check_power(p)
+        runs.append((cfg_p, scheme_p, powers))
+    trials = points[0][0].mc_trials if trials is None else int(trials)
     if trials < 1:
         raise ValueError("at least one trial required")
-    seed = cfg.seed if seed is None else int(seed)
-    sizes = [BLOCK_TRIALS] * (trials // BLOCK_TRIALS)
-    if trials % BLOCK_TRIALS:
-        sizes.append(trials % BLOCK_TRIALS)
+    seed = points[0][0].seed if seed is None else int(seed)
+    sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
+    kernels = [(c, s) for c, s, _ in runs]
 
-    def run(block: int) -> list[dict]:
-        terms = _terms(cfg, scheme, _draw_block(_rng_for_block(seed, block), cfg,
-                                                scheme, sizes[block]))
-        return [_partials(cfg, scheme, terms, p) for p in powers]
+    def run(block: int) -> list[list[dict]]:
+        out: list = [None] * len(runs)
+        for i, terms in _block_terms(seed, block, sizes[block], kernels):
+            c, s, powers = runs[i]
+            out[i] = [_partials(c, s, terms, p) for p in powers]
+        return out
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -322,20 +325,12 @@ def simulate(cfg: NetworkConfig, scheme: str, ps: float | Sequence[float],
     else:
         by_block = [run(b) for b in range(len(sizes))]
 
-    tag = f"{scheme}:"
-    results: list[dict[str, Estimate]] = []
-    for partials in zip(*by_block):
-        estimates: dict[str, Estimate] = {}
-        for key, first in partials[0].items():
-            if isinstance(first, tuple):
-                estimates[key] = _mean_estimate(math.fsum(p[key][0] for p in partials),
-                                                math.fsum(p[key][1] for p in partials),
-                                                trials, tag + key)
-            else:
-                estimates[key] = _outage_estimate(sum(p[key] for p in partials),
-                                                  trials, tag + key)
-        results.append(estimates)
-    return results[0] if scalar else results
+    results = []
+    for i, ((_, s, powers), (_, _, ps_p)) in enumerate(zip(runs, points)):
+        per_power = [_estimates([blk[i][k] for blk in by_block], trials, f"{s}:")
+                     for k in range(len(powers))]
+        results.append(per_power[0] if np.ndim(ps_p) == 0 else per_power)
+    return results[0] if lone else results
 
 
 def surface_output_power(cfg: NetworkConfig, ps: float) -> float:

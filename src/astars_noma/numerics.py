@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
+    "NumericIntegrityError",
     "QuadratureRule",
     "bessel_k",
     "gauss_laguerre_rule",
@@ -35,6 +36,10 @@ __all__ = [
 _EULER_GAMMA = 0.57721566490153286061
 _TOL = 1.0e-15
 _MAX_ITER = 20000
+
+
+class NumericIntegrityError(ArithmeticError):
+    """A value breaks a structural bound or an iteration fails to converge."""
 
 
 @dataclass(frozen=True)
@@ -80,7 +85,7 @@ def _p_series(a: float, x: np.ndarray) -> np.ndarray:
         if np.all(term < _TOL * total):
             break
     else:  # pragma: no cover - series is geometric-fast in this regime
-        raise RuntimeError("incomplete gamma series failed to converge")
+        raise NumericIntegrityError("incomplete gamma series failed to converge")
     out[pos] = np.exp(a * np.log(xs) - xs - math.lgamma(a + 1.0)) * total
     return out
 
@@ -105,7 +110,7 @@ def _q_contfrac(a: float, x: np.ndarray) -> np.ndarray:
         if np.all(np.abs(delta - 1.0) < _TOL):
             break
     else:  # pragma: no cover
-        raise RuntimeError("incomplete gamma continued fraction failed to converge")
+        raise NumericIntegrityError("incomplete gamma continued fraction failed to converge")
     return np.exp(-x + a * np.log(x) - math.lgamma(a)) * h
 
 
@@ -160,7 +165,7 @@ def _bessel_i01e(x: float) -> tuple[float, float]:
             s0 += term0
             s1 += term1
             if k > 500:  # pragma: no cover
-                raise RuntimeError("Bessel I series failed to converge")
+                raise NumericIntegrityError("Bessel I series failed to converge")
         scale = math.exp(-x)
         return scale * s0, scale * s1 * 0.5 * x
     # asymptotic: e^{-x} I_nu(x) ~ (2 pi x)^{-1/2} sum_k (-)^k a_k(nu)/x^k
@@ -260,7 +265,7 @@ def bessel_k(order: float, x: float) -> float:
             if abs(delta) < abs(total) * _TOL:
                 break
         else:  # pragma: no cover
-            raise RuntimeError("Bessel K series failed to converge")
+            raise NumericIntegrityError("Bessel K series failed to converge")
         k_mu = total
         k_mu1 = total1 * 2.0 / x
     else:
@@ -290,7 +295,7 @@ def bessel_k(order: float, x: float) -> float:
             if abs(dels / s) < _TOL:
                 break
         else:  # pragma: no cover
-            raise RuntimeError("Bessel K continued fraction failed to converge")
+            raise NumericIntegrityError("Bessel K continued fraction failed to converge")
         h = a1 * h
         k_mu = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x) / s
         k_mu1 = k_mu * (mu + x + 0.5 - h) / x
@@ -405,7 +410,7 @@ def _hyp2f1_direct(a: float, b: float, c: float, z: float) -> float:
         total += term
         if abs(term) < _TOL * abs(total):
             return total
-    raise RuntimeError("2F1 power series failed to converge; "
+    raise NumericIntegrityError("2F1 power series failed to converge; "
                        "argument too close to 1 for this (a, b, c)")
 
 
@@ -434,7 +439,7 @@ def _hyp2f1_balanced(a: float, b: float, z: float) -> float:
         psi_n += 1.0 / (n + 1.0)
         psi_a += 1.0 / (a + n)
         psi_b += 1.0 / (b + n)
-    raise RuntimeError("2F1 connection series failed to converge")  # pragma: no cover
+    raise NumericIntegrityError("2F1 connection series failed to converge")  # pragma: no cover
 
 
 def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:

@@ -16,6 +16,7 @@ from astars_noma.analytic import NumericIntegrityError, SicMode
 from astars_noma.cli import (CSV_HEADER, SweepSpec, _check_cell, figure_ids, main,
                              parse_config, run_sweep, validate)
 from astars_noma.model import ConfigError, NetworkConfig
+from astars_noma.montecarlo import SCHEMES
 
 TRIALS = 4000
 GOLDEN = Path(__file__).parent / "golden"
@@ -145,30 +146,58 @@ def test_sweep_matches_golden_csv(tmp_path, workers):
 
 
 def _count_simulate_calls(monkeypatch) -> list:
+    """Record each simulate call as its list of (L, scheme, power count)."""
     calls = []
     real = mc.simulate
 
-    def counting(cfg, scheme, ps, *args, **kwargs):
-        calls.append((cfg.num_elements, scheme, len(ps)))
-        return real(cfg, scheme, ps, *args, **kwargs)
+    def counting(points, **kwargs):
+        calls.append([(cfg.num_elements, scheme, len(ps)) for cfg, scheme, ps in points])
+        return real(points, **kwargs)
 
     monkeypatch.setattr(mc, "simulate", counting)
     return calls
 
 
+def _count_block_draws(monkeypatch) -> list:
+    """Record the block index of every simulator block draw."""
+    blocks = []
+    real = mc._block_terms
+
+    def counting(seed, block, size, points):
+        blocks.append(block)
+        return real(seed, block, size, points)
+
+    monkeypatch.setattr(mc, "_block_terms", counting)
+    return blocks
+
+
 def test_sweep_simulates_once_per_config_and_scheme(tmp_path, monkeypatch):
+    # one call per sweep, with one point per (config, scheme)
     calls = _count_simulate_calls(monkeypatch)
     cfg = NetworkConfig()
-    # -45 dBm is infeasible for both schemes and is left out of the calls
+    # -45 dBm is infeasible for both schemes and is left out of the call
     power = SweepSpec(axis="q_tot_dbm", values=(-45.0, 10.0, 20.0, 30.0),
                       metrics=("outage_r",), schemes=("astars_noma", "pstars_noma"))
     run_sweep(cfg, power, tmp_path / "q", trials=TRIALS, plots=False)
-    assert calls == [(10, "astars_noma", 3), (10, "pstars_noma", 3)]
+    assert calls == [[(10, "astars_noma", 3), (10, "pstars_noma", 3)]]
     calls.clear()
     elements = SweepSpec(axis="num_elements", values=(4, 10), metrics=("outage_r",),
                          fixed_q_tot_dbm=20.0)
     run_sweep(cfg, elements, tmp_path / "L", trials=TRIALS, plots=False)
-    assert calls == [(4, "astars_noma", 1), (10, "astars_noma", 1)]
+    assert calls == [[(4, "astars_noma", 1), (10, "astars_noma", 1)]]
+    calls.clear()
+    infeasible = SweepSpec(axis="q_tot_dbm", values=(-45.0,), metrics=("outage_r",))
+    run_sweep(cfg, infeasible, tmp_path / "none", trials=TRIALS, plots=False)
+    assert calls == []
+
+
+def test_sweep_draws_each_block_once(tmp_path, monkeypatch):
+    blocks = _count_block_draws(monkeypatch)
+    spec = SweepSpec(axis="num_elements", values=(2, 5, 9), metrics=("outage_r",),
+                     schemes=SCHEMES, fixed_q_tot_dbm=20.0)
+    run_sweep(NetworkConfig(), spec, tmp_path, trials=3 * mc.BLOCK_TRIALS + 5,
+              plots=False, workers=2)
+    assert sorted(blocks) == [0, 1, 2, 3]
 
 
 def test_sweep_baseline_rows_have_empty_analytic(tmp_path):
@@ -260,14 +289,16 @@ def test_figure_unknown_id(tmp_path, capsys):
 
 def test_validate_all_gates_pass_and_report_written(tmp_path, monkeypatch):
     calls = _count_simulate_calls(monkeypatch)
+    blocks = _count_block_draws(monkeypatch)
     cfg = NetworkConfig()
     code, gates = validate(cfg, out_dir=tmp_path, trials=20_000)
     assert code == 0
     assert all(g.passed for g in gates)
-    # one call per (config, scheme); the main scheme's agreement and
-    # ordering budgets share one call
-    assert [(scheme, n) for _, scheme, n in calls] == [
-        ("astars_noma", 5), ("astars_noma", 3), ("astars_oma", 4), ("pstars_noma", 4)]
+    # one call with one point per (config, scheme); the main scheme's
+    # agreement and ordering budgets share one point; each block drawn once
+    assert [[(scheme, n) for _, scheme, n in call] for call in calls] == [[
+        ("astars_noma", 5), ("astars_noma", 3), ("astars_oma", 4), ("pstars_noma", 4)]]
+    assert blocks == [0, 1, 2]
     report = tmp_path / "gates.csv"
     assert report.exists()
     lines = report.read_text().splitlines()
@@ -307,12 +338,13 @@ def test_every_validate_gate_can_fail(monkeypatch):
               "pstars_noma": ("outage_system_psic", -1.0)}
     simulate = mc.simulate
 
-    def broken_simulate(cfg, scheme, ps, **kwargs):
-        results = simulate(cfg, scheme, ps, **kwargs)
-        if scheme in broken:
-            key, mean = broken[scheme]
-            for sims in results:
-                sims[key] = replace(sims[key], mean=mean)
+    def broken_simulate(points, **kwargs):
+        results = simulate(points, **kwargs)
+        for (_, scheme, _), point_sims in zip(points, results):
+            if scheme in broken:
+                key, mean = broken[scheme]
+                for sims in point_sims:
+                    sims[key] = replace(sims[key], mean=mean)
         return results
 
     monkeypatch.setattr(mc, "simulate", broken_simulate)
@@ -343,6 +375,27 @@ def test_cli_non_finite_config_value_exit_code(tmp_path, capsys):
     rc = main(["--config", str(cfg_file), "--out", str(tmp_path), "show-config"])
     assert rc == 1
     assert "amp_lambda finite" in capsys.readouterr().err
+
+
+def test_convergence_failure_exits_2_without_csv(tmp_path, monkeypatch, capsys):
+    # an incomplete-gamma iteration that cannot converge is a numeric
+    # integrity failure: exit code 2, and no CSV half-written
+    from astars_noma import numerics
+    monkeypatch.setattr(numerics, "_MAX_ITER", 1)
+    out = tmp_path / "out"
+    rc = main(["--out", str(out), "--trials", "100", "sweep", "--start", "10",
+               "--stop", "20", "--step", "10", "--metrics", "outage_r,outage_t"])
+    assert rc == 2
+    assert "failed to converge" in capsys.readouterr().err
+    assert list(out.glob("*.csv")) == []
+
+
+def test_hyp2f1_convergence_failure_is_a_numeric_integrity_error(monkeypatch):
+    from astars_noma import numerics
+    monkeypatch.setattr(numerics, "_MAX_ITER", 1)
+    for z in (0.3, 0.9):  # the power series, then the connection series
+        with pytest.raises(NumericIntegrityError, match="failed to converge"):
+            numerics.hyp2f1_series(1.5, 2.5, 4.0, z)
 
 
 @pytest.mark.parametrize("metric", ["outage_r", "rate_r", "throughput_tolerant"])

@@ -1,5 +1,6 @@
-"""Simulator tests: channel-draw statistics, SINR structure, determinism
-under worker-count changes, the power-budget model, and the baselines.
+"""Simulator tests: channel-draw statistics, SINR structure, the prefix
+property of the element stream, determinism under worker-count changes and
+sweep sharing, the power-budget model, and the baselines.
 
 The archived reference block pins the exact estimates produced at the
 default seed with 10^6 trials; any change to the draw order or reduction
@@ -8,14 +9,17 @@ is a breaking change and must show up here.
 
 import math
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from astars_noma.analytic import SicMode
+from astars_noma import montecarlo as mc
+from astars_noma.analytic import NumericIntegrityError, SicMode
 from astars_noma.model import ConfigError, NetworkConfig, dbm_to_watts, noise_power_factor
-from astars_noma.montecarlo import (BLOCK_TRIALS, SCHEMES, Estimate, budget_to_ps,
-                                    draw_trial, simulate, sinr_set,
+from astars_noma.montecarlo import (BLOCK_TRIALS, SCHEMES, Estimate, _block_terms,
+                                    _element_rows, _element_sums, _rician, _sinrs,
+                                    _stream, budget_to_ps, simulate,
                                     surface_output_power)
 
 CFG = NetworkConfig()
@@ -23,70 +27,114 @@ CFG = NetworkConfig()
 # frozen at seed=123456789, 10^6 trials, Q_tot = 30 dBm (active budget)
 ARCHIVE_PS = 0.9997799994000122
 ARCHIVE = {
-    "outage_r_ipsic": (8e-05, 1.753007169865543e-05),
+    "outage_r_ipsic": (6.5e-05, 1.5801511612500876e-05),
     "outage_r_psic": (0.0, 0.0),
-    "outage_system_ipsic": (8e-05, 1.753007169865543e-05),
-    "outage_system_psic": (0.0, 0.0),
-    "outage_t": (0.0, 0.0),
-    "rate_r_ipsic": (4.982607178504838, 0.0031760584153001353),
-    "rate_r_psic": (5.796432021207335, 0.0029876550758733368),
-    "rate_t": (1.6751452004814409, 9.787872196616522e-05),
-    "throughput_limited_ipsic": (1.99992, 1.753008046371557e-05),
-    "throughput_limited_psic": (2.0, 0.0),
-    "throughput_tolerant_ipsic": (6.657752378986279, 0.0031887274274555776),
-    "throughput_tolerant_psic": (7.471577221688776, 0.003001362710158058),
+    "outage_system_ipsic": (6.8e-05, 1.6162024515561163e-05),
+    "outage_system_psic": (3e-06, 3.3948144906018062e-06),
+    "outage_t": (3e-06, 3.3948144906018062e-06),
+    "rate_r_ipsic": (4.981924231741836, 0.0031740335428226954),
+    "rate_r_psic": (5.795969434919661, 0.002986761335415983),
+    "rate_t": (1.6751947444730715, 9.787172567736276e-05),
+    "throughput_limited_ipsic": (1.999932, 1.616203259660097e-05),
+    "throughput_limited_psic": (1.999997, 3.3948161881032863e-06),
+    "throughput_tolerant_ipsic": (6.657118976214906, 0.0031864720954490593),
+    "throughput_tolerant_psic": (7.471164179392733, 0.003000272935492205),
 }
 
 
+def block_terms(cfg, scheme="astars_noma", size=64, seed=0, block=0):
+    """The power-free terms of one block of one (cfg, scheme)."""
+    [(_, terms)] = _block_terms(seed, block, size, [(cfg, scheme)])
+    return terms
+
+
 # ---------------------------------------------------------------------------
-# single-trial draws
+# block draws
 # ---------------------------------------------------------------------------
 
 def test_draw_trial_shapes_and_ranges():
-    rng = np.random.default_rng(0)
-    trial = draw_trial(rng, CFG)
-    L = CFG.num_elements
-    assert trial.h_s.shape == trial.h_r.shape == trial.h_t.shape == (L,)
-    assert trial.n_s.shape == (L,)
-    assert trial.h_re_sq >= 0.0
-    assert 0.0 < trial.d_r <= CFG.radius_d
-    assert 0.0 < trial.d_t <= CFG.radius_d
+    size = 64
+    rows = list(islice(_element_rows(0, 0, size, "h_s"), CFG.num_elements))
+    assert all(row.shape == (size,) and row.dtype == np.complex128 for row in rows)
+    terms = block_terms(CFG, size=size)
+    assert all(t.shape == (size,) for t in terms)
+    assert np.all(terms.h_re_sq >= 0.0)
+    assert np.all(terms.g_r > 0.0) and np.all(terms.g_t > 0.0)
+    assert np.all(terms.noise_r >= 0.0) and np.all(terms.noise_t >= 0.0)
+    radial = np.sqrt(_stream(0, 0, "U").random((2, size)))
+    assert np.all((0.0 < radial) & (radial <= 1.0))
 
 
 def test_pure_los_limit_gains_become_deterministic():
-    rng = np.random.default_rng(1)
-    cfg = replace(CFG, rician_kappa=1e12)
-    trial = draw_trial(rng, cfg)
-    assert np.allclose(trial.h_s, 1.0, atol=1e-5)
-    assert np.allclose(trial.h_r, 1.0, atol=1e-5)
+    # every envelope is 1, so the cascade amplitude after l elements is l
+    sums = _element_sums(1, 0, 64, (1e12,), ("h_r",), noise=False)
+    for L, at_l in zip(range(1, CFG.num_elements + 1), sums):
+        assert np.allclose(at_l[1e12][0]["h_r"], L, atol=1e-5)
 
 
 def test_small_scale_gain_unit_power():
-    rng = np.random.default_rng(2)
     n = 1_000_000
-    from astars_noma.montecarlo import _rician
-    h = _rician(rng, CFG.rician_kappa, n)
+    h = _rician(CFG.rician_kappa, next(_element_rows(2, 0, n, "h_r")))
     power = np.abs(h) ** 2
     se = power.std(ddof=1) / math.sqrt(n)
     assert abs(power.mean() - 1.0) < 3.0 * se
 
 
 def test_random_phase_sum_power_matches_noise_factor():
-    rng = np.random.default_rng(3)
-    from astars_noma.montecarlo import _rician
     n, L = 1_000_000, CFG.num_elements
-    h = _rician(rng, CFG.rician_kappa, (n, L))
-    power = np.abs(h.sum(axis=1)) ** 2
+    h = sum(_rician(CFG.rician_kappa, z) for z in islice(_element_rows(3, 0, n, "h_t"), L))
+    power = np.abs(h) ** 2
     zeta = noise_power_factor(CFG.rician_kappa, L)
     se = power.std(ddof=1) / math.sqrt(n)
     assert abs(power.mean() - zeta) < 3.0 * se
 
 
 def test_residual_power_is_exponential_with_configured_mean():
-    rng = np.random.default_rng(4)
-    draws = np.array([draw_trial(rng, CFG).h_re_sq for _ in range(20_000)])
+    draws = block_terms(CFG, size=20_000, seed=4).h_re_sq
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - CFG.noise_sigma_re2) < 3.0 * se
+
+
+@pytest.mark.parametrize("purpose", ["h_s", "h_r", "h_t", "n_s"])
+@pytest.mark.parametrize("L", [1, 2, 7])
+def test_element_rows_are_prefixes_of_a_larger_draw(purpose, L):
+    longest = list(islice(_element_rows(5, 3, 100, purpose), 40))
+    assert all(np.array_equal(a, b) for a, b in
+               zip(islice(_element_rows(5, 3, 100, purpose), L), longest[:L]))
+    # the running sums at L are the sequential sum of those first L rows
+    kappa = CFG.rician_kappa
+    amp = nsum = 0.0
+    noise = list(islice(_element_rows(5, 3, 100, "n_s"), L))
+    for z_s, z_u, z_n in zip(list(islice(_element_rows(5, 3, 100, "h_s"), L)),
+                             list(islice(_element_rows(5, 3, 100, "h_r"), L)), noise):
+        amp = amp + np.abs(_rician(kappa, z_s)) * np.abs(_rician(kappa, z_u))
+        nsum = nsum + z_n * _rician(kappa, z_u)
+    at_l = list(islice(_element_sums(5, 3, 100, (kappa,), ("h_r",), True), L))[-1]
+    assert np.array_equal(at_l[kappa][0]["h_r"], amp)
+    assert np.array_equal(at_l[kappa][1]["h_r"], nsum)
+
+
+def test_purposes_draw_distinct_streams():
+    first = {p: _stream(6, 0, p).standard_normal(8) for p in mc._PURPOSES}
+    assert len({row.tobytes() for row in first.values()}) == len(mc._PURPOSES)
+
+
+def test_non_finite_draw_raises_naming_scheme_block_and_length(monkeypatch):
+    real = mc._element_rows
+
+    def poisoned(seed, block, size, purpose):
+        for l, row in enumerate(real(seed, block, size, purpose)):
+            if block == 1 and purpose == "h_t" and l == 2:
+                row = row.copy()
+                row[5] = complex(math.nan, 0.0)
+            yield row
+
+    monkeypatch.setattr(mc, "_element_rows", poisoned)
+    cfg = replace(CFG, num_elements=4)
+    with pytest.raises(NumericIntegrityError, match=r"astars_noma block 1 at L = 4"):
+        simulate(cfg, "astars_noma", 1.0, trials=3 * BLOCK_TRIALS)
+    # the element count before the poisoned row reads clean rows only
+    simulate(replace(CFG, num_elements=2), "astars_noma", 1.0, trials=3 * BLOCK_TRIALS)
 
 
 # ---------------------------------------------------------------------------
@@ -94,33 +142,30 @@ def test_residual_power_is_exponential_with_configured_mean():
 # ---------------------------------------------------------------------------
 
 def test_sinr_set_positive_and_ordered():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        trial = draw_trial(rng, CFG)
-        s = sinr_set(trial, CFG, 1.0)
-        assert all(v > 0.0 for v in s)
-        # residual interference can only hurt the post-SIC SINR
-        assert s.gamma_r_ipsic <= s.gamma_r_psic
-        # interference-limited ceilings
-        assert s.gamma_r_to_t < CFG.a_t / CFG.a_r
-        assert s.gamma_t < CFG.a_t / CFG.a_r
+    gamma_r_to_t, gamma_r_psic, gamma_r_ipsic, gamma_t = _sinrs(
+        CFG, "astars_noma", block_terms(CFG, size=50, seed=5), 1.0)
+    for gamma in (gamma_r_to_t, gamma_r_psic, gamma_r_ipsic, gamma_t):
+        assert np.all(gamma > 0.0)
+    # residual interference can only hurt the post-SIC SINR
+    assert np.all(gamma_r_ipsic <= gamma_r_psic)
+    # interference-limited ceilings
+    assert np.all(gamma_r_to_t < CFG.a_t / CFG.a_r)
+    assert np.all(gamma_t < CFG.a_t / CFG.a_r)
 
 
 def test_sinr_monotone_in_power():
-    rng = np.random.default_rng(6)
-    trial = draw_trial(rng, CFG)
-    lo = sinr_set(trial, CFG, 0.1)
-    hi = sinr_set(trial, CFG, 10.0)
-    assert hi.gamma_r_psic > lo.gamma_r_psic
-    assert hi.gamma_t > lo.gamma_t
+    terms = block_terms(CFG, size=50, seed=6)
+    lo = _sinrs(CFG, "astars_noma", terms, 0.1)
+    hi = _sinrs(CFG, "astars_noma", terms, 10.0)
+    assert np.all(hi[1] > lo[1])  # gamma_r_psic
+    assert np.all(hi[3] > lo[3])  # gamma_t
 
 
 def test_sinr_set_rejects_nonpositive_power():
-    rng = np.random.default_rng(7)
-    trial = draw_trial(rng, CFG)
+    # a bad power in any point of a call fails the call before any draw
     for ps in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
-            sinr_set(trial, CFG, ps)
+            simulate([(CFG, "astars_noma", 1.0), (CFG, "astars_oma", [1.0, ps])], trials=1)
 
 
 def test_mean_noise_mode_isolates_the_analysis_noise_substitution():
@@ -141,18 +186,21 @@ def test_mean_noise_mode_isolates_the_analysis_noise_substitution():
 
 
 def test_mean_noise_mode_freezes_amplified_noise():
-    rng = np.random.default_rng(8)
+    # reconstruct gamma_r_psic from the raw streams of the block:
+    # lambda beta_r eta0 d^-a sigma_s^2 zeta replaces the drawn noise
     cfg = replace(CFG, mean_noise_mode=True)
-    zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
-    trial = draw_trial(rng, cfg)
-    s = sinr_set(trial, cfg, 1.0)
-    # reconstruct: gamma_r_psic uses lambda beta_r eta0 d^-a sigma_s^2 zeta
-    gain = (cfg.path_eta0 ** 2 * (cfg.dist_bs * trial.d_r) ** -2.0
-            * np.sum(np.abs(trial.h_s) * np.abs(trial.h_r)) ** 2)
-    noise = (cfg.amp_lambda * cfg.beta_r * cfg.path_eta0 * trial.d_r ** -2.0
+    size, L, kappa = 50, cfg.num_elements, cfg.rician_kappa
+    zeta = noise_power_factor(kappa, L)
+    gamma_r_psic = _sinrs(cfg, "astars_noma", block_terms(cfg, size=size, seed=8), 1.0)[1]
+    amp = sum(np.abs(_rician(kappa, z_s)) * np.abs(_rician(kappa, z_r)) for z_s, z_r in
+              zip(islice(_element_rows(8, 0, size, "h_s"), L),
+                  islice(_element_rows(8, 0, size, "h_r"), L)))
+    d_r = cfg.radius_d * np.sqrt(_stream(8, 0, "U").random((2, size))[0])
+    gain = cfg.path_eta0 ** 2 * (cfg.dist_bs * d_r) ** -2.0 * amp ** 2
+    noise = (cfg.amp_lambda * cfg.beta_r * cfg.path_eta0 * d_r ** -2.0
              * zeta * cfg.noise_sigma_s2 + cfg.noise_sigma_02)
     expect = cfg.a_r * cfg.amp_lambda * cfg.beta_r * 1.0 * gain / noise
-    assert s.gamma_r_psic == pytest.approx(expect, rel=1e-12)
+    np.testing.assert_allclose(gamma_r_psic, expect, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +245,32 @@ def test_power_vector_matches_single_power_calls(scheme):
             assert list(many) == list(one)
             for key, est in one.items():
                 assert many[key] == est, (workers, key)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 7])
+def test_sweep_point_equals_its_lone_call(workers):
+    # every point of one call, whatever else shares it, gets the estimates
+    # of a call with that point alone
+    trials = 2 * BLOCK_TRIALS + 17
+    powers = [dbm_to_watts(d) for d in (0.0, 20.0)]
+    points = [(replace(CFG, num_elements=L), scheme, powers)
+              for L in (1, 2, 7, 40) for scheme in SCHEMES]
+    points += [(replace(CFG, rician_kappa=10.0, num_elements=7), "astars_noma", powers[1]),
+               (replace(CFG, mean_noise_mode=True, amp_lambda=8.0), "astars_noma", powers),
+               (replace(CFG, radius_d=20.0, a_r=0.2, a_t=0.8), "astars_oma", powers[0])]
+    swept = simulate(points, trials=trials, seed=41, workers=workers)
+    assert len(swept) == len(points)
+    for point, got in zip(points, swept):
+        assert got == simulate(*point, trials=trials, seed=41), point[:2]
+
+
+def test_point_list_defaults_and_rejections():
+    one = simulate(CFG, "astars_noma", 1.0, trials=100, seed=3)
+    assert simulate([(replace(CFG, mc_trials=100, seed=3), "astars_noma", 1.0)]) == [one]
+    with pytest.raises(ValueError):
+        simulate([], trials=10)
+    with pytest.raises(ConfigError):
+        simulate([(CFG, "astars_noma", 1.0), (CFG, "no_such_scheme", 1.0)], trials=10)
 
 
 @pytest.mark.parametrize("powers", [math.nan, math.inf, -math.inf, 0.0, -1.0,
@@ -282,8 +356,7 @@ def test_oma_outage_uses_doubled_spectral_target():
 
 def test_pstars_reduction_matches_unamplified_astars():
     # lambda -> 1+ with silent surface noise reduces the active model to the
-    # passive one (identical draws cannot be compared directly because the
-    # passive stream skips the noise draws; compare distributions instead)
+    # passive one; two seeds make this a comparison of distributions
     cfg = replace(CFG, amp_lambda=1.0 + 1e-12, noise_sigma_s2=1e-30)
     ps = dbm_to_watts(20.0)
     act = simulate(cfg, "astars_noma", ps, trials=400_000, seed=11)
