@@ -21,7 +21,6 @@ from .model import (ConfigError, GammaApprox, NetworkConfig, cascade_cdf,
                     watts_to_dbm)
 from .montecarlo import Estimate, budget_to_ps, simulate, surface_output_power
 from .numerics import (QuadratureRule, bessel_k, gauss_laguerre_rule,
-                       gauss_legendre_rule, hyp2f1_series, laguerre_half,
-                       reg_lower_gamma)
+                       gauss_legendre_rule, laguerre_half, reg_lower_gamma)
 
 __version__ = "0.1.0"

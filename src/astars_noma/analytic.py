@@ -29,9 +29,8 @@ import math
 
 import numpy as np
 
-from .model import NetworkConfig, gamma_fit, noise_power_factor
-from .numerics import (NumericIntegrityError, gauss_laguerre_rule, gauss_legendre_rule,
-                       reg_lower_gamma)
+from .model import NetworkConfig, cascade_cdf, gamma_fit, noise_power_factor
+from .numerics import NumericIntegrityError, gauss_laguerre_rule, gauss_legendre_rule
 
 __all__ = [
     "NumericIntegrityError",
@@ -141,15 +140,13 @@ def outage_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
     chi, w = _distance_rule(cfg)
     bracket = _noise_bracket(cfg, chi, cfg.beta_r)
     if mode is SicMode.PSIC:
-        args = np.sqrt(max(scale_t, scale_r) * bracket) / approx.q
-        value = float(w @ reg_lower_gamma(approx.p, args))
+        value = float(w @ cascade_cdf(approx, max(scale_t, scale_r) * bracket))
     else:
         lag = gauss_laguerre_rule(cfg.quad_k)
         residual = _residual_term(cfg, chi, lag.nodes) * ps
         thresholds = scale_r * (bracket + residual)
         np.maximum(thresholds, scale_t * bracket, out=thresholds)
-        args = np.sqrt(thresholds) / approx.q
-        value = float(lag.weights @ reg_lower_gamma(approx.p, args) @ w)
+        value = float(lag.weights @ cascade_cdf(approx, thresholds) @ w)
     return _check_probability(value, f"outage_r[{mode.value}]")
 
 
@@ -163,9 +160,7 @@ def outage_t(cfg: NetworkConfig, ps: float) -> float:
         return 1.0
     approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
     chi, w = _distance_rule(cfg)
-    bracket = _noise_bracket(cfg, chi, cfg.beta_t)
-    args = np.sqrt(scale_t * bracket) / approx.q
-    value = float(w @ reg_lower_gamma(approx.p, args))
+    value = float(w @ cascade_cdf(approx, scale_t * _noise_bracket(cfg, chi, cfg.beta_t)))
     return _check_probability(value, "outage_t")
 
 

@@ -4,9 +4,10 @@ multiplexing gain).
 
 The small-argument cascade CDF comes from the Laplace-transform route:
 the per-element product-gain transform behaves like C / (Lambda s^2) with
-Lambda = 3 e^{2 kappa} / (16 (1+kappa)^2) and C a Gauss hypergeometric
-factor that is logarithmically divergent at its natural argument 1 (the
-product channel's CDF genuinely carries a log(1/x) factor).  C is
+Lambda = 3 e^{2 kappa} / (16 (1+kappa)^2) and C = 2F1(2, 1/2; 5/2; z), a
+Gauss hypergeometric factor with an elementary closed form that is
+logarithmically divergent at its natural argument 1 (the product
+channel's CDF genuinely carries a log(1/x) factor).  C is
 therefore evaluated at the regularized argument implied by the operating
 point, z = (s - 2(kappa+1))/(s + 2(kappa+1)) with s = 1/sqrt(x), capped
 at the configurable hyp2f1_z_cap.  Consequence: asymptotic slopes are
@@ -22,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NetworkConfig, element_moments, gamma_fit
-from .numerics import gauss_laguerre_rule, hyp2f1_series, reg_lower_gamma
+from .model import NetworkConfig, cascade_cdf, element_moments, gamma_fit
+from .numerics import gauss_laguerre_rule
 from .analytic import (SicMode, _amplitude_rule, _check_power, _decode_scale_r,
                        _decode_scale_t, _distance_rule, _noise_bracket,
                        _residual_rule, _residual_term, _triple_log_sum)
@@ -55,42 +56,71 @@ class SlopeFit:
     points_used: int
 
 
-def _hyp_factor(kappa: float, x: float, z_cap: float) -> float:
-    """Regularized hypergeometric factor C(x) of the small-x cascade CDF."""
-    s = 1.0 / math.sqrt(x)
-    z = (s - 2.0 * (kappa + 1.0)) / (s + 2.0 * (kappa + 1.0))
-    z = min(max(z, 0.0), z_cap)
-    return hyp2f1_series(2.0, 0.5, 2.5, z)
+# Taylor coefficients 3(n+1)/((2n+1)(2n+3)) of 2F1(2, 1/2; 5/2; z); on
+# z <= 1/2 the terms past n = 55 fall below 1e-17 of the sum
+_HYP_SERIES = np.array([3.0 * (n + 1) / ((2 * n + 1) * (2 * n + 3)) for n in range(56)])
 
 
-def high_snr_cascade_cdf(kappa: float, num_elements: int, x: float,
-                         z_cap: float = 1.0 - 1.0e-3) -> float:
+def _hyp_factor(z: np.ndarray) -> np.ndarray:
+    """Hypergeometric factor C = 2F1(2, 1/2; 5/2; z) of the small-x cascade
+    CDF, elementwise on 0 <= z < 1.
+
+    Euler's integral with t = s^2 gives the closed form
+    3/(4z) [(1 + z) artanh(sqrt z)/sqrt z - 1], taken above z = 1/2 with
+    artanh(sqrt z) = log1p(sqrt z) - log1p(-z)/2 (1 - z is exact there).
+    At and below 1/2 the closed form cancels toward 0/0, so the Taylor
+    series is summed instead.
+    """
+    out = np.empty_like(z)
+    lo = z <= 0.5
+    out[lo] = np.polynomial.polynomial.polyval(z[lo], _HYP_SERIES)
+    hi = z[~lo]
+    root = np.sqrt(hi)
+    artanh = np.log1p(root) - 0.5 * np.log1p(-hi)
+    out[~lo] = 0.75 / hi * ((1.0 + hi) * artanh / root - 1.0)
+    return out
+
+
+def high_snr_cascade_cdf(kappa: float, num_elements: int, x,
+                         z_cap: float = 1.0 - 1.0e-3):
     """Leading small-x behaviour of the squared-cascade-gain CDF,
 
         F(x) = C(x)^L x^L / ((2L)! Lambda^L),
         Lambda = 3 e^{2 kappa} / (16 (1 + kappa)^2),
 
     the degree-L term obtained by convolving the per-element Laplace
-    transforms and inverting.  Valid only where the result stays at or
-    below 1; larger x raises OutOfRegimeError.
+    transforms and inverting.  ``x`` may be a scalar or an ndarray.  Valid
+    only where the result stays at or below 1; an x beyond that raises
+    OutOfRegimeError.
     """
     if kappa < 0.0:
         raise ValueError("kappa must be nonnegative")
     if num_elements < 1:
         raise ValueError("num_elements must be >= 1")
-    if x < 0.0:
+    if not 0.0 < z_cap < 1.0:
+        raise ValueError("z_cap must lie in (0, 1)")
+    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(arr < 0.0):
         raise ValueError("x must be nonnegative")
-    if x == 0.0:
-        return 0.0
     L = num_elements
     lam = 3.0 * math.exp(2.0 * kappa) / (16.0 * (1.0 + kappa) ** 2)
-    c = _hyp_factor(kappa, x, z_cap)
-    log_f = L * (math.log(x) + math.log(c) - math.log(lam)) - math.lgamma(2 * L + 1)
-    value = math.exp(log_f)
-    if value > 1.0:
-        raise OutOfRegimeError(
-            f"high-SNR cascade CDF {value} > 1 at x={x}; argument too large")
-    return value
+    out = np.zeros_like(arr)
+    pos = arr > 0.0
+    xs = arr[pos]
+    # the factor's argument regularized by the operating point, capped
+    s = 1.0 / np.sqrt(xs)
+    z = np.clip((s - 2.0 * (kappa + 1.0)) / (s + 2.0 * (kappa + 1.0)), 0.0, z_cap)
+    log_f = (L * (np.log(xs) + np.log(_hyp_factor(z)) - math.log(lam))
+             - math.lgamma(2 * L + 1))
+    with np.errstate(over="ignore"):  # an overflow is inf, rejected below
+        out[pos] = np.exp(log_f)
+    if np.any(out > 1.0):
+        worst = np.argmax(out)
+        raise OutOfRegimeError(f"high-SNR cascade CDF {out[worst]} > 1 at "
+                               f"x={arr[worst]}; argument too large")
+    if np.ndim(x) == 0:
+        return float(out[0])
+    return out
 
 
 def _asym_outage(cfg: NetworkConfig, ps: float, scale: float, beta: float,
@@ -101,10 +131,9 @@ def _asym_outage(cfg: NetworkConfig, ps: float, scale: float, beta: float,
         raise OutOfRegimeError(
             "degenerate allocation a_t <= gamma_t_hat a_r: outage is surely 1")
     chi, w = _distance_rule(cfg)
-    total = 0.0
-    for thr, wt in zip(scale * _noise_bracket(cfg, chi, beta), w):
-        total += wt * high_snr_cascade_cdf(
-            cfg.rician_kappa, cfg.num_elements, thr, cfg.hyp2f1_z_cap)
+    total = float(w @ high_snr_cascade_cdf(
+        cfg.rician_kappa, cfg.num_elements, scale * _noise_bracket(cfg, chi, beta),
+        cfg.hyp2f1_z_cap))
     if total > 1.0:
         raise OutOfRegimeError(f"{label} = {total} > 1 at ps={ps}")
     return total
@@ -140,8 +169,7 @@ def outage_floor_r_ipsic(cfg: NetworkConfig) -> float:
     chi, w = _distance_rule(cfg)
     lag = gauss_laguerre_rule(cfg.quad_k)
     thr = _decode_scale_r(cfg, 1.0) * _residual_term(cfg, chi, lag.nodes)
-    args = np.sqrt(thr) / approx.q
-    return float(lag.weights @ reg_lower_gamma(approx.p, args) @ w)
+    return float(lag.weights @ cascade_cdf(approx, thr) @ w)
 
 
 def ergodic_asym_r_ipsic(cfg: NetworkConfig) -> float:

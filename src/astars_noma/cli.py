@@ -565,7 +565,11 @@ def _load_config(args) -> NetworkConfig:
 
 
 def _resolve_trials(args, cfg: NetworkConfig) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
     trials = args.trials if args.trials is not None else cfg.mc_trials
+    if trials < 1:
+        raise ConfigError(f"--trials must be >= 1, got {trials}")
     if args.paper_scale:
         trials = max(trials, 1_000_000)
     return trials
@@ -584,8 +588,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--paper-scale", action="store_true",
                         help="raise trials to at least 10^6")
     parser.add_argument("--no-plots", action="store_true", help="skip SVG plots")
-    parser.add_argument("--svg", action="store_true",
-                        help="force SVG plots (overrides --no-plots)")
     parser.add_argument("--workers", type=int, default=1,
                         help="threads for Monte Carlo blocks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -624,7 +626,10 @@ def _cmd_sweep(args, cfg: NetworkConfig, trials: int, plots: bool) -> int:
     if n < 1:
         raise ConfigError("empty sweep grid")
     values = tuple(args.start + i * args.step for i in range(n))
-    modes = tuple(SicMode(m.strip()) for m in args.modes.split(",") if m.strip())
+    try:
+        modes = tuple(SicMode(m.strip()) for m in args.modes.split(",") if m.strip())
+    except ValueError as exc:
+        raise ConfigError(f"sweep --modes takes pSIC and ipSIC ({exc})") from None
     spec = SweepSpec(
         axis=args.axis, values=values,
         metrics=tuple(m.strip() for m in args.metrics.split(",") if m.strip()),
@@ -675,7 +680,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _load_config(args)
         trials = _resolve_trials(args, cfg)
-        plots = args.svg or not args.no_plots
+        plots = not args.no_plots
         if args.command == "sweep":
             return _cmd_sweep(args, cfg, trials, plots)
         if args.command == "validate":

@@ -8,10 +8,10 @@ Contents
 --------
 * the regularized lower incomplete gamma (series + continued fraction)
 * modified Bessel functions: exponentially scaled I0/I1 and general K_nu
-* the half-order Laguerre polynomial L_{1/2} used by Rician moments
+* the half-order Laguerre polynomial L_{1/2}(x), x <= 0, used by Rician
+  moments
 * generalized Gauss-Laguerre rules (weight t^alpha e^{-t}) via the
   Golub-Welsch tridiagonal eigenproblem, and Gauss-Legendre rules on [0, 1]
-* the Gauss hypergeometric series 2F1(a, b; c; z) on [0, 1)
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "bessel_k",
     "gauss_laguerre_rule",
     "gauss_legendre_rule",
-    "hyp2f1_series",
     "laguerre_half",
     "reg_lower_gamma",
 ]
@@ -187,19 +186,18 @@ def _bessel_i01e(x: float) -> tuple[float, float]:
 
 
 def laguerre_half(x: float) -> float:
-    """Half-order Laguerre polynomial L_{1/2}(x).
+    """Half-order Laguerre polynomial L_{1/2}(x) for x <= 0.
 
-    Closed form e^{x/2} [(1 - x) I0(-x/2) - x I1(-x/2)].  For x = -kappa
-    (the Rician-moment use) the Bessel factors are evaluated in scaled form
-    so arbitrarily large kappa cannot overflow; L_{1/2}(-kappa) is then
-    increasing in kappa with L_{1/2}(0) = 1.
+    Closed form e^{x/2} [(1 - x) I0(-x/2) - x I1(-x/2)].  At x = -kappa
+    (the Rician-moment use, the only one) the Bessel factors are evaluated
+    in scaled form so arbitrarily large kappa cannot overflow;
+    L_{1/2}(-kappa) is then increasing in kappa with L_{1/2}(0) = 1.
     """
-    if x <= 0.0:
-        k = -x
-        i0e, i1e = _bessel_i01e(0.5 * k)
-        return (1.0 + k) * i0e + k * i1e
-    i0e, i1e = _bessel_i01e(0.5 * x)
-    return math.exp(x) * ((1.0 - x) * i0e + x * i1e)
+    if not x <= 0.0:
+        raise ValueError(f"L_1/2 implemented for x <= 0 only, got x={x}")
+    k = -x
+    i0e, i1e = _bessel_i01e(0.5 * k)
+    return (1.0 + k) * i0e + k * i1e
 
 
 # mu^2 coefficient of Gamma1: -(euler^3/6 - euler pi^2/12 + zeta(3)/3)
@@ -382,79 +380,3 @@ def gauss_legendre_rule(size: int) -> QuadratureRule:
         raise ValueError(f"Gauss-Legendre size must be in [1, 2000], got {size}")
     x, w = np.polynomial.legendre.leggauss(size)
     return QuadratureRule("legendre", (x + 1.0) / 2.0, w / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# Gauss hypergeometric series
-# ---------------------------------------------------------------------------
-
-def _digamma(x: float) -> float:
-    """psi(x) for x > 0: recurrence below 12, asymptotic series above."""
-    if x <= 0.0:
-        raise ValueError("digamma implemented for positive arguments only")
-    acc = 0.0
-    while x < 12.0:
-        acc -= 1.0 / x
-        x += 1.0
-    f = 1.0 / (x * x)
-    tail = f * (1.0 / 12 - f * (1.0 / 120 - f * (1.0 / 252 - f * (
-        1.0 / 240 - f * (1.0 / 132 - f * 691.0 / 32760)))))
-    return acc + math.log(x) - 0.5 / x - tail
-
-
-def _hyp2f1_direct(a: float, b: float, c: float, z: float) -> float:
-    term = 1.0
-    total = 1.0
-    for n in range(_MAX_ITER):
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        if abs(term) < _TOL * abs(total):
-            return total
-    raise NumericIntegrityError("2F1 power series failed to converge; "
-                       "argument too close to 1 for this (a, b, c)")
-
-
-def _hyp2f1_balanced(a: float, b: float, z: float) -> float:
-    """2F1(a, b; a+b; z) near z = 1 via the logarithmic connection series
-
-        G(a+b)/(G(a)G(b)) sum_n ((a)_n (b)_n / (n!)^2)
-            * (2 psi(n+1) - psi(a+n) - psi(b+n) - ln(1-z)) (1-z)^n,
-
-    which converges rapidly arbitrarily close to the z = 1 singularity.
-    """
-    w = 1.0 - z
-    log_term = -math.log(w)
-    pref = math.gamma(a + b) / (math.gamma(a) * math.gamma(b))
-    psi_n = -_EULER_GAMMA  # psi(1)
-    psi_a = _digamma(a)
-    psi_b = _digamma(b)
-    poch = 1.0  # (a)_n (b)_n / (n!)^2 * w^n
-    total = 0.0
-    for n in range(_MAX_ITER):
-        delta = poch * (2.0 * psi_n - psi_a - psi_b + log_term)
-        total += delta
-        if n > 0 and abs(delta) < _TOL * abs(total):
-            return pref * total
-        poch *= (a + n) * (b + n) / ((n + 1.0) ** 2) * w
-        psi_n += 1.0 / (n + 1.0)
-        psi_a += 1.0 / (a + n)
-        psi_b += 1.0 / (b + n)
-    raise NumericIntegrityError("2F1 connection series failed to converge")  # pragma: no cover
-
-
-def hyp2f1_series(a: float, b: float, c: float, z: float) -> float:
-    """Gauss hypergeometric function 2F1(a, b; c; z) for 0 <= z < 1.
-
-    Direct power series with a term-size stopping test, except for
-    z > 0.5 when c = a + b (the case used by the high-SNR constants,
-    divergent at z = 1 itself): there the logarithmic connection series
-    around 1 - z takes over.  z = 1 is always rejected; consumers of the
-    balanced case must pass a regularized argument strictly below 1.
-    """
-    if not 0.0 <= z < 1.0:
-        raise ValueError(f"2F1 series requires 0 <= z < 1, got z={z}")
-    if c <= 0.0 and c == round(c):
-        raise ValueError(f"2F1 undefined for nonpositive integer c={c}")
-    if z > 0.5 and abs(c - a - b) < 1.0e-12:
-        return _hyp2f1_balanced(a, b, z)
-    return _hyp2f1_direct(a, b, c, z)

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import hyp2f1
 
 from astars_noma.analytic import (SicMode, ergodic_rate_r, ergodic_rate_t, outage_r,
                                   rate_ceiling_t)
@@ -17,6 +18,7 @@ from astars_noma.asymptotic import (OutOfRegimeError, ergodic_asym_r_ipsic,
                                     outage_floor_r_ipsic)
 from astars_noma.model import (NetworkConfig, dbm_to_watts, element_moments,
                                noise_power_factor)
+from astars_noma.numerics import gauss_legendre_rule
 
 CFG = NetworkConfig()
 RATES_CFG = NetworkConfig(a_r=0.2, a_t=0.8)
@@ -36,9 +38,25 @@ def test_high_snr_cdf_single_element_constant():
     # L = 1, kappa = 0: F = (16/3) C x / 2 with C the capped factor
     x = 1e-10
     lam = 3.0 / 16.0
-    from astars_noma.numerics import hyp2f1_series
-    c = hyp2f1_series(2.0, 0.5, 2.5, 1.0 - 1e-3)  # cap binds at this x
+    c = hyp2f1(2.0, 0.5, 2.5, 1.0 - 1e-3)  # cap binds at this x
     assert high_snr_cascade_cdf(0.0, 1, x) == pytest.approx(c * x / (2.0 * lam), rel=1e-12)
+
+
+def test_high_snr_cdf_array_matches_scalar_calls():
+    # both sides of the 0.5 split of the factor, the cap, and x = 0
+    xs = np.array([0.0, 1e-14, 1e-9, 1e-6, 1e-4, 3e-3, 1e-2])
+    for kappa, L in ((0.0, 1), (0.3, 4), (10.0 ** -0.5, 10)):
+        vec = high_snr_cascade_cdf(kappa, L, xs, z_cap=0.99)
+        assert isinstance(vec, np.ndarray) and vec.shape == xs.shape
+        scal = [high_snr_cascade_cdf(kappa, L, float(x), z_cap=0.99) for x in xs]
+        assert all(isinstance(v, float) for v in scal)
+        np.testing.assert_array_equal(vec, scal)
+        assert vec[0] == 0.0
+
+
+def test_high_snr_cdf_array_out_of_regime_names_the_node():
+    with pytest.raises(OutOfRegimeError, match="x=50.0"):
+        high_snr_cascade_cdf(0.0, 1, np.array([1e-9, 50.0, 1e-6]))
 
 
 def test_high_snr_cdf_reproduces_true_product_tail():
@@ -110,6 +128,40 @@ def test_fitted_diversity_equals_element_count(L):
         fit = fit_order(pts, "loglog")
         assert fit.slope == pytest.approx(L, rel=0.05)
         assert fit.r_squared > 0.999
+
+
+def _asym_per_node(cfg, ps, side):
+    """Disk average of the scalar high-SNR CDF, one distance node at a time."""
+    gamma_r = 2.0 ** cfg.target_rate_r - 1.0
+    gamma_t = 2.0 ** cfg.target_rate_t - 1.0
+    path = cfg.dist_bs ** cfg.path_alpha / ps
+    scale = gamma_t / (cfg.a_t - gamma_t * cfg.a_r) * path
+    beta = cfg.beta_t
+    if side == "r":
+        scale = max(scale, gamma_r * path / cfg.a_r)
+        beta = cfg.beta_r
+    zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
+    rule = gauss_legendre_rule(cfg.quad_u)
+    total = 0.0
+    for u, w in zip(rule.nodes, rule.weights):
+        d = cfg.radius_d * math.sqrt(u)
+        bracket = (zeta * cfg.noise_sigma_s2 / cfg.path_eta0
+                   + d ** cfg.path_alpha * cfg.noise_sigma_02
+                   / (cfg.path_eta0 ** 2 * beta * cfg.amp_lambda))
+        total += w * high_snr_cascade_cdf(cfg.rician_kappa, cfg.num_elements,
+                                          scale * bracket, cfg.hyp2f1_z_cap)
+    return total
+
+
+@pytest.mark.parametrize("L", [1, 2, 4, 10])
+def test_asym_outages_match_per_node_loop(L):
+    cfg = replace(CFG, num_elements=L)
+    for dbm in np.linspace(100.0, 125.0, 11):
+        ps = dbm_to_watts(dbm)
+        assert outage_asym_r_psic(cfg, ps) == pytest.approx(
+            _asym_per_node(cfg, ps, "r"), rel=1e-12)
+        assert outage_asym_t(cfg, ps) == pytest.approx(
+            _asym_per_node(cfg, ps, "t"), rel=1e-12)
 
 
 def test_asym_matches_evaluator_near_the_visible_crossover():

@@ -390,14 +390,6 @@ def test_convergence_failure_exits_2_without_csv(tmp_path, monkeypatch, capsys):
     assert list(out.glob("*.csv")) == []
 
 
-def test_hyp2f1_convergence_failure_is_a_numeric_integrity_error(monkeypatch):
-    from astars_noma import numerics
-    monkeypatch.setattr(numerics, "_MAX_ITER", 1)
-    for z in (0.3, 0.9):  # the power series, then the connection series
-        with pytest.raises(NumericIntegrityError, match="failed to converge"):
-            numerics.hyp2f1_series(1.5, 2.5, 4.0, z)
-
-
 @pytest.mark.parametrize("metric", ["outage_r", "rate_r", "throughput_tolerant"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_check_cell_rejects_non_finite_values(metric, value):
@@ -465,3 +457,21 @@ def test_cli_sweep_subcommand(tmp_path):
 def test_cli_sweep_bad_step(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "sweep", "--step", "0"])
     assert rc == 1
+
+
+@pytest.mark.parametrize("flag", ["--trials", "--workers"])
+def test_cli_nonpositive_trials_or_workers_exits_1(tmp_path, capsys, flag):
+    rc = main(["--out", str(tmp_path), flag, "0", "sweep", "--start", "10",
+               "--stop", "10"])
+    assert rc == 1
+    assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_unknown_sic_mode_exits_1(tmp_path, capsys):
+    rc = main(["--out", str(tmp_path), "--trials", "100", "sweep", "--start", "10",
+               "--stop", "10", "--modes", "psic"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "pSIC" in err and "ipSIC" in err and "'psic'" in err
+    assert not list(tmp_path.glob("*.csv"))

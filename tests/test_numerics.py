@@ -1,21 +1,25 @@
-"""Kernel tests: incomplete gamma, Bessel functions, quadrature rules, 2F1.
+"""Kernel tests: incomplete gamma, Bessel functions, quadrature rules, and
+the high-SNR factor 2F1(2, 1/2; 5/2; z).
 
 Expected values come from independent oracles: adaptive quadrature
 (scipy.integrate), plain series summation coded inline, closed forms,
-or a hand-built Golub-Welsch eigenproblem.
+scipy.special and mpmath, or a hand-built Golub-Welsch eigenproblem.
 """
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import hyp2f1
 
+from astars_noma.asymptotic import _hyp_factor, high_snr_cascade_cdf
 from astars_noma.numerics import (QuadratureRule, _bessel_i01e, bessel_k,
                                   gauss_laguerre_rule, gauss_legendre_rule,
-                                  hyp2f1_series, laguerre_half, reg_lower_gamma)
+                                  laguerre_half, reg_lower_gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +157,9 @@ def _i0_i1_series_oracle(x):
 
 def test_laguerre_half_at_zero():
     assert laguerre_half(0.0) == 1.0
+    # only the Rician-moment half-axis x = -kappa <= 0 is implemented
+    with pytest.raises(ValueError):
+        laguerre_half(0.5)
 
 
 def test_laguerre_half_at_minus_one_vs_series_oracle():
@@ -305,57 +312,56 @@ def test_rule_determinism_across_threads():
 
 
 # ---------------------------------------------------------------------------
-# hypergeometric series
+# 2F1(2, 1/2; 5/2; z), the high-SNR factor (asymptotic._hyp_factor)
 # ---------------------------------------------------------------------------
 
-def _hyp2f1_term_sum_oracle(a, b, c, z):
-    """Plain term-by-term summation to 1e-12 term tolerance."""
-    term, total = 1.0, 1.0
-    n = 0
-    while True:
-        term *= (a + n) * (b + n) / ((c + n) * (n + 1.0)) * z
-        total += term
-        n += 1
-        if abs(term) < 1e-12 * abs(total):
-            return total
+def hyp(z):
+    return _hyp_factor(np.atleast_1d(np.asarray(z, dtype=float)))
 
 
 def test_hyp2f1_constant_term():
-    assert hyp2f1_series(2.0, 0.5, 2.5, 0.0) == 1.0
+    assert hyp(0.0)[0] == 1.0
 
 
 def test_hyp2f1_vs_series_oracle():
-    got = hyp2f1_series(2.0, 0.5, 2.5, 0.5)
-    assert got == pytest.approx(_hyp2f1_term_sum_oracle(2.0, 0.5, 2.5, 0.5), rel=1e-11)
-    assert got == pytest.approx(1.304513580631037, rel=1e-12)
-
-
-def test_hyp2f1_log_closed_form():
-    z = 0.3
-    assert hyp2f1_series(1.0, 1.0, 2.0, z) == pytest.approx(-math.log1p(-z) / z, rel=1e-13)
+    # scipy's own error reaches 1.1e-14 near z = 0.9 (against 40-digit
+    # mpmath), so it is held at 2e-14 and mpmath at 1e-15
+    z = np.concatenate([np.linspace(0.0, 1.0 - 1e-12, 2201),
+                        [0.5 - 1e-7, 0.5, 0.5 + 1e-7, 1.0 - 1e-9, 1.0 - 1e-12]])
+    ref = hyp2f1(2.0, 0.5, 2.5, z)
+    np.testing.assert_allclose(hyp(z), ref, rtol=2e-14, atol=0.0)
+    zs = np.concatenate([z[::40], [0.5 - 1e-7, 0.5 + 1e-7, 0.905, 1.0 - 1e-12]])
+    exact = np.array([float(mpmath.hyp2f1(2, 0.5, 2.5, mpmath.mpf(v))) for v in zs])
+    np.testing.assert_allclose(hyp(zs), exact, rtol=1e-15, atol=0.0)
+    assert hyp(0.5)[0] == pytest.approx(1.304513580631037, rel=1e-15)
 
 
 def test_hyp2f1_balanced_branch_continuity():
-    # direct series on one side of the 0.5 split, connection series on the other
-    lo = hyp2f1_series(2.0, 0.5, 2.5, 0.4999999)
-    hi = hyp2f1_series(2.0, 0.5, 2.5, 0.5000001)
+    # the Taylor series on one side of the 0.5 split, the closed form on the other
+    lo, hi = hyp([0.4999999, 0.5000001])
+    assert lo == pytest.approx(hyp2f1(2.0, 0.5, 2.5, 0.4999999), rel=1e-15)
+    assert hi == pytest.approx(hyp2f1(2.0, 0.5, 2.5, 0.5000001), rel=1e-15)
     assert lo == pytest.approx(hi, rel=1e-6)
 
 
 def test_hyp2f1_near_one_balanced_grows_like_log():
     # c - a - b = 0: the function diverges ~ -(3/4) ln(1-z)
-    v1 = hyp2f1_series(2.0, 0.5, 2.5, 1.0 - 1e-4)
-    v2 = hyp2f1_series(2.0, 0.5, 2.5, 1.0 - 1e-8)
+    v1, v2 = hyp([1.0 - 1e-4, 1.0 - 1e-8])
     assert v2 - v1 == pytest.approx(0.75 * math.log(1e4), rel=0.02)
+    assert v2 == pytest.approx(hyp2f1(2.0, 0.5, 2.5, 1.0 - 1e-8), rel=1e-14)
 
 
 def test_hyp2f1_domain_errors():
+    # the factor's argument lives in [0, z_cap] with z_cap < 1: the cap
+    # itself and a negative CDF argument are rejected
     with pytest.raises(ValueError):
-        hyp2f1_series(2.0, 0.5, 2.5, 1.0)
+        high_snr_cascade_cdf(0.0, 1, 1e-12, z_cap=1.0)
     with pytest.raises(ValueError):
-        hyp2f1_series(2.0, 0.5, 2.5, -0.1)
+        high_snr_cascade_cdf(0.0, 1, 1e-12, z_cap=0.0)
     with pytest.raises(ValueError):
-        hyp2f1_series(2.0, 0.5, -1.0, 0.3)
+        high_snr_cascade_cdf(0.0, 1, -0.1)
+    with pytest.raises(ValueError):
+        high_snr_cascade_cdf(0.0, 1, np.array([1e-12, -0.1]))
 
 
 def test_quadrature_rule_dataclass():
