@@ -8,15 +8,13 @@ Every evaluator composes three ingredients:
   Gamma density for rates),
 * a Gauss-Legendre rule over the user-distance disk in the area
   coordinate u = (d/D)^2, which is uniform on [0, 1] under the disk law,
-* for imperfect-SIC quantities, a Gauss-Laguerre rule over the exponential
+* for the imperfect-SIC outage, a Gauss-Laguerre rule over the exponential
   residual-interference power.
 
-Both users' ergodic rates are one contraction (see _triple_log_sum): the
-reflection user's for both SIC modes (pSIC is the one-node residual axis
-y = 0), and the transmission user's as the difference of two such sums.
-The amplitude and residual axes are pruned of nodes below 1e-30 of their
-rule's mass, and the log-sum is taken chunk by chunk in one reused buffer
-and contracted with two BLAS matrix-vector products.
+Both users' ergodic rates are grids over the amplitude and distance rules
+contracted by two BLAS matrix-vector products (see _rate_sum); under ipSIC
+the residual power is integrated out exactly through e^x E1(x).  The
+amplitude rule is pruned of nodes below 1e-30 of its mass.
 
 Probabilities are never clamped: a value outside [0, 1] beyond 1e-9 raises
 NumericIntegrityError, which is how formula-transcription bugs surface.
@@ -30,7 +28,8 @@ import math
 import numpy as np
 
 from .model import NetworkConfig, cascade_cdf, gamma_fit, noise_power_factor
-from .numerics import NumericIntegrityError, gauss_laguerre_rule, gauss_legendre_rule
+from .numerics import (NumericIntegrityError, exp_e1, gauss_laguerre_rule,
+                       gauss_legendre_rule)
 
 __all__ = [
     "NumericIntegrityError",
@@ -53,11 +52,6 @@ class SicMode(enum.Enum):
 
     PSIC = "pSIC"
     IPSIC = "ipSIC"
-
-    @property
-    def epsilon(self) -> float:
-        """Residual-interference switch: 0 for pSIC, 1 for ipSIC."""
-        return 0.0 if self is SicMode.PSIC else 1.0
 
 
 def target_sinr(rate: float) -> float:
@@ -96,11 +90,11 @@ def _noise_bracket(cfg: NetworkConfig, chi: np.ndarray, beta: float) -> np.ndarr
             / (cfg.path_eta0 ** 2 * beta * cfg.amp_lambda))
 
 
-def _residual_term(cfg: NetworkConfig, chi: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _residual_term(cfg: NetworkConfig, chi: np.ndarray, y=1.0) -> np.ndarray:
     """Residual-interference addition to the reflection user's bracket per
-    unit transmit power, at residual powers y (rows) and distances chi
-    (columns): chi^alpha y sigma_re^2/(eta0^2 beta_r lambda)."""
-    return (chi[None, :] ** cfg.path_alpha * y[:, None] * cfg.noise_sigma_re2
+    unit transmit power, at distances chi and residual powers y (the two
+    broadcast against each other): chi^alpha y sigma_re^2/(eta0^2 beta_r lambda)."""
+    return (chi ** cfg.path_alpha * y * cfg.noise_sigma_re2
             / (cfg.path_eta0 ** 2 * cfg.beta_r * cfg.amp_lambda))
 
 
@@ -143,7 +137,7 @@ def outage_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
         value = float(w @ cascade_cdf(approx, max(scale_t, scale_r) * bracket))
     else:
         lag = gauss_laguerre_rule(cfg.quad_k)
-        residual = _residual_term(cfg, chi, lag.nodes) * ps
+        residual = _residual_term(cfg, chi[None, :], lag.nodes[:, None]) * ps
         thresholds = scale_r * (bracket + residual)
         np.maximum(thresholds, scale_t * bracket, out=thresholds)
         value = float(lag.weights @ cascade_cdf(approx, thresholds) @ w)
@@ -172,19 +166,16 @@ def system_outage(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
     return _check_probability(1.0 - (1.0 - p_r) * (1.0 - p_t), "outage_system")
 
 
-# Rate-sum nodes whose weight is below this fraction of their rule's mass
-# are dropped (see _triple_log_sum for the bound on what they carry).
 _PRUNE_REL = 1.0e-30
-# Elements of the log-sum work buffer (512 KiB, cache-sized); a chunk holds
-# at least one amplitude row whatever its size.
-_CHUNK_ELEMS = 1 << 16
 
 
 def _amplitude_rule(cfg: NetworkConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """Gamma-fit scale q, amplitude nodes t and their weights: the
     generalized Gauss-Laguerre rule for the Gamma(p) density of the
-    cascade amplitude S = q t, pruned below _PRUNE_REL of its mass.  A rule
-    with non-finite weights raises NumericIntegrityError."""
+    cascade amplitude S = q t, pruned below _PRUNE_REL of its mass.  Since
+    log1p(a x) <= a log1p(x) for a >= 1, a dropped node adds at most
+    _PRUNE_REL t_max^2 log1p(snr) per unit of rule mass to a rate: below
+    rounding.  A rule with non-finite weights raises NumericIntegrityError."""
     approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
     rule = gauss_laguerre_rule(cfg.quad_q, approx.p - 1.0)
     if not np.all(np.isfinite(rule.weights)):
@@ -195,68 +186,32 @@ def _amplitude_rule(cfg: NetworkConfig) -> tuple[float, np.ndarray, np.ndarray]:
     return approx.q, rule.nodes[keep], rule.weights[keep]
 
 
-def _residual_rule(cfg: NetworkConfig, mode: SicMode) -> tuple[np.ndarray, np.ndarray]:
-    """Residual-interference power nodes and weights: the Gauss-Laguerre
-    rule pruned below _PRUNE_REL of its mass under ipSIC, and the one node
-    y = 0 of weight 1 under pSIC."""
-    if mode is SicMode.PSIC:
-        return np.zeros(1), np.ones(1)
-    rule = gauss_laguerre_rule(cfg.quad_k)
-    keep = rule.weights > _PRUNE_REL * rule.weights.sum()
-    return rule.nodes[keep], rule.weights[keep]
-
-
-def _triple_log_sum(gamma_w: np.ndarray, t_nodes: np.ndarray,
-                    k_weights: np.ndarray, dist_w: np.ndarray,
-                    snr_scale: np.ndarray) -> float:
-    """sum_{q,k,u} gamma_w[q] k_w[k] dist_w[u] log2(1 + scale[k,u] t[q]^2).
-
-    The amplitude and residual axes arrive pruned of nodes below _PRUNE_REL
-    of their rule's mass.  What that drops is below rounding: the
-    integrand falls as the residual power y_k grows, so a dropped residual
-    node carries at most its weight's share of the sum; and since
-    log1p(a x) <= a log1p(x) for a >= 1, a dropped amplitude node adds at
-    most _PRUNE_REL t_max^2 log1p(scale) per unit of rule mass.
-
-    Rows of amplitude nodes are taken in chunks of about _CHUNK_ELEMS
-    elements: each chunk fills one reused buffer with scale t^2, takes
-    log1p in place, and is contracted against the flattened k_w (x) dist_w
-    by one BLAS matrix-vector product; the row sums then meet gamma_w in a
-    second.  Memory stays bounded for any amplitude rule size.
-    """
-    kw = np.outer(k_weights, dist_w).ravel()
-    scale = snr_scale.ravel()
-    rows = max(1, _CHUNK_ELEMS // scale.size)
-    buf = np.empty((min(rows, t_nodes.size), scale.size))
-    t2 = t_nodes ** 2
-    row_sums = np.empty(t_nodes.size)
-    for start in range(0, t_nodes.size, rows):
-        stop = min(start + rows, t_nodes.size)
-        block = buf[:stop - start]
-        np.multiply(t2[start:stop, None], scale[None, :], out=block)
-        np.log1p(block, out=block)
-        np.dot(block, kw, out=row_sums[start:stop])
-    return float(gamma_w @ row_sums) / math.log(2.0)
+def _rate_sum(gamma_w: np.ndarray, nats: np.ndarray, dist_w: np.ndarray) -> float:
+    """Amplitude (rows) by distance (columns) average of nats, in bits."""
+    return float(gamma_w @ (nats @ dist_w)) / math.log(2.0)
 
 
 def ergodic_rate_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
     """Ergodic rate of the reflection-side user after SIC, in BPCU.
 
     The rate expectation over the Gamma-distributed cascade amplitude
-    S = q t is a generalized Laguerre sum over t, a disk average over the
-    user distance, and a Laguerre sum over the residual-interference
-    power, which under pSIC is the one node y = 0.
+    S = q t is a generalized Laguerre sum over t and a disk average over
+    the user distance.  Under ipSIC the residual-interference power
+    Y ~ Exp(1) adds C Y to the bracket B, and with g(x) = e^x E1(x) it
+    integrates out exactly:
+    E ln(1 + A/(B + C Y)) = ln(1 + A/B) + g(x0 (1 + A/B)) - g(x0), x0 = B/C.
     """
     _check_power(ps)
     q, t, gamma_w = _amplitude_rule(cfg)
-    y, k_w = _residual_rule(cfg, mode)
     chi, w = _distance_rule(cfg)
     bracket = _noise_bracket(cfg, chi, cfg.beta_r)
-    # SNR = (q t)^2 * a_r ps / (d_s^alpha * bracket(d, y))
-    snr_scale = cfg.a_r * ps * q ** 2 / (
-        cfg.dist_bs ** cfg.path_alpha
-        * (bracket[None, :] + _residual_term(cfg, chi, y) * ps))  # (K, U)
-    value = _triple_log_sum(gamma_w, t, k_w, w, snr_scale)
+    # SNR = (q t)^2 * a_r ps / (d_s^alpha * bracket(d))
+    snr = np.outer(t ** 2, cfg.a_r * ps * q ** 2 / (cfg.dist_bs ** cfg.path_alpha * bracket))
+    nats = np.log1p(snr)
+    if mode is SicMode.IPSIC:
+        x0 = bracket / (_residual_term(cfg, chi) * ps)
+        nats += exp_e1(x0 * (1.0 + snr)) - exp_e1(x0)
+    value = _rate_sum(gamma_w, nats, w)
     if value < 0.0:
         raise NumericIntegrityError(f"rate_r[{mode.value}] negative: {value}")
     return value
@@ -273,17 +228,17 @@ def ergodic_rate_t(cfg: NetworkConfig, ps: float) -> float:
 
     With g = (q t)^2 ps / (d_s^alpha bracket) the SINR is a_t g/(a_r g + 1),
     and log2(1 + a_t g/(a_r g + 1)) = log2(1 + (a_r + a_t) g) - log2(1 + a_r g):
-    two log-sums over the amplitude and distance rules on the one-node
-    residual axis.  The result must stay below the ceiling log2(1 + a_t/a_r).
+    two log-sums over the amplitude and distance rules.  The result must
+    stay below the ceiling log2(1 + a_t/a_r).
     """
     _check_power(ps)
     q, t, gamma_w = _amplitude_rule(cfg)
     chi, w = _distance_rule(cfg)
     snr = ps * q ** 2 / (cfg.dist_bs ** cfg.path_alpha
                          * _noise_bracket(cfg, chi, cfg.beta_t))
-    one = np.ones(1)
-    value = (_triple_log_sum(gamma_w, t, one, w, (cfg.a_r + cfg.a_t) * snr)
-             - _triple_log_sum(gamma_w, t, one, w, cfg.a_r * snr))
+    t2 = t ** 2
+    value = (_rate_sum(gamma_w, np.log1p(np.outer(t2, (cfg.a_r + cfg.a_t) * snr)), w)
+             - _rate_sum(gamma_w, np.log1p(np.outer(t2, cfg.a_r * snr)), w))
     if value < -1.0e-12:
         raise NumericIntegrityError(f"rate_t negative: {value}")
     ceiling = rate_ceiling_t(cfg)

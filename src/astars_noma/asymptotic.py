@@ -24,10 +24,9 @@ from typing import Sequence
 import numpy as np
 
 from .model import NetworkConfig, cascade_cdf, element_moments, gamma_fit
-from .numerics import gauss_laguerre_rule
-from .analytic import (SicMode, _amplitude_rule, _check_power, _decode_scale_r,
-                       _decode_scale_t, _distance_rule, _noise_bracket,
-                       _residual_rule, _residual_term, _triple_log_sum)
+from .numerics import exp_e1, gauss_laguerre_rule
+from .analytic import (_amplitude_rule, _check_power, _decode_scale_r, _decode_scale_t,
+                       _distance_rule, _noise_bracket, _rate_sum, _residual_term)
 
 __all__ = [
     "OutOfRegimeError",
@@ -168,21 +167,22 @@ def outage_floor_r_ipsic(cfg: NetworkConfig) -> float:
     approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
     chi, w = _distance_rule(cfg)
     lag = gauss_laguerre_rule(cfg.quad_k)
-    thr = _decode_scale_r(cfg, 1.0) * _residual_term(cfg, chi, lag.nodes)
+    thr = _decode_scale_r(cfg, 1.0) * _residual_term(cfg, chi[None, :], lag.nodes[:, None])
     return float(lag.weights @ cascade_cdf(approx, thr) @ w)
 
 
 def ergodic_asym_r_ipsic(cfg: NetworkConfig) -> float:
     """Power-independent ergodic-rate ceiling of the ipSIC reflection
     user: at infinite power the SINR reduces to the residual-interference-
-    limited ratio, averaged over the cascade amplitude, the residual power,
-    and the user distance."""
+    limited ratio c/Y, averaged over the cascade amplitude and the user
+    distance.  The residual power Y ~ Exp(1) integrates out exactly:
+    E ln(1 + c/Y) = ln c + e^c E1(c) + euler, the zero-bracket limit of
+    ergodic_rate_r's ipSIC form."""
     q, t, gamma_w = _amplitude_rule(cfg)
-    y, k_w = _residual_rule(cfg, SicMode.IPSIC)
     chi, w = _distance_rule(cfg)
-    snr_scale = cfg.a_r * q ** 2 / (cfg.dist_bs ** cfg.path_alpha
-                                    * _residual_term(cfg, chi, y))
-    return _triple_log_sum(gamma_w, t, k_w, w, snr_scale)
+    c = np.outer(t ** 2, cfg.a_r * q ** 2 / (cfg.dist_bs ** cfg.path_alpha
+                                             * _residual_term(cfg, chi)))
+    return _rate_sum(gamma_w, np.log(c) + exp_e1(c) + np.euler_gamma, w)
 
 
 def ergodic_bound_r_psic(cfg: NetworkConfig, ps: float) -> float:

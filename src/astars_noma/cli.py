@@ -185,13 +185,6 @@ _ANALYTIC_FNS = {
 }
 
 
-def _mc_key(metric: str, mode: SicMode, scheme: str) -> str:
-    if scheme == "astars_oma" or metric in _MODE_FREE_METRICS:
-        return metric
-    suffix = "psic" if mode is SicMode.PSIC else "ipsic"
-    return f"{metric}_{suffix}"
-
-
 def _fmt(x) -> str:
     if x is None:
         return ""
@@ -252,17 +245,16 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
                       else repr(float(value)))
         sims = None if ps is None else next(sims_by_group[cfg_pt, scheme])
         for metric in spec.metrics:
-            modes = ((SicMode.PSIC,) if metric in _MODE_FREE_METRICS
-                     or scheme == "astars_oma" else spec.modes)
-            for mode in modes:
-                mode_label = ("-" if metric in _MODE_FREE_METRICS
-                              or scheme == "astars_oma" else mode.value)
+            # the transmission user's metrics and OMA's have no SIC mode
+            mode_free = metric in _MODE_FREE_METRICS or scheme == "astars_oma"
+            for mode in (SicMode.PSIC,) if mode_free else spec.modes:
+                mode_label = "-" if mode_free else mode.value
                 analytic_val = None
                 mc_mean = mc_ci = None
                 if sims is not None:
                     if scheme == "astars_noma":
                         analytic_val = _ANALYTIC_FNS[metric](cfg_pt, mode, ps)
-                    est = sims[_mc_key(metric, mode, scheme)]
+                    est = sims[metric if mode_free else f"{metric}_{mode.value.lower()}"]
                     mc_mean, mc_ci = est.mean, est.ci95_halfwidth
                     _check_cell(metric, analytic_val)
                     _check_cell(metric, mc_mean)

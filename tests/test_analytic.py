@@ -28,7 +28,8 @@ from astars_noma.asymptotic import (ergodic_asym_r_ipsic, ergodic_bound_r_psic,
 from astars_noma.model import (NetworkConfig, db_to_linear, dbm_to_watts,
                                gamma_fit, noise_power_factor)
 from astars_noma.montecarlo import simulate
-from astars_noma.numerics import QuadratureRule, gauss_laguerre_rule, reg_lower_gamma
+from astars_noma.numerics import (QuadratureRule, exp_e1, gauss_laguerre_rule,
+                                  reg_lower_gamma)
 
 CFG = NetworkConfig()
 RATES_CFG = NetworkConfig(a_r=0.2, a_t=0.8)
@@ -399,13 +400,15 @@ def test_rate_t_vs_adaptive_integration(q_dbm, overrides, rel):
     assert closed == pytest.approx(oracle, rel=rel)
 
 
-@pytest.mark.parametrize("kappa", [CFG.rician_kappa, KAPPA_20DB],
-                         ids=["kappa-5dB", "kappa20dB"])
-def test_ipsic_rate_ceiling_vs_adaptive_integration(kappa):
+@pytest.mark.parametrize("kappa, alpha, rel", [(CFG.rician_kappa, 2.0, 5e-6),
+                                               (KAPPA_20DB, 2.0, 5e-6),
+                                               (CFG.rician_kappa, 3.0, 1e-4)],
+                         ids=["kappa-5dB", "kappa20dB", "alpha3"])
+def test_ipsic_rate_ceiling_vs_adaptive_integration(kappa, alpha, rel):
     # the residual power Y ~ Exp(1) is integrated out in closed form,
     # E[ln(1 + c/Y)] = ln c + e^c E1(c) + euler_gamma, leaving an adaptive
     # double integral over the cascade amplitude and the distance
-    cfg = replace(RATES_CFG, rician_kappa=kappa)
+    cfg = replace(RATES_CFG, rician_kappa=kappa, path_alpha=alpha)
     closed = ergodic_asym_r_ipsic(cfg)
     fit = gamma_fit(cfg.rician_kappa, cfg.num_elements)
     snr = (cfg.a_r * fit.q ** 2 * cfg.path_eta0 ** 2 * cfg.beta_r * cfg.amp_lambda
@@ -425,9 +428,9 @@ def test_ipsic_rate_ceiling_vs_adaptive_integration(kappa):
 
     oracle, _ = integrate.dblquad(integrand, *_gamma_span(fit.p, 250.0), 0.0, cfg.radius_d,
                                   epsabs=1e-12, epsrel=1e-10)
-    # the Laguerre rule on the residual axis converges slowly against the
-    # log(1/y) singularity of the ceiling's integrand: 7.5e-4 at 200 nodes
-    assert closed == pytest.approx(oracle / math.log(2.0), rel=1e-3)
+    # what is left is the default distance rule against the log(1/d)
+    # singularity of ln c: 3.7e-6 at alpha = 2 and 9.1e-5 at alpha = 3
+    assert closed == pytest.approx(oracle / math.log(2.0), rel=rel)
 
 
 # ---------------------------------------------------------------------------
@@ -435,29 +438,29 @@ def test_ipsic_rate_ceiling_vs_adaptive_integration(kappa):
 # ---------------------------------------------------------------------------
 
 def _unpruned_rate_r(cfg, ps=None, mode=SicMode.IPSIC):
-    """The reflection rate over the full amplitude, residual and distance
-    rules in one einsum; ps=None gives the power-free ipSIC ceiling."""
+    """The reflection rate over the full amplitude and distance rules in one
+    einsum, the residual power Y ~ Exp(1) integrated out exactly with
+    g(x) = e^x E1(x): E ln(1 + A/(B + C Y)) = ln(1 + A/B) + g(x0 (1 + A/B))
+    - g(x0), x0 = B/C, and E ln(1 + c/Y) = ln c + g(c) + euler_gamma for
+    the power-free ipSIC ceiling (ps=None)."""
     fit = gamma_fit(cfg.rician_kappa, cfg.num_elements)
     lag_q = gauss_laguerre_rule(cfg.quad_q, fit.p - 1.0)
-    lag_k = gauss_laguerre_rule(cfg.quad_k)
     chi, w = _distance_rule(cfg)
     dsa = cfg.dist_bs ** cfg.path_alpha
+    t2 = lag_q.nodes[:, None] ** 2
+    residual = (chi ** cfg.path_alpha / cfg.path_eta0 ** 2 * cfg.noise_sigma_re2
+                / (cfg.beta_r * cfg.amp_lambda))
     if ps is None:
-        scale = (cfg.path_eta0 ** 2 * fit.q ** 2 * cfg.a_r * cfg.beta_r * cfg.amp_lambda
-                 / (dsa * chi[None, :] ** cfg.path_alpha * lag_k.nodes[:, None]
-                    * cfg.noise_sigma_re2))
+        c = cfg.a_r * fit.q ** 2 / (dsa * residual) * t2
+        vals = np.log(c) + exp_e1(c) + np.euler_gamma
     else:
         bracket = _noise_bracket(cfg, chi, cfg.beta_r)
-        if mode is SicMode.PSIC:
-            vals = np.log1p(cfg.a_r * ps * fit.q ** 2 / (dsa * bracket)
-                            * lag_q.nodes[:, None] ** 2)
-            return np.einsum("q,u,qu->", lag_q.weights, w, vals) / math.log(2.0)
-        residual = (chi[None, :] ** cfg.path_alpha / cfg.path_eta0 ** 2
-                    * lag_k.nodes[:, None] * ps * cfg.noise_sigma_re2
-                    / (cfg.beta_r * cfg.amp_lambda))
-        scale = cfg.a_r * ps * fit.q ** 2 / (dsa * (bracket[None, :] + residual))
-    vals = np.log1p(scale[None, :, :] * lag_q.nodes[:, None, None] ** 2)
-    return np.einsum("q,k,u,qku->", lag_q.weights, lag_k.weights, w, vals) / math.log(2.0)
+        snr = cfg.a_r * ps * fit.q ** 2 / (dsa * bracket) * t2
+        vals = np.log1p(snr)
+        if mode is SicMode.IPSIC:
+            x0 = bracket / (residual * ps)
+            vals += exp_e1(x0 * (1.0 + snr)) - exp_e1(x0)
+    return np.einsum("q,u,qu->", lag_q.weights, w, vals) / math.log(2.0)
 
 
 @pytest.mark.parametrize("kappa_db", [None, -5.0, 10.0, 20.0])
@@ -477,12 +480,11 @@ def test_pruned_rate_kernel_matches_exhaustive_sum(L, kappa_db):
 
 
 def test_rate_kernel_memory_stays_chunked():
-    # unchunked, this call would hold all kept amplitude rows of the
-    # (235 x 1000) residual-distance grid at once: hundreds of MB
+    # the ipSIC rate at the largest rules holds a few (292 x 1000)
+    # amplitude-distance grids, about 2.3 MB each, and no residual axis
     cfg = replace(CFG, quad_q=2000, quad_k=2000, quad_u=1000)
     # build the rules outside the trace
     gauss_laguerre_rule(2000, gamma_fit(cfg.rician_kappa, cfg.num_elements).p - 1.0)
-    gauss_laguerre_rule(2000)
     tracemalloc.start()
     try:
         value = ergodic_rate_r(cfg, SicMode.IPSIC, dbm_to_watts(20.0))

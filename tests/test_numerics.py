@@ -1,5 +1,5 @@
-"""Kernel tests: incomplete gamma, Bessel functions, quadrature rules, and
-the high-SNR factor 2F1(2, 1/2; 5/2; z).
+"""Kernel tests: incomplete gamma, the scaled exponential integral, Bessel
+functions, quadrature rules, and the high-SNR factor 2F1(2, 1/2; 5/2; z).
 
 Expected values come from independent oracles: adaptive quadrature
 (scipy.integrate), plain series summation coded inline, closed forms,
@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import hyp2f1
+from scipy.special import exp1, hyp2f1
 
 from astars_noma.asymptotic import _hyp_factor, high_snr_cascade_cdf
-from astars_noma.numerics import (QuadratureRule, _bessel_i01e, bessel_k,
+from astars_noma.numerics import (QuadratureRule, _bessel_i01e, bessel_k, exp_e1,
                                   gauss_laguerre_rule, gauss_legendre_rule,
                                   laguerre_half, reg_lower_gamma)
 
@@ -86,6 +86,33 @@ def test_reg_lower_gamma_monotone_and_bounded(a, x1, x2):
 
 def test_lower_gamma_saturates_at_gamma():
     assert lower_incomplete_gamma(3.7, 500.0) == pytest.approx(math.gamma(3.7), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# scaled exponential integral e^x E1(x)
+# ---------------------------------------------------------------------------
+
+def test_exp_e1_vs_scipy():
+    # both branches, and the series/continued-fraction switch at x = 2
+    x = np.concatenate([np.geomspace(1e-12, 700.0, 20001),
+                        [2.0 - 1e-12, 2.0, 2.0 + 1e-12]])
+    np.testing.assert_allclose(exp_e1(x), np.exp(x) * exp1(x), rtol=5e-14, atol=0.0)
+
+
+def test_exp_e1_vs_asymptotic_series():
+    # past 700 scipy's e^x overflows; the 8-term asymptotic series
+    # sum_k (-1)^k k!/x^(k+1) is good to 8!/x^8 < 1e-18 relative there
+    x = np.geomspace(700.0, 1e12, 2001)
+    series = sum((-1) ** k * math.factorial(k) / x ** (k + 1) for k in range(8))
+    np.testing.assert_allclose(exp_e1(x), series, rtol=5e-14, atol=0.0)
+
+
+def test_exp_e1_shape_and_domain():
+    assert exp_e1(np.ones((2, 3))).shape == (2, 3)
+    assert float(exp_e1(1.0)) == pytest.approx(math.e * float(exp1(1.0)), rel=5e-14)
+    for bad in (0.0, -1.0, math.nan, np.array([1.0, math.nan]), np.array([2.0, -3.0])):
+        with pytest.raises(ValueError):
+            exp_e1(bad)
 
 
 # ---------------------------------------------------------------------------
