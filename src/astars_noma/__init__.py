@@ -20,7 +20,7 @@ from .model import (ConfigError, GammaApprox, NetworkConfig, cascade_cdf,
                     gamma_fit, noise_power_factor, sample_distance,
                     watts_to_dbm)
 from .montecarlo import Estimate, budget_to_ps, simulate, surface_output_power
-from .numerics import (QuadratureRule, bessel_k, gauss_laguerre_rule,
-                       gauss_legendre_rule, laguerre_half, reg_lower_gamma)
+from .numerics import (QuadratureRule, bessel_k, gauss_jacobi_rule,
+                       gauss_laguerre_rule, laguerre_half, reg_lower_gamma)
 
 __version__ = "0.1.0"

@@ -6,15 +6,15 @@ Every evaluator composes three ingredients:
 * the Gamma moment-matched law of the phase-aligned cascade amplitude
   (its CDF for outages, a generalized Gauss-Laguerre rule built for the
   Gamma density for rates),
-* a Gauss-Legendre rule over the user-distance disk in the area
-  coordinate u = (d/D)^2, which is uniform on [0, 1] under the disk law,
+* a Gauss-Jacobi (0, 1) rule over the user-distance disk in v = d/D,
+  whose density under the disk law is 2v on [0, 1],
 * for the imperfect-SIC outage, a Gauss-Laguerre rule over the exponential
   residual-interference power.
 
 Both users' ergodic rates are grids over the amplitude and distance rules
 contracted by two BLAS matrix-vector products (see _rate_sum); under ipSIC
 the residual power is integrated out exactly through e^x E1(x).  The
-amplitude rule is pruned of nodes below 1e-30 of its mass.
+amplitude and residual rules are pruned of nodes below 1e-30 of their mass.
 
 Probabilities are never clamped: a value outside [0, 1] beyond 1e-9 raises
 NumericIntegrityError, which is how formula-transcription bugs surface.
@@ -28,8 +28,8 @@ import math
 import numpy as np
 
 from .model import NetworkConfig, cascade_cdf, gamma_fit, noise_power_factor
-from .numerics import (NumericIntegrityError, exp_e1, gauss_laguerre_rule,
-                       gauss_legendre_rule)
+from .numerics import (NumericIntegrityError, QuadratureRule, exp_e1,
+                       gauss_jacobi_rule, gauss_laguerre_rule)
 
 __all__ = [
     "NumericIntegrityError",
@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _PROB_TOL = 1.0e-9
+_PRUNE_REL = 1.0e-30
 
 
 class SicMode(enum.Enum):
@@ -73,10 +74,17 @@ def _check_probability(value: float, label: str) -> float:
 
 def _distance_rule(cfg: NetworkConfig) -> tuple[np.ndarray, np.ndarray]:
     """Distance nodes chi and weights for averaging over the disk law
-    2x/D^2: a Gauss-Legendre rule in u = (x/D)^2, uniform on [0, 1], so
-    chi = D sqrt(u) and the weights are the rule's."""
-    rule = gauss_legendre_rule(cfg.quad_u)
-    return cfg.radius_d * np.sqrt(rule.nodes), rule.weights
+    2x/D^2: the Gauss-Jacobi rule for the density 2v of v = x/D, so
+    chi = D v and the weights are the rule's."""
+    rule = gauss_jacobi_rule(cfg.quad_u)
+    return cfg.radius_d * rule.nodes, rule.weights
+
+
+def _pruned(rule: QuadratureRule) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a rule without those below _PRUNE_REL of its
+    mass: a dropped node moves a probability by less than that."""
+    keep = rule.weights > _PRUNE_REL * rule.weights.sum()
+    return rule.nodes[keep], rule.weights[keep]
 
 
 def _noise_bracket(cfg: NetworkConfig, chi: np.ndarray, beta: float) -> np.ndarray:
@@ -121,9 +129,9 @@ def outage_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
 
     The user is in outage when either SIC stage fails: decoding the
     transmission user's signal, then its own.  The outage is the disk
-    average (Gauss-Legendre) of the cascade CDF at the larger of the two
+    average (Gauss-Jacobi) of the cascade CDF at the larger of the two
     stage thresholds; under ipSIC only the second stage carries the
-    residual interference, integrated out with a Gauss-Laguerre rule.
+    residual interference, averaged on a pruned Gauss-Laguerre rule.
     """
     _check_power(ps)
     scale_t = _decode_scale_t(cfg, ps)
@@ -136,17 +144,17 @@ def outage_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
     if mode is SicMode.PSIC:
         value = float(w @ cascade_cdf(approx, max(scale_t, scale_r) * bracket))
     else:
-        lag = gauss_laguerre_rule(cfg.quad_k)
-        residual = _residual_term(cfg, chi[None, :], lag.nodes[:, None]) * ps
+        y, y_w = _pruned(gauss_laguerre_rule(cfg.quad_k))
+        residual = _residual_term(cfg, chi[None, :], y[:, None]) * ps
         thresholds = scale_r * (bracket + residual)
         np.maximum(thresholds, scale_t * bracket, out=thresholds)
-        value = float(lag.weights @ cascade_cdf(approx, thresholds) @ w)
+        value = float(y_w @ cascade_cdf(approx, thresholds) @ w)
     return _check_probability(value, f"outage_r[{mode.value}]")
 
 
 def outage_t(cfg: NetworkConfig, ps: float) -> float:
     """Outage probability of the transmission-side user: the disk average
-    (Gauss-Legendre) of the cascade CDF at the interference-limited
+    (Gauss-Jacobi) of the cascade CDF at the interference-limited
     threshold, with the transmission amplitude coefficient beta_t."""
     _check_power(ps)
     scale_t = _decode_scale_t(cfg, ps)
@@ -166,9 +174,6 @@ def system_outage(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
     return _check_probability(1.0 - (1.0 - p_r) * (1.0 - p_t), "outage_system")
 
 
-_PRUNE_REL = 1.0e-30
-
-
 def _amplitude_rule(cfg: NetworkConfig) -> tuple[float, np.ndarray, np.ndarray]:
     """Gamma-fit scale q, amplitude nodes t and their weights: the
     generalized Gauss-Laguerre rule for the Gamma(p) density of the
@@ -182,8 +187,7 @@ def _amplitude_rule(cfg: NetworkConfig) -> tuple[float, np.ndarray, np.ndarray]:
         raise NumericIntegrityError(
             f"{cfg.quad_q}-node amplitude rule for the Gamma(p={approx.p:.6g}) "
             f"density has non-finite weights")
-    keep = rule.weights > _PRUNE_REL * rule.weights.sum()
-    return approx.q, rule.nodes[keep], rule.weights[keep]
+    return (approx.q, *_pruned(rule))
 
 
 def _rate_sum(gamma_w: np.ndarray, nats: np.ndarray, dist_w: np.ndarray) -> float:

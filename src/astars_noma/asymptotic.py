@@ -23,8 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import NetworkConfig, cascade_cdf, element_moments, gamma_fit
-from .numerics import exp_e1, gauss_laguerre_rule
+from .model import NetworkConfig, element_moments
+from .numerics import exp_e1
 from .analytic import (_amplitude_rule, _check_power, _decode_scale_r, _decode_scale_t,
                        _distance_rule, _noise_bracket, _rate_sum, _residual_term)
 
@@ -160,15 +160,15 @@ def outage_floor_r_ipsic(cfg: NetworkConfig) -> float:
     """Residual-interference error floor of the ipSIC reflection user.
 
     Exact infinite-power limit of the finite-SNR ipSIC evaluator: the
-    thermal terms and the first SIC stage vanish as 1/ps while the residual
-    term, proportional to ps, survives with ps cancelling.  The result is
-    power-independent and equals the large-ps limit of outage_r(ipSIC).
+    thermal terms and the first SIC stage vanish as 1/ps, leaving the
+    power-free outage event S^2 < c_d Y at distance d.  For the residual
+    power Y ~ Exp(1) its probability is E_S[exp(-S^2/c_d)], a sum over the
+    amplitude and distance rules; it is the large-ps limit of outage_r(ipSIC).
     """
-    approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
+    q, t, gamma_w = _amplitude_rule(cfg)
     chi, w = _distance_rule(cfg)
-    lag = gauss_laguerre_rule(cfg.quad_k)
-    thr = _decode_scale_r(cfg, 1.0) * _residual_term(cfg, chi[None, :], lag.nodes[:, None])
-    return float(lag.weights @ cascade_cdf(approx, thr) @ w)
+    c = _decode_scale_r(cfg, 1.0) * _residual_term(cfg, chi)
+    return float(gamma_w @ np.exp(-np.outer((q * t) ** 2, 1.0 / c)) @ w)
 
 
 def ergodic_asym_r_ipsic(cfg: NetworkConfig) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -268,14 +269,23 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
     written: list[Path] = []
     for metric, rows in rows_by_metric.items():
         path = out_dir / f"{stem}_{metric}.csv"
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            writer.writerows(rows)
+        _write_csv(path, CSV_HEADER, rows)
         written.append(path)
         if plots and spec.axis != "beta_a_grid":
             written.append(_plot_metric_csv(path, metric, spec))
     return written
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    """Write a CSV whole or not at all: into a temporary file in the same
+    directory, renamed over path only once complete."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _plot_metric_csv(csv_path: Path, metric: str, spec: SweepSpec) -> Path:
@@ -515,12 +525,9 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
-        with (out_dir / "gates.csv").open("w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["gate", "observed", "tolerance", "verdict"])
-            for g in gates:
-                writer.writerow([g.name, _fmt(g.observed), g.tolerance,
-                                 "pass" if g.passed else "FAIL"])
+        _write_csv(out_dir / "gates.csv", ["gate", "observed", "tolerance", "verdict"],
+                   [[g.name, _fmt(g.observed), g.tolerance, "pass" if g.passed else "FAIL"]
+                    for g in gates])
     return (0 if all_pass else 2), gates
 
 

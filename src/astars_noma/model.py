@@ -77,7 +77,7 @@ class NetworkConfig:
     target_rate_r: float = 1.0
     target_rate_t: float = 1.0
     quad_k: int = 200
-    quad_u: int = 200
+    quad_u: int = 64
     quad_q: int = 200
     mc_trials: int = 100_000
     seed: int = 123456789
@@ -123,12 +123,9 @@ class NetworkConfig:
             fail("eta0 > 0")
         if self.target_rate_r < 0.0 or self.target_rate_t < 0.0:
             fail("target rates >= 0")
-        if not 1 <= self.quad_k <= 2000:
-            fail("quad_k in [1, 2000]")
-        if not 1 <= self.quad_q <= 2000:
-            fail("quad_q in [1, 2000]")
-        if not 1 <= self.quad_u <= 2000:
-            fail("quad_u in [1, 2000]")
+        for name in ("quad_k", "quad_q", "quad_u"):
+            if not 1 <= getattr(self, name) <= 2000:
+                fail(f"{name} in [1, 2000]")
         if self.mc_trials < 1:
             fail("mc_trials >= 1")
         if self.pc_watts < 0.0 or self.pd_watts < 0.0:

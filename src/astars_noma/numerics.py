@@ -11,8 +11,8 @@ Contents
 * modified Bessel functions: exponentially scaled I0/I1 and general K_nu
 * the half-order Laguerre polynomial L_{1/2}(x), x <= 0, used by Rician
   moments
-* generalized Gauss-Laguerre rules (weight t^alpha e^{-t}) via the
-  Golub-Welsch tridiagonal eigenproblem, and Gauss-Legendre rules on [0, 1]
+* Golub-Welsch Gauss rules: generalized Laguerre (weight t^alpha e^{-t})
+  and Jacobi (0, 1) for the disk-radius density 2v on [0, 1]
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ __all__ = [
     "bessel_k",
     "exp_e1",
     "gauss_laguerre_rule",
-    "gauss_legendre_rule",
+    "gauss_jacobi_rule",
     "laguerre_half",
     "reg_lower_gamma",
 ]
@@ -48,8 +48,8 @@ class QuadratureRule:
     """Abscissae and weights of a fixed quadrature rule.
 
     kind is "laguerre" (the Gamma(alpha+1) density t^alpha e^{-t}/Gamma(alpha+1)
-    on (0, inf)) or "legendre" (the uniform density on [0, 1]); either way
-    the weights sum to 1.  Nodes are stored strictly increasing and the
+    on (0, inf)) or "jacobi" (the density 2v on [0, 1]); either way the
+    weights sum to 1.  Nodes are stored strictly increasing and the
     arrays are read-only.
     """
 
@@ -405,12 +405,19 @@ def gauss_laguerre_rule(size: int, alpha: float = 0.0) -> QuadratureRule:
 
 
 @lru_cache(maxsize=64)
-def gauss_legendre_rule(size: int) -> QuadratureRule:
-    """Gauss-Legendre rule for the uniform density on [0, 1]:
-    sum_u w_u f(x_u) = int_0^1 f(x) dx, exact for polynomials of degree
-    <= 2U - 1.  numpy's leggauss rule on [-1, 1], shifted and halved.
+def gauss_jacobi_rule(size: int) -> QuadratureRule:
+    """Gauss-Jacobi (0, 1) rule for the disk-radius density 2v on [0, 1]:
+    sum_k w_k f(v_k) = int_0^1 2v f(v) dv, exact for polynomials of degree
+    <= 2V - 1.  Golub-Welsch for the weight 1 + x on [-1, 1]: the Jacobi
+    matrix has diagonal 1/((2n+1)(2n+3)) and off-diagonal sqrt(n(n+1))/(2n+1)
+    (n >= 1); its eigenvalues x give v = (1 + x)/2, the squared first
+    components of its eigenvectors the weights, normalised to 1.
     """
     if not 1 <= size <= 2000:
-        raise ValueError(f"Gauss-Legendre size must be in [1, 2000], got {size}")
-    x, w = np.polynomial.legendre.leggauss(size)
-    return QuadratureRule("legendre", (x + 1.0) / 2.0, w / 2.0)
+        raise ValueError(f"Gauss-Jacobi size must be in [1, 2000], got {size}")
+    n = np.arange(size, dtype=float)
+    off = np.sqrt(n[1:] * (n[1:] + 1.0)) / (2.0 * n[1:] + 1.0)
+    x, vectors = np.linalg.eigh(np.diag(1.0 / ((2.0 * n + 1.0) * (2.0 * n + 3.0)))
+                                + np.diag(off, 1) + np.diag(off, -1))
+    weights = vectors[0] ** 2
+    return QuadratureRule("jacobi", (1.0 + x) / 2.0, weights / weights.sum())

@@ -196,7 +196,9 @@ def test_throughput_limits():
 # ---------------------------------------------------------------------------
 
 def test_doubling_quadrature_sizes_moves_outputs_below_1e4_relative():
-    doubled = replace(RATES_CFG, quad_k=400, quad_u=400, quad_q=400)
+    doubled = replace(RATES_CFG, **{f: 2 * getattr(RATES_CFG, f)
+                                    for f in ("quad_k", "quad_u", "quad_q")})
+    assert (RATES_CFG.quad_u, doubled.quad_u) == (64, 128)
     ps = dbm_to_watts(20.0)
     pairs = [
         (outage_r(RATES_CFG, SicMode.PSIC, ps), outage_r(doubled, SicMode.PSIC, ps)),
@@ -400,9 +402,9 @@ def test_rate_t_vs_adaptive_integration(q_dbm, overrides, rel):
     assert closed == pytest.approx(oracle, rel=rel)
 
 
-@pytest.mark.parametrize("kappa, alpha, rel", [(CFG.rician_kappa, 2.0, 5e-6),
-                                               (KAPPA_20DB, 2.0, 5e-6),
-                                               (CFG.rician_kappa, 3.0, 1e-4)],
+@pytest.mark.parametrize("kappa, alpha, rel", [(CFG.rician_kappa, 2.0, 6e-8),
+                                               (KAPPA_20DB, 2.0, 6e-8),
+                                               (CFG.rician_kappa, 3.0, 1.5e-6)],
                          ids=["kappa-5dB", "kappa20dB", "alpha3"])
 def test_ipsic_rate_ceiling_vs_adaptive_integration(kappa, alpha, rel):
     # the residual power Y ~ Exp(1) is integrated out in closed form,
@@ -429,8 +431,28 @@ def test_ipsic_rate_ceiling_vs_adaptive_integration(kappa, alpha, rel):
     oracle, _ = integrate.dblquad(integrand, *_gamma_span(fit.p, 250.0), 0.0, cfg.radius_d,
                                   epsabs=1e-12, epsrel=1e-10)
     # what is left is the default distance rule against the log(1/d)
-    # singularity of ln c: 3.7e-6 at alpha = 2 and 9.1e-5 at alpha = 3
+    # singularity of ln c: 3.1e-8 (kappa -5 dB) and 2.8e-8 (20 dB) at
+    # alpha = 2, 7.5e-7 at alpha = 3
     assert closed == pytest.approx(oracle / math.log(2.0), rel=rel)
+
+
+# ---------------------------------------------------------------------------
+# the pruned residual rule against the full one
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("overrides", [{}, dict(path_alpha=3.0), dict(num_elements=4)],
+                         ids=["default", "alpha3", "L4"])
+def test_pruned_residual_rule_matches_full_rule(monkeypatch, overrides):
+    # at 200 nodes the prune keeps 74; the dropped 126 hold under 1e-30 of
+    # the rule's mass each, so no ipSIC outage moves by more than rounding
+    cfg = replace(RATES_CFG, **overrides)
+    assert analytic._pruned(gauss_laguerre_rule(cfg.quad_k))[0].size == 74
+    powers = [dbm_to_watts(dbm) for dbm in np.linspace(0.0, 60.0, 13)]
+    pruned = [outage_r(cfg, SicMode.IPSIC, ps) for ps in powers]
+    monkeypatch.setattr(analytic, "_PRUNE_REL", 0.0)
+    assert analytic._pruned(gauss_laguerre_rule(cfg.quad_k))[0].size == cfg.quad_k
+    for ps, value in zip(powers, pruned):
+        assert value == pytest.approx(outage_r(cfg, SicMode.IPSIC, ps), rel=0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

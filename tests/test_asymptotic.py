@@ -7,18 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.special import hyp2f1
+from scipy.special import gammainc, hyp2f1
 
-from astars_noma.analytic import (SicMode, ergodic_rate_r, ergodic_rate_t, outage_r,
-                                  rate_ceiling_t)
+from astars_noma.analytic import (SicMode, _distance_rule, ergodic_rate_r, ergodic_rate_t,
+                                  outage_r, rate_ceiling_t)
 from astars_noma.asymptotic import (OutOfRegimeError, ergodic_asym_r_ipsic,
                                     ergodic_bound_r_psic,
                                     fit_order, high_snr_cascade_cdf,
                                     outage_asym_r_psic, outage_asym_t,
                                     outage_floor_r_ipsic)
 from astars_noma.model import (NetworkConfig, dbm_to_watts, element_moments,
-                               noise_power_factor)
-from astars_noma.numerics import gauss_legendre_rule
+                               gamma_fit, noise_power_factor)
 
 CFG = NetworkConfig()
 RATES_CFG = NetworkConfig(a_r=0.2, a_t=0.8)
@@ -100,6 +99,28 @@ def test_floor_is_power_free_limit_of_the_exact_evaluator():
     assert gap80 < gap60
 
 
+@pytest.mark.parametrize("alpha", [2.0, 3.0])
+def test_floor_vs_nested_adaptive_integration(alpha):
+    # the floor P(S^2 < c(d) Y) by adaptive integration over the residual
+    # power Y ~ Exp(1) inside adaptive integration over the disk, with
+    # c(d) = gamma_r_hat d_s^alpha d^alpha sigma_re^2/(a_r eta0^2 beta_r lambda)
+    cfg = replace(RATES_CFG, path_alpha=alpha)
+    fit = gamma_fit(cfg.rician_kappa, cfg.num_elements)
+    per_d_alpha = ((2.0 ** cfg.target_rate_r - 1.0) * cfg.dist_bs ** alpha * cfg.noise_sigma_re2
+                   / (cfg.a_r * cfg.path_eta0 ** 2 * cfg.beta_r * cfg.amp_lambda))
+
+    def over_residual(z):
+        c = per_d_alpha * z ** alpha
+        inner, _ = integrate.quad(
+            lambda y: math.exp(-y) * gammainc(fit.p, math.sqrt(c * y) / fit.q),
+            0.0, math.inf, epsabs=1e-15, epsrel=1e-13, limit=200)
+        return 2.0 * z / cfg.radius_d ** 2 * inner
+
+    oracle, _ = integrate.quad(over_residual, 0.0, cfg.radius_d,
+                               epsabs=1e-15, epsrel=1e-13, limit=200)
+    assert outage_floor_r_ipsic(cfg) == pytest.approx(oracle, rel=1e-9)
+
+
 def test_floor_vanishes_with_residual_interference():
     faint = replace(CFG, noise_sigma_re2=1e-22)
     assert outage_floor_r_ipsic(faint) < 1e-12
@@ -131,7 +152,8 @@ def test_fitted_diversity_equals_element_count(L):
 
 
 def _asym_per_node(cfg, ps, side):
-    """Disk average of the scalar high-SNR CDF, one distance node at a time."""
+    """Disk average of the scalar high-SNR CDF, one distance node of the
+    package's own rule at a time: a vectorisation check, not an accuracy one."""
     gamma_r = 2.0 ** cfg.target_rate_r - 1.0
     gamma_t = 2.0 ** cfg.target_rate_t - 1.0
     path = cfg.dist_bs ** cfg.path_alpha / ps
@@ -141,10 +163,8 @@ def _asym_per_node(cfg, ps, side):
         scale = max(scale, gamma_r * path / cfg.a_r)
         beta = cfg.beta_r
     zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
-    rule = gauss_legendre_rule(cfg.quad_u)
     total = 0.0
-    for u, w in zip(rule.nodes, rule.weights):
-        d = cfg.radius_d * math.sqrt(u)
+    for d, w in zip(*_distance_rule(cfg)):
         bracket = (zeta * cfg.noise_sigma_s2 / cfg.path_eta0
                    + d ** cfg.path_alpha * cfg.noise_sigma_02
                    / (cfg.path_eta0 ** 2 * beta * cfg.amp_lambda))

@@ -390,6 +390,41 @@ def test_convergence_failure_exits_2_without_csv(tmp_path, monkeypatch, capsys):
     assert list(out.glob("*.csv")) == []
 
 
+def _failing_csv_writer(real):
+    """A csv.writer stand-in that writes the first row, then raises."""
+    def make(fh, **kwargs):
+        writer = real(fh, **kwargs)
+
+        class HalfWriter:
+            def writerows(self, rows):
+                writer.writerow(next(iter(rows)))
+                raise OSError("disk full")
+
+        return HalfWriter()
+    return make
+
+
+def test_csv_writes_leave_no_partial_file(tmp_path, monkeypatch):
+    # a write that fails mid-file leaves no CSV where there was none, the
+    # previous bytes where there was one, and no temporary file behind
+    spec = SweepSpec(axis="q_tot_dbm", values=(15.0, 25.0), metrics=("outage_r",))
+    [earlier] = run_sweep(NetworkConfig(), spec, tmp_path / "old", trials=TRIALS, plots=False)
+    before = earlier.read_bytes()
+    monkeypatch.setattr(cli.csv, "writer", _failing_csv_writer(csv.writer))
+    for out in (tmp_path / "new", tmp_path / "old"):
+        with pytest.raises(OSError, match="disk full"):
+            run_sweep(replace(NetworkConfig(), a_r=0.2, a_t=0.8), spec, out,
+                      trials=TRIALS, plots=False)
+    assert list((tmp_path / "new").iterdir()) == []
+    assert list((tmp_path / "old").iterdir()) == [earlier]
+    assert earlier.read_bytes() == before
+    # the gate report goes through the same writer
+    with pytest.raises(OSError, match="disk full"):
+        cli._write_csv(tmp_path / "new" / "gates.csv", ["gate", "verdict"],
+                       [["a", "pass"], ["b", "FAIL"]])
+    assert list((tmp_path / "new").iterdir()) == []
+
+
 @pytest.mark.parametrize("metric", ["outage_r", "rate_r", "throughput_tolerant"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_check_cell_rejects_non_finite_values(metric, value):

@@ -18,7 +18,7 @@ from scipy.special import exp1, hyp2f1
 
 from astars_noma.asymptotic import _hyp_factor, high_snr_cascade_cdf
 from astars_noma.numerics import (QuadratureRule, _bessel_i01e, bessel_k, exp_e1,
-                                  gauss_laguerre_rule, gauss_legendre_rule,
+                                  gauss_jacobi_rule, gauss_laguerre_rule,
                                   laguerre_half, reg_lower_gamma)
 
 
@@ -292,40 +292,48 @@ def test_generalized_laguerre_alpha_domain():
         gauss_laguerre_rule(5, -1.0)
 
 
-def test_legendre_small_rules():
-    one = gauss_legendre_rule(1)
-    assert one.nodes == pytest.approx([0.5], abs=1e-15)
+def test_jacobi_small_rules():
+    # one node at the mean 2/3 of the density 2v; two nodes at the roots
+    # (6 -+ sqrt 6)/10 of the degree-2 orthogonal polynomial
+    one = gauss_jacobi_rule(1)
+    assert one.nodes == pytest.approx([2.0 / 3.0], abs=1e-15)
     assert one.weights == pytest.approx([1.0], abs=1e-15)
-    rule = gauss_legendre_rule(2)
-    half_gap = 0.5 / math.sqrt(3.0)
-    assert rule.nodes == pytest.approx([0.5 - half_gap, 0.5 + half_gap], abs=1e-15)
-    assert rule.weights == pytest.approx([0.5, 0.5], abs=1e-15)
+    rule = gauss_jacobi_rule(2)
+    root6 = math.sqrt(6.0)
+    assert rule.nodes == pytest.approx([(6.0 - root6) / 10.0, (6.0 + root6) / 10.0],
+                                       abs=1e-15)
+    assert rule.weights == pytest.approx([0.5 - root6 / 18.0, 0.5 + root6 / 18.0],
+                                         abs=1e-15)
 
 
-def test_legendre_nodes_interior_sorted_and_exact():
-    rule = gauss_legendre_rule(100)
-    assert rule.kind == "legendre"
-    assert np.all((rule.nodes > 0.0) & (rule.nodes < 1.0))
-    assert np.all(np.diff(rule.nodes) > 0.0)
-    # the uniform density on [0, 1]: moments 1/(m+1) up to degree 2U - 1
-    for m in range(200):
-        est = float(np.sum(rule.weights * rule.nodes ** m))
-        assert est == pytest.approx(1.0 / (m + 1.0), rel=1e-12), f"moment {m}"
+def test_jacobi_nodes_interior_sorted_and_exact():
+    for size in (64, 100, 128):
+        rule = gauss_jacobi_rule(size)
+        assert rule.kind == "jacobi"
+        assert np.all((rule.nodes > 0.0) & (rule.nodes < 1.0))
+        assert np.all(np.diff(rule.nodes) > 0.0)
+        # the density 2v on [0, 1]: moments 2/(m+2) up to degree 2V - 1
+        for m in range(2 * size):
+            est = float(np.sum(rule.weights * rule.nodes ** m))
+            assert est == pytest.approx(2.0 / (m + 2.0), rel=1e-13), f"V={size}, moment {m}"
 
 
-def test_legendre_range_errors():
+def test_jacobi_range_errors():
     with pytest.raises(ValueError):
-        gauss_legendre_rule(0)
+        gauss_jacobi_rule(0)
     with pytest.raises(ValueError):
-        gauss_legendre_rule(2001)
+        gauss_jacobi_rule(2001)
 
 
 def test_rules_are_cached_and_frozen():
-    a = gauss_laguerre_rule(17)
-    b = gauss_laguerre_rule(17)
-    assert a is b
-    with pytest.raises(ValueError):
-        a.nodes[0] = 0.0
+    for build in (gauss_laguerre_rule, gauss_jacobi_rule):
+        a = build(17)
+        b = build(17)
+        assert a is b
+        with pytest.raises(ValueError):
+            a.nodes[0] = 0.0
+        with pytest.raises(ValueError):
+            a.weights[0] = 0.0
 
 
 def test_rule_determinism_across_threads():
@@ -392,6 +400,6 @@ def test_hyp2f1_domain_errors():
 
 
 def test_quadrature_rule_dataclass():
-    rule = QuadratureRule("legendre", np.array([0.5]), np.array([1.0]))
-    assert rule.kind == "legendre"
+    rule = QuadratureRule("jacobi", np.array([0.5]), np.array([1.0]))
+    assert rule.kind == "jacobi"
     assert len(rule) == 1
