@@ -409,22 +409,27 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     outage_dbms = (10.0, 20.0, 30.0, 40.0)
     rate_dbms = (20.0, 30.0, 40.0)
     order_dbms = (20.0, 30.0, 40.0, 50.0)
-    # one simulate call, one point per (config, scheme), keyed by budget in dBm
-    groups = ((cfg, "astars_noma", tuple(dict.fromkeys((*outage_dbms, *order_dbms)))),
-              (rates_cfg, "astars_noma", rate_dbms),
-              (cfg, "astars_oma", order_dbms),
-              (cfg, "pstars_noma", order_dbms))
-    sims = mc.simulate(
-        [(cfg_s, scheme, [mc.budget_to_ps(dbm_to_watts(q), cfg_s,
-                                          active=scheme != "pstars_noma") for q in dbms])
-         for cfg_s, scheme, dbms in groups],
-        trials=trials, seed=seed, workers=workers)
-    noma, noma_rates, oma, pst = (dict(zip(dbms, group_sims))
-                                  for (_, _, dbms), group_sims in zip(groups, sims))
+
+    def budget_ps(cfg_b: NetworkConfig, dbms, active: bool = True) -> dict[float, float]:
+        return {q: mc.budget_to_ps(dbm_to_watts(q), cfg_b, active=active) for q in dbms}
+
+    # BS powers by budget in dBm, solved once per (config, surface kind) and
+    # read by the gates too; one simulate call, one point per (config, scheme)
+    ps_active = budget_ps(cfg, (*outage_dbms, *order_dbms))
+    ps_rates = budget_ps(rates_cfg, rate_dbms)
+    groups = ((cfg, "astars_noma", ps_active),
+              (rates_cfg, "astars_noma", ps_rates),
+              (cfg, "astars_oma", {q: ps_active[q] for q in order_dbms}),
+              (cfg, "pstars_noma", budget_ps(cfg, order_dbms, active=False)))
+    sims = mc.simulate([(cfg_s, scheme, list(by_dbm.values()))
+                        for cfg_s, scheme, by_dbm in groups],
+                       trials=trials, seed=seed, workers=workers)
+    noma, noma_rates, oma, pst = (dict(zip(by_dbm, group_sims))
+                                  for (_, _, by_dbm), group_sims in zip(groups, sims))
 
     # 1. outage agreement
     for q_dbm in outage_dbms:
-        ps = mc.budget_to_ps(dbm_to_watts(q_dbm), cfg, active=True)
+        ps = ps_active[q_dbm]
         sims = noma[q_dbm]
         for metric, value in (
                 ("outage_r_psic", an.outage_r(cfg, SicMode.PSIC, ps)),
@@ -459,7 +464,7 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
 
     # 3. ergodic-rate agreement
     for q_dbm in rate_dbms:
-        ps = mc.budget_to_ps(dbm_to_watts(q_dbm), rates_cfg, active=True)
+        ps = ps_rates[q_dbm]
         sims = noma_rates[q_dbm]
         for metric, value in (
                 ("rate_r_psic", an.ergodic_rate_r(rates_cfg, SicMode.PSIC, ps)),
@@ -514,7 +519,8 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
 
     # 7. cascade-CDF approximation budget
     kappas, lengths = (0.0, cfg.rician_kappa), (1, 4, 10)
-    supnorms = _cascade_supnorms(kappas, lengths, samples=1_000_000, seed=seed)
+    supnorms = _cascade_supnorms(kappas, lengths, samples=1_000_000, seed=seed,
+                                 workers=workers)
     for kappa in kappas:
         for L in lengths:
             dist = supnorms[kappa, L]
@@ -531,25 +537,37 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     return (0 if all_pass else 2), gates
 
 
-def _cascade_supnorms(kappas, lengths, samples: int, seed: int) -> dict:
+def _cascade_supnorms(kappas, lengths, samples: int, seed: int, workers: int = 1) -> dict:
     """Sup-norm distance between the fitted CDF of the squared cascade gain
     and its empirical distribution, on a 50-point quantile grid, for each
     (kappa, L).  The gains are the simulator's own: its h_s and h_r rows at
-    the seed, read block by block in one pass to the largest L, every
-    smaller L a prefix of it."""
+    the seed, each block read in one pass to the largest L, every smaller L
+    a prefix of it.  The blocks fill their own slices of the gain arrays on
+    the worker pool; each array is then sorted in place, on the same pool,
+    and its order statistics read off the grid, so the result is the same
+    whatever the worker count."""
     gains = {(kappa, L): np.empty(samples) for kappa in kappas for L in lengths}
-    for block, start in enumerate(range(0, samples, mc.BLOCK_TRIALS)):
+    starts = range(0, samples, mc.BLOCK_TRIALS)
+
+    def fill(block: int) -> None:
+        start = starts[block]
         size = min(mc.BLOCK_TRIALS, samples - start)
         sums = mc._element_sums(seed, block, size, kappas, ("h_r",), noise=False)
         for L, at_l in zip(range(1, max(lengths) + 1), sums):
             if L in lengths:
                 for kappa in kappas:
-                    gains[kappa, L][start:start + size] = at_l[kappa][0]["h_r"] ** 2
+                    np.square(at_l[kappa][0]["h_r"], out=gains[kappa, L][start:start + size])
+
     grid_idx = np.linspace(0, samples - 1, 50).astype(int)
     emp = (grid_idx + 1) / samples
-    return {(kappa, L): float(np.max(np.abs(
-                cascade_cdf(gamma_fit(kappa, L), np.partition(g, grid_idx)[grid_idx]) - emp)))
-            for (kappa, L), g in gains.items()}
+
+    def supnorm(key: tuple[float, int]) -> float:
+        g = gains[key]
+        g.sort()
+        return float(np.max(np.abs(cascade_cdf(gamma_fit(*key), g[grid_idx]) - emp)))
+
+    mc._map_blocks(fill, range(len(starts)), workers)
+    return dict(zip(gains, mc._map_blocks(supnorm, list(gains), workers)))
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="raise trials to at least 10^6")
     parser.add_argument("--no-plots", action="store_true", help="skip SVG plots")
     parser.add_argument("--workers", type=int, default=1,
-                        help="threads for Monte Carlo blocks")
+                        help="threads for Monte Carlo blocks and validate's cascade check")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="run one sweep and emit CSVs")

@@ -20,6 +20,7 @@ from .numerics import laguerre_half, reg_lower_gamma
 __all__ = [
     "ConfigError",
     "GammaApprox",
+    "MAX_ELEMENTS",
     "NetworkConfig",
     "cascade_cdf",
     "db_to_linear",
@@ -47,6 +48,13 @@ def dbm_to_watts(dbm: float) -> float:
 
 def watts_to_dbm(watts: float) -> float:
     return 10.0 * math.log10(watts) + 30.0
+
+
+# Upper bound on the surface element count L.  The simulator draws and
+# reduces every element row of every block, about 2 ms per element per
+# 8192-trial block on one x86 core, so a 10^5-trial point (13 blocks) takes
+# about 25 s at L = 1000; the bound keeps a typo from asking for hours.
+MAX_ELEMENTS = 1000
 
 
 @dataclass(frozen=True)
@@ -98,8 +106,8 @@ class NetworkConfig:
             fail("kappa >= 0")
         if self.amp_lambda <= 1.0:
             fail("lambda > 1")
-        if self.num_elements < 1:
-            fail("num_elements >= 1")
+        if not 1 <= self.num_elements <= MAX_ELEMENTS:
+            fail(f"num_elements in [1, {MAX_ELEMENTS}]")
         if self.radius_d <= 0.0:
             fail("radius_d > 0")
         if self.dist_bs <= 0.0:

@@ -35,7 +35,7 @@ exact (fsum) accumulation, so results are bit-identical for a given
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -272,6 +272,18 @@ def _estimates(partials: Sequence[dict], trials: int, tag: str) -> dict[str, Est
     return estimates
 
 
+def _map_blocks(fn: Callable, blocks: Iterable, workers: int) -> list:
+    """fn over blocks, results in block order: a plain loop at one worker,
+    a pool of that many threads above.  The package's one parallel path;
+    each call must read and write only what its own block names (its
+    (seed, block) substreams, its slice of an output), so results do not
+    depend on scheduling."""
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, blocks))
+    return [fn(b) for b in blocks]
+
+
 def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
              ps: float | Sequence[float] | None = None, trials: int | None = None,
              seed: int | None = None, workers: int = 1) -> dict | list:
@@ -319,11 +331,7 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
             out[i] = [_partials(c, s, terms, p) for p in powers]
         return out
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            by_block = list(pool.map(run, range(len(sizes))))
-    else:
-        by_block = [run(b) for b in range(len(sizes))]
+    by_block = _map_blocks(run, range(len(sizes)), workers)
 
     results = []
     for i, ((_, s, powers), (_, _, ps_p)) in enumerate(zip(runs, points)):

@@ -3,9 +3,11 @@ presets, the validation gate table, and exit codes."""
 
 import csv
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from astars_noma import analytic as an
@@ -15,7 +17,8 @@ from astars_noma import montecarlo as mc
 from astars_noma.analytic import NumericIntegrityError, SicMode
 from astars_noma.cli import (CSV_HEADER, SweepSpec, _check_cell, figure_ids, main,
                              parse_config, run_sweep, validate)
-from astars_noma.model import ConfigError, NetworkConfig
+from astars_noma.model import (MAX_ELEMENTS, ConfigError, NetworkConfig, cascade_cdf,
+                               gamma_fit)
 from astars_noma.montecarlo import SCHEMES
 
 TRIALS = 4000
@@ -362,6 +365,50 @@ def test_every_validate_gate_can_fail(monkeypatch):
     assert code == 2
 
 
+def _serial_partition_supnorms(kappas, lengths, samples, seed) -> dict:
+    """The cascade check filled block after block on one thread, its order
+    statistics selected by np.partition on a copy of each gain array."""
+    gains = {(kappa, L): np.empty(samples) for kappa in kappas for L in lengths}
+    for block, start in enumerate(range(0, samples, mc.BLOCK_TRIALS)):
+        size = min(mc.BLOCK_TRIALS, samples - start)
+        sums = mc._element_sums(seed, block, size, kappas, ("h_r",), noise=False)
+        for L, at_l in zip(range(1, max(lengths) + 1), sums):
+            if L in lengths:
+                for kappa in kappas:
+                    gains[kappa, L][start:start + size] = at_l[kappa][0]["h_r"] ** 2
+    grid_idx = np.linspace(0, samples - 1, 50).astype(int)
+    emp = (grid_idx + 1) / samples
+    return {(kappa, L): float(np.max(np.abs(
+                cascade_cdf(gamma_fit(kappa, L), np.partition(g, grid_idx)[grid_idx]) - emp)))
+            for (kappa, L), g in gains.items()}
+
+
+def test_cascade_supnorms_worker_count_invariant(monkeypatch):
+    # more workers than blocks and cores, the last block partial, thread
+    # switches forced often: every block drawn once and no slice lost
+    kappas, lengths = (0.0, NetworkConfig().rician_kappa), (1, 4, 10)
+    samples = 3 * mc.BLOCK_TRIALS + 5
+    reference = _serial_partition_supnorms(kappas, lengths, samples, seed=7)
+    blocks = []
+    real = mc._element_sums
+
+    def counting(seed, block, *args, **kwargs):
+        blocks.append(block)
+        return real(seed, block, *args, **kwargs)
+
+    monkeypatch.setattr(mc, "_element_sums", counting)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 7):
+            blocks.clear()
+            assert cli._cascade_supnorms(kappas, lengths, samples, seed=7,
+                                         workers=workers) == reference
+            assert sorted(blocks) == [0, 1, 2, 3]
+    finally:
+        sys.setswitchinterval(interval)
+
+
 def test_cli_config_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("a_r = 0.9\na_t = 0.1\n")
@@ -462,6 +509,19 @@ def test_cli_sweep_non_finite_grid_option_exits_1(tmp_path, capsys, option, valu
     rc = main(["--out", str(tmp_path), "sweep", f"{option}={value}"])
     assert rc == 1
     assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--config", "{cfg}", "show-config"],
+    ["sweep", "--axis", "num_elements", "--start", "1001", "--stop", "1001",
+     "--fixed-q-tot-dbm", "20"]])
+def test_cli_num_elements_above_bound_exits_1(tmp_path, capsys, argv):
+    cfg_file = write_cfg(tmp_path, f"num_elements = {10 ** 6}\n")
+    argv = [a.format(cfg=cfg_file) for a in argv]
+    rc = main(["--out", str(tmp_path), "--trials", "100", *argv])
+    assert rc == 1
+    assert f"num_elements in [1, {MAX_ELEMENTS}]" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -10,7 +10,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from astars_noma.model import (ConfigError, GammaApprox, NetworkConfig,
+from astars_noma.model import (MAX_ELEMENTS, ConfigError, GammaApprox, NetworkConfig,
                                cascade_cdf, db_to_linear, dbm_to_watts,
                                distance_pdf, element_moments, gamma_fit,
                                noise_power_factor, sample_distance,
@@ -68,6 +68,8 @@ def test_default_config_is_reference_point():
     dict(a_r=0.4, a_t=0.7),
     dict(amp_lambda=1.0),
     dict(num_elements=0),
+    dict(num_elements=MAX_ELEMENTS + 1),
+    dict(num_elements=10 ** 6),
     dict(radius_d=0.0),
     dict(path_alpha=1.5),
     dict(noise_sigma_02=0.0),
