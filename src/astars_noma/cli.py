@@ -409,18 +409,15 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     outage_dbms = (10.0, 20.0, 30.0, 40.0)
     rate_dbms = (20.0, 30.0, 40.0)
     order_dbms = (20.0, 30.0, 40.0, 50.0)
-
-    def budget_ps(cfg_b: NetworkConfig, dbms, active: bool = True) -> dict[float, float]:
-        return {q: mc.budget_to_ps(dbm_to_watts(q), cfg_b, active=active) for q in dbms}
-
     # BS powers by budget in dBm, solved once per (config, surface kind) and
     # read by the gates too; one simulate call, one point per (config, scheme)
-    ps_active = budget_ps(cfg, (*outage_dbms, *order_dbms))
-    ps_rates = budget_ps(rates_cfg, rate_dbms)
+    ps_active = {q: mc.budget_to_ps(dbm_to_watts(q), cfg) for q in (*outage_dbms, *order_dbms)}
+    ps_rates = {q: mc.budget_to_ps(dbm_to_watts(q), rates_cfg) for q in rate_dbms}
+    ps_passive = {q: mc.budget_to_ps(dbm_to_watts(q), cfg, active=False) for q in order_dbms}
     groups = ((cfg, "astars_noma", ps_active),
               (rates_cfg, "astars_noma", ps_rates),
               (cfg, "astars_oma", {q: ps_active[q] for q in order_dbms}),
-              (cfg, "pstars_noma", budget_ps(cfg, order_dbms, active=False)))
+              (cfg, "pstars_noma", ps_passive))
     sims = mc.simulate([(cfg_s, scheme, list(by_dbm.values()))
                         for cfg_s, scheme, by_dbm in groups],
                        trials=trials, seed=seed, workers=workers)
