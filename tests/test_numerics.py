@@ -14,10 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import exp1, hyp2f1
+from scipy.special import exp1, gammainc, hyp2f1
 
+from astars_noma import numerics
 from astars_noma.asymptotic import _hyp_factor, high_snr_cascade_cdf
-from astars_noma.numerics import (QuadratureRule, _bessel_i01e, bessel_k, exp_e1,
+from astars_noma.model import gamma_fit
+from astars_noma.numerics import (_E1_SERIES, _EULER_GAMMA, NumericIntegrityError,
+                                  QuadratureRule, _bessel_i01e, bessel_k, exp_e1,
                                   gauss_jacobi_rule, gauss_laguerre_rule,
                                   laguerre_half, reg_lower_gamma)
 
@@ -65,6 +68,42 @@ def test_lower_gamma_domain_errors():
         reg_lower_gamma(-2.0, 1.0)
     with pytest.raises(ValueError):
         reg_lower_gamma(1.0, -0.5)
+    # a non-finite shape and a NaN argument are refused before any iteration
+    for a in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            reg_lower_gamma(a, 1.0)
+    for bad in (math.nan, np.array([1.0, math.nan, 5.0])):
+        with pytest.raises(ValueError):
+            reg_lower_gamma(2.0, bad)
+
+
+def test_lower_gamma_at_infinity():
+    assert reg_lower_gamma(2.0, math.inf) == 1.0
+    got = reg_lower_gamma(2.0, np.array([1.0, math.inf, 0.0]))
+    assert got[1] == 1.0 and got[2] == 0.0
+    assert got[0] == pytest.approx(1.0 - 2.0 / math.e, rel=1e-15)
+
+
+# gamma shapes p of the moment-matched cascade law at (kappa dB, L), and the
+# bound on the relative error against scipy, fixed before the fixed-depth
+# kernel was written: 2x the largest error of the earlier Lentz and
+# forward-series kernel on the same points (refs >= the smallest normal).
+# The error grows with a through the rounding of the exponent a ln x - x.
+MODEL_SHAPES = [(-5.0, 1, 5.3e-15), (-5.0, 4, 1.6e-14), (-5.0, 10, 4.1e-14),
+                (0.0, 40, 2.2e-13), (20.0, 10, 3.1e-12), (20.0, 40, 1.6e-11)]
+
+
+@pytest.mark.parametrize("kappa_db, num_elements, rtol", MODEL_SHAPES)
+def test_reg_lower_gamma_vs_scipy_at_model_shapes(kappa_db, num_elements, rtol):
+    a = gamma_fit(10.0 ** (kappa_db / 10.0), num_elements).p
+    # the points straddle the series/fraction switch at a + 1
+    x = np.concatenate([np.geomspace(1e-3 * a, 50.0 * a, 4001),
+                        [a + 1.0 - 1e-12, a + 1.0 + 1e-12]])
+    got = reg_lower_gamma(a, x)
+    np.testing.assert_allclose(got, gammainc(a, x), rtol=rtol, atol=np.finfo(float).tiny)
+    # one depth per call serves the whole mixed array
+    single = np.array([reg_lower_gamma(a, float(v)) for v in x])
+    assert np.max(np.abs(got - single)) <= 1e-15
 
 
 def test_reg_lower_gamma_vectorized_matches_scalar():
@@ -74,7 +113,7 @@ def test_reg_lower_gamma_vectorized_matches_scalar():
     assert np.max(np.abs(vec - scal)) < 1e-15
 
 
-@given(a=st.floats(0.05, 60.0), x1=st.floats(0.0, 100.0), x2=st.floats(0.0, 100.0))
+@given(a=st.floats(0.05, 5000.0), x1=st.floats(0.0, 100.0), x2=st.floats(0.0, 100.0))
 @settings(max_examples=200, deadline=None)
 def test_reg_lower_gamma_monotone_and_bounded(a, x1, x2):
     lo, hi = sorted((x1, x2))
@@ -88,14 +127,26 @@ def test_lower_gamma_saturates_at_gamma():
     assert lower_incomplete_gamma(3.7, 500.0) == pytest.approx(math.gamma(3.7), rel=1e-14)
 
 
+def test_depth_passes_fail_to_converge(monkeypatch):
+    # the series, the fraction and e^x E1(x) each read their depth from a
+    # scalar pass bounded by _MAX_ITER
+    monkeypatch.setattr(numerics, "_MAX_ITER", 1)
+    for call, what in ((lambda: reg_lower_gamma(16.8, 5.0), "series"),
+                       (lambda: reg_lower_gamma(16.8, 30.0), "continued fraction"),
+                       (lambda: exp_e1(np.array([3.0])), "continued fraction")):
+        with pytest.raises(NumericIntegrityError, match=f"{what} failed to converge"):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # scaled exponential integral e^x E1(x)
 # ---------------------------------------------------------------------------
 
 def test_exp_e1_vs_scipy():
-    # both branches, and the series/continued-fraction switch at x = 2
+    # both branches, the series/continued-fraction switch at x = 2 and the
+    # fraction's band edge at x = 10
     x = np.concatenate([np.geomspace(1e-12, 700.0, 20001),
-                        [2.0 - 1e-12, 2.0, 2.0 + 1e-12]])
+                        [2.0 - 1e-12, 2.0, 2.0 + 1e-12, 10.0 - 1e-12, 10.0, 10.0 + 1e-12]])
     np.testing.assert_allclose(exp_e1(x), np.exp(x) * exp1(x), rtol=5e-14, atol=0.0)
 
 
@@ -105,6 +156,20 @@ def test_exp_e1_vs_asymptotic_series():
     x = np.geomspace(700.0, 1e12, 2001)
     series = sum((-1) ** k * math.factorial(k) / x ** (k + 1) for k in range(8))
     np.testing.assert_allclose(exp_e1(x), series, rtol=5e-14, atol=0.0)
+
+
+def test_exp_e1_series_is_polyval():
+    # the in-place Horner loop keeps polyval's operation order: bit-identical
+    x = np.linspace(0.0, 2.0, 10002)[1:-1]
+    ref = np.exp(x) * (-_EULER_GAMMA - np.log(x)
+                       - np.polynomial.polynomial.polyval(x, _E1_SERIES))
+    assert np.array_equal(exp_e1(x), ref)
+
+
+def test_exp_e1_at_infinity():
+    assert float(exp_e1(math.inf)) == 0.0
+    got = exp_e1(np.array([math.inf, 1.0, 30.0]))
+    assert got[0] == 0.0 and np.all(got[1:] > 0.0)
 
 
 def test_exp_e1_shape_and_domain():
