@@ -68,11 +68,16 @@ def _hyp_factor(z: np.ndarray) -> np.ndarray:
     3/(4z) [(1 + z) artanh(sqrt z)/sqrt z - 1], taken above z = 1/2 with
     artanh(sqrt z) = log1p(sqrt z) - log1p(-z)/2 (1 - z is exact there).
     At and below 1/2 the closed form cancels toward 0/0, so the Taylor
-    series is summed instead.
+    series is summed instead, by in-place Horner.
     """
     out = np.empty_like(z)
     lo = z <= 0.5
-    out[lo] = np.polynomial.polynomial.polyval(z[lo], _HYP_SERIES)
+    zs = z[lo]
+    poly = np.full_like(zs, _HYP_SERIES[-1])
+    for coef in _HYP_SERIES[-2::-1]:
+        poly *= zs
+        poly += coef
+    out[lo] = poly
     hi = z[~lo]
     root = np.sqrt(hi)
     artanh = np.log1p(root) - 0.5 * np.log1p(-hi)

@@ -10,11 +10,13 @@ the exponential residual-interference power, and the disk-law user
 distances.
 
 Random-number stream: trials run in fixed-size blocks, and each block
-reads six counter-based substreams keyed by (seed, block, purpose): h_s,
-h_r, h_t, the surface noise n_s, the residual power E and the distance
-uniforms U.  Only the trial count shapes what is drawn; the config acts
-afterwards, through h = los + sc z, n_s = sqrt(sigma_s^2 / 2) z,
-y = sigma_re^2 E and d = D sqrt(U).  The element streams are drawn one
+reads six SFC64 substreams keyed by SeedSequence spawn keys (seed, block,
+purpose): h_s, h_r, h_t, the surface noise n_s, the residual power E and
+the distance uniforms U.  No state is shared across blocks or purposes.
+Only the trial count shapes what is drawn; the config acts afterwards,
+through h = los + sc z, n_s = sqrt(sigma_s^2 / 2) z, y = sigma_re^2 E and
+d = D sqrt(U), whose path loss d^-alpha is formed once per block for each
+(D, alpha) in the call.  The element streams are drawn one
 element row at a time, in element order, and reduced to running sums as
 they go, so the L-element draw is exactly the first L rows of any larger
 draw (the prefix property), and a lone point's reduction is the same
@@ -59,7 +61,7 @@ BLOCK_TRIALS = 8192
 
 SCHEMES = ("astars_noma", "astars_oma", "pstars_noma")
 
-# a block's substreams; the index selects each one's counter range
+# a block's substreams; the index is the second word of each one's spawn key
 _PURPOSES = ("h_s", "h_r", "h_t", "n_s", "E", "U")
 
 class _Terms(NamedTuple):
@@ -85,12 +87,11 @@ class Estimate:
 
 
 def _stream(seed: int, block: int, purpose: str) -> np.random.Generator:
-    """The block's substream for one purpose: Philox keyed by (seed, block),
-    its counter started at the purpose's index in the top word, which
-    keeps the six streams 2^192 draws apart."""
-    key = np.array([seed % 2 ** 64, block], dtype=np.uint64)
-    counter = np.array([0, 0, 0, _PURPOSES.index(purpose)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(counter=counter, key=key))
+    """The block's substream for one purpose: SFC64 seeded by a
+    SeedSequence with entropy seed mod 2^64 and spawn key (block, purpose
+    index), so each (seed, block, purpose) has its own hashed state."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        seed % 2 ** 64, spawn_key=(block, _PURPOSES.index(purpose)))))
 
 
 def _element_rows(seed: int, block: int, size: int, purpose: str) -> Iterator[np.ndarray]:
@@ -136,31 +137,32 @@ def _element_sums(seed: int, block: int, size: int, kappas: Sequence[float],
 
 
 def _terms(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict,
-           residual: np.ndarray, radial: np.ndarray) -> _Terms:
+           residual: np.ndarray, loss: np.ndarray) -> _Terms:
     """A block's power-free per-trial terms at cfg, from the element sums
     at its K-factor and element count, the standard exponentials of the
-    residual power and the two users' distances on the unit disk.
+    residual power and the two users' surface-to-user path losses
+    d^-alpha at cfg's radius and exponent (row 0 the reflection user,
+    row 1 the transmission user).
 
     The phase controller aligns the cascade, so its amplitude is the sum of
     per-element products of envelopes; the thermal noise keeps its random
     phases and rides the same path loss.  In mean-noise mode the drawn
     noise power is replaced by its analysis value zeta sigma_s^2.
     """
-    alpha = cfg.path_alpha
     eta0 = cfg.path_eta0
+    bs_loss = eta0 ** 2 * cfg.dist_bs ** -cfg.path_alpha
 
     def side(user, row, beta):
-        dist = cfg.radius_d * radial[row]
-        gain = eta0 ** 2 * (cfg.dist_bs * dist) ** -alpha * amp[user] ** 2
+        pl = loss[row]
+        gain = bs_loss * pl * amp[user] ** 2
         if scheme == "pstars_noma":
-            noise_amp = np.zeros(dist.shape)
+            noise_amp = np.zeros(pl.shape)
         elif cfg.mean_noise_mode:
             zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
-            noise_amp = (cfg.amp_lambda * beta * eta0 * dist ** -alpha
-                         * zeta * cfg.noise_sigma_s2) * np.ones(dist.shape)
+            noise_amp = cfg.amp_lambda * beta * eta0 * zeta * cfg.noise_sigma_s2 * pl
         else:
             noise_sum = 0.5 * cfg.noise_sigma_s2 * np.abs(nsum[user]) ** 2
-            noise_amp = cfg.amp_lambda * beta * eta0 * dist ** -alpha * noise_sum
+            noise_amp = cfg.amp_lambda * beta * eta0 * pl * noise_sum
         return gain, noise_amp
 
     g_r, noise_r = side("h_r", 0, cfg.beta_r)
@@ -175,6 +177,8 @@ def _block_terms(seed: int, block: int, size: int,
     any power-free term is not finite."""
     residual = _stream(seed, block, "E").standard_exponential(size)
     radial = sample_distance(_stream(seed, block, "U"), 1.0, (2, size))
+    loss = {key: (key[0] * radial) ** -key[1]
+            for key in dict.fromkeys((cfg.radius_d, cfg.path_alpha) for cfg, _ in points)}
     by_length: dict[int, list[int]] = {}
     for i, (cfg, _) in enumerate(points):
         by_length.setdefault(cfg.num_elements, []).append(i)
@@ -185,7 +189,8 @@ def _block_terms(seed: int, block: int, size: int,
     for L, at_l in zip(range(1, max(by_length) + 1), sums):
         for i in by_length.get(L, ()):
             cfg, scheme = points[i]
-            terms = _terms(cfg, scheme, *at_l[cfg.rician_kappa], residual, radial)
+            terms = _terms(cfg, scheme, *at_l[cfg.rician_kappa], residual,
+                           loss[cfg.radius_d, cfg.path_alpha])
             if not all(np.isfinite(t).all() for t in terms):
                 raise NumericIntegrityError(
                     f"non-finite power-free term: {scheme} block {block} at L = {L}")
@@ -255,7 +260,10 @@ def _partials(cfg: NetworkConfig, scheme: str, terms: _Terms,
 
 def _estimates(partials: Sequence[dict], trials: int, tag: str) -> dict[str, Estimate]:
     """Reduce one power's per-block partials, in block order: outage counts
-    get the binomial CI, (sum, sum of squares) the sample-variance CI."""
+    get the binomial (Wald) CI, (sum, sum of squares) the sample-variance
+    CI.  An outage cell with no events, or with every trial an event, gets
+    the exact one-sided Clopper-Pearson bound 1 - 0.025^(1/n) (about 3.69/n)
+    instead of the Wald width 0."""
     estimates: dict[str, Estimate] = {}
     for key, first in partials[0].items():
         if isinstance(first, tuple):
@@ -264,11 +272,15 @@ def _estimates(partials: Sequence[dict], trials: int, tag: str) -> dict[str, Est
             mean = total / trials
             var = (max(total_sq - total * total / trials, 0.0) / (trials - 1)
                    if trials > 1 else 0.0)
+            halfwidth = 1.96 * math.sqrt(var / trials)
         else:
-            mean = sum(p[key] for p in partials) / trials
-            var = max(mean * (1.0 - mean), 0.0)
+            events = sum(p[key] for p in partials)
+            mean = events / trials
+            halfwidth = (1.96 * math.sqrt(mean * (1.0 - mean) / trials)
+                         if 0 < events < trials
+                         else -math.expm1(math.log(0.025) / trials))
         estimates[key] = Estimate(mean=mean, trials=trials, kind=tag + key,
-                                  ci95_halfwidth=1.96 * math.sqrt(var / trials))
+                                  ci95_halfwidth=halfwidth)
     return estimates
 
 

@@ -27,18 +27,18 @@ CFG = NetworkConfig()
 # frozen at seed=123456789, 10^6 trials, Q_tot = 30 dBm (active budget)
 ARCHIVE_PS = 0.9997799994000122
 ARCHIVE = {
-    "outage_r_ipsic": (6.5e-05, 1.5801511612500876e-05),
-    "outage_r_psic": (0.0, 0.0),
-    "outage_system_ipsic": (6.8e-05, 1.6162024515561163e-05),
-    "outage_system_psic": (3e-06, 3.3948144906018062e-06),
-    "outage_t": (3e-06, 3.3948144906018062e-06),
-    "rate_r_ipsic": (4.981924231741836, 0.0031740335428226954),
-    "rate_r_psic": (5.795969434919661, 0.002986761335415983),
-    "rate_t": (1.6751947444730715, 9.787172567736276e-05),
-    "throughput_limited_ipsic": (1.999932, 1.616203259660097e-05),
-    "throughput_limited_psic": (1.999997, 3.3948161881032863e-06),
-    "throughput_tolerant_ipsic": (6.657118976214906, 0.0031864720954490593),
-    "throughput_tolerant_psic": (7.471164179392733, 0.003000272935492205),
+    "outage_r_ipsic": (7.7e-05, 1.7198268027728837e-05),
+    "outage_r_psic": (0.0, 3.688872650206489e-06),
+    "outage_system_ipsic": (7.9e-05, 1.7420172920335778e-05),
+    "outage_system_psic": (2e-06, 2.7718558103912984e-06),
+    "outage_t": (2e-06, 2.7718558103912984e-06),
+    "rate_r_ipsic": (4.9829985802801495, 0.0031773247407327985),
+    "rate_r_psic": (5.796470891248828, 0.002987796501479051),
+    "rate_t": (1.6751490899615826, 9.771629758639294e-05),
+    "throughput_limited_ipsic": (1.999921, 1.7420181630451733e-05),
+    "throughput_limited_psic": (1.999998, 2.7718571962991363e-06),
+    "throughput_tolerant_ipsic": (6.658147670241731, 0.0031899663300625834),
+    "throughput_tolerant_psic": (7.47161998121041, 0.003001576508036357),
 }
 
 
@@ -117,6 +117,20 @@ def test_element_rows_are_prefixes_of_a_larger_draw(purpose, L):
 def test_purposes_draw_distinct_streams():
     first = {p: _stream(6, 0, p).standard_normal(8) for p in mc._PURPOSES}
     assert len({row.tobytes() for row in first.values()}) == len(mc._PURPOSES)
+
+
+def test_stream_keys():
+    # every (seed, block, purpose) key opens its own stream
+    keys = [(seed, block, p) for seed in (0, 1, 2 ** 63) for block in range(64)
+            for p in mc._PURPOSES]
+    first = {_stream(*key).standard_normal(8).tobytes() for key in keys}
+    assert len(first) == len(keys)
+    # the seed is read mod 2^64, so a negative seed is accepted
+    for seed in (0, 5, 2 ** 63 + 7, -1, -(2 ** 70)):
+        draw = _stream(seed, 3, "n_s").standard_normal(8)
+        assert np.array_equal(draw, _stream(seed + 2 ** 64, 3, "n_s").standard_normal(8))
+    assert np.array_equal(_stream(-1, 0, "U").random(8),
+                          _stream(2 ** 64 - 1, 0, "U").random(8))
 
 
 def test_non_finite_draw_raises_naming_scheme_block_and_length(monkeypatch):
@@ -257,7 +271,10 @@ def test_sweep_point_equals_its_lone_call(workers):
               for L in (1, 2, 7, 40) for scheme in SCHEMES]
     points += [(replace(CFG, rician_kappa=10.0, num_elements=7), "astars_noma", powers[1]),
                (replace(CFG, mean_noise_mode=True, amp_lambda=8.0), "astars_noma", powers),
-               (replace(CFG, radius_d=20.0, a_r=0.2, a_t=0.8), "astars_oma", powers[0])]
+               (replace(CFG, radius_d=20.0, a_r=0.2, a_t=0.8), "astars_oma", powers[0]),
+               # three (radius_d, path_alpha) path-loss keys in one block
+               (replace(CFG, path_alpha=3.0, num_elements=2), "astars_noma", powers),
+               (replace(CFG, radius_d=20.0, num_elements=7), "pstars_noma", powers[1])]
     swept = simulate(points, trials=trials, seed=41, workers=workers)
     assert len(swept) == len(points)
     for point, got in zip(points, swept):
@@ -314,6 +331,23 @@ def test_ci_definitions():
     rate = sims["rate_r_psic"]
     assert rate.ci95_halfwidth > 0.0
     assert rate.trials == 50_000
+
+
+def test_zero_event_outage_cell_has_exact_bound():
+    # 0 events, or n of n, get the exact one-sided Clopper-Pearson bound
+    # 1 - 0.025^(1/n) (about 3.69/n), not the Wald width 0
+    n = 20_000
+    bound = 1.0 - 0.025 ** (1.0 / n)
+    never = simulate(replace(CFG, target_rate_r=0.0, target_rate_t=0.0), "astars_noma",
+                     dbm_to_watts(0.0), trials=n)
+    sure = simulate(replace(CFG, target_rate_t=2.0), "astars_noma", dbm_to_watts(30.0),
+                    trials=n)
+    cells = (never["outage_r_psic"], never["outage_t"], sure["outage_t"],
+             sure["outage_r_psic"])
+    assert [est.mean for est in cells] == [0.0, 0.0, 1.0, 1.0]
+    for est in cells:
+        assert est.ci95_halfwidth == pytest.approx(bound, rel=1e-9)
+        assert est.ci95_halfwidth == pytest.approx(3.689 / n, rel=1e-3)
 
 
 def test_rate_t_estimate_respects_allocation_ceiling():
