@@ -16,11 +16,11 @@ the distance uniforms U.  No state is shared across blocks or purposes.
 Only the trial count shapes what is drawn; the config acts afterwards,
 through h = los + sc z, n_s = sqrt(sigma_s^2 / 2) z, y = sigma_re^2 E and
 d = D sqrt(U), whose path loss d^-alpha is formed once per block for each
-(D, alpha) in the call.  The element streams are drawn one
-element row at a time, in element order, and reduced to running sums as
-they go, so the L-element draw is exactly the first L rows of any larger
-draw (the prefix property), and a lone point's reduction is the same
-sequential loop stopped at its L.
+(D, alpha) in the call.  The element streams are drawn one element row at
+a time, in element order, and reduced to running sums as they go, so the
+L-element draw is exactly the first L rows of any larger draw (the prefix
+property), and a lone point's reduction is the same sequential loop
+stopped at its L.
 
 One ``simulate`` call evaluates a list of points (config, scheme, powers)
 on one draw per block: element counts are read off the running sums,

@@ -135,9 +135,8 @@ def test_sweep_worker_count_does_not_change_csv(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 3])
 def test_sweep_matches_golden_csv(tmp_path, workers):
-    # frozen with one simulate call per (point, scheme), before power
-    # batching; the analytic column is frozen too, so a quadrature change
-    # must re-freeze these files
+    # the MC columns pin the simulator's stream and the analytic column
+    # the quadrature, so a change to either must re-freeze these files
     spec = SweepSpec(axis="q_tot_dbm", values=(-20.0, -8.0, 0.0, 15.0, 30.0),
                      metrics=("outage_r", "rate_t"), modes=(SicMode.PSIC, SicMode.IPSIC),
                      schemes=("astars_noma", "astars_oma", "pstars_noma"))
