@@ -45,10 +45,13 @@ __all__ = [
 CSV_HEADER = ["axis_name", "axis_value", "metric", "mode", "scheme",
               "analytic", "mc_mean", "mc_ci95", "trials", "flag"]
 
-METRICS = ("outage_r", "outage_t", "outage_system",
-           "rate_r", "rate_t", "throughput_limited", "throughput_tolerant")
+METRICS = mc.METRICS
 
 _MODE_FREE_METRICS = frozenset({"outage_t", "rate_t"})
+
+# the metric families validate's agreement and ordering gates read
+_VALIDATE_METRICS = ("outage_r", "outage_t", "outage_system",
+                     "rate_r", "rate_t", "throughput_limited")
 
 # config key -> (dataclass field, parser)
 _CONFIG_KEYS = {
@@ -139,8 +142,14 @@ class SweepSpec:
             raise ConfigError(f"unknown sweep axis {self.axis!r}")
         if not self.values:
             raise ConfigError("sweep needs a nonempty value grid")
-        if not self.metrics:
-            raise ConfigError("sweep needs at least one metric")
+        for name, entries in (("metric", self.metrics), ("SIC mode", self.modes),
+                              ("scheme", self.schemes)):
+            if not entries:
+                raise ConfigError(f"sweep needs at least one {name}")
+            repeated = sorted({getattr(e, "value", e) for e in entries
+                               if entries.count(e) > 1})
+            if repeated:
+                raise ConfigError(f"sweep lists {name} {', '.join(repeated)} more than once")
         for m in self.metrics:
             if m not in METRICS:
                 raise ConfigError(f"unknown metric {m!r}")
@@ -234,7 +243,8 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
                 powers_by_group.setdefault((cfg_pt, scheme), []).append(ps)
             cells.append((value, cfg_pt, scheme, ps))
     points = [(*group, powers) for group, powers in powers_by_group.items()]
-    sims = (mc.simulate(points, trials=trials, seed=seed, workers=workers)
+    sims = (mc.simulate(points, trials=trials, seed=seed, workers=workers,
+                        metrics=spec.metrics)
             if points else [])
     # each group's estimates come back in the order its cells were listed
     sims_by_group = {group: iter(group_sims)
@@ -420,7 +430,8 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
               (cfg, "pstars_noma", ps_passive))
     sims = mc.simulate([(cfg_s, scheme, list(by_dbm.values()))
                         for cfg_s, scheme, by_dbm in groups],
-                       trials=trials, seed=seed, workers=workers)
+                       trials=trials, seed=seed, workers=workers,
+                       metrics=_VALIDATE_METRICS)
     noma, noma_rates, oma, pst = (dict(zip(by_dbm, group_sims))
                                   for (_, _, by_dbm), group_sims in zip(groups, sims))
 

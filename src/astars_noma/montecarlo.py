@@ -28,6 +28,10 @@ every other config axis and every scheme is applied to the same sums, and
 every power to the same per-trial terms.  The points of a call thus share
 common random numbers: differences between them come out tighter, and
 each point's own estimate is what a call with that point alone gives.
+A call estimates only the metric families its caller names: at each
+power the outage indicators are formed only for the outage and
+delay-limited families, and the log2(1 + SINR) arrays only for the rate
+and delay-tolerant ones.
 
 Determinism contract: per-block partials are reduced in block order with
 exact (fsum) accumulation, so results are bit-identical for a given
@@ -51,6 +55,7 @@ from .numerics import NumericIntegrityError
 __all__ = [
     "BLOCK_TRIALS",
     "Estimate",
+    "METRICS",
     "SCHEMES",
     "budget_to_ps",
     "simulate",
@@ -60,6 +65,15 @@ __all__ = [
 BLOCK_TRIALS = 8192
 
 SCHEMES = ("astars_noma", "astars_oma", "pstars_noma")
+
+# the metric families simulate can estimate; NOMA schemes key the
+# reflection user's families by SIC mode (outage_r_psic, ...), OMA bare
+METRICS = ("outage_r", "outage_t", "outage_system",
+           "rate_r", "rate_t", "throughput_limited", "throughput_tolerant")
+
+# the families read off the outage indicators, and off the log2(1 + gamma) arrays
+_OUTAGE_READERS = frozenset({"outage_r", "outage_t", "outage_system", "throughput_limited"})
+_RATE_READERS = frozenset({"rate_r", "rate_t", "throughput_tolerant"})
 
 # a block's substreams; the index is the second word of each one's spawn key
 _PURPOSES = ("h_s", "h_r", "h_t", "n_s", "E", "U")
@@ -223,38 +237,58 @@ def _moments(values: np.ndarray) -> tuple[float, float]:
     return float(values.sum()), float((values * values).sum())
 
 
-def _partials(cfg: NetworkConfig, scheme: str, terms: _Terms,
-              ps: float) -> dict[str, int | tuple[float, float]]:
-    """Raw partial sums of one block at one transmit power, keyed by the
-    metric names of the estimates: event counts for outages, (sum, sum of
-    squares) for rates and throughputs."""
+def _partials(cfg: NetworkConfig, scheme: str, terms: _Terms, ps: float,
+              metrics: frozenset[str]) -> dict[str, int | tuple[float, float]]:
+    """Raw partial sums of one block at one transmit power for the metric
+    families in metrics, keyed by the metric names of the estimates: event
+    counts for outages, (sum, sum of squares) for rates and throughputs.
+    The outage indicators are formed only when an outage family or
+    throughput_limited is asked for, the log2(1 + gamma) arrays only when a
+    rate family or throughput_tolerant is; each value is the one the full
+    set gives."""
+    outages = not metrics.isdisjoint(_OUTAGE_READERS)
+    rates = not metrics.isdisjoint(_RATE_READERS)
+    out_t = rate_t = None
     if scheme == "astars_oma":
         # dedicated slots: full power, doubled spectral-efficiency target,
         # per-user rate halved by the slot structure
         gamma_r, gamma_t = _sinrs(cfg, scheme, terms, ps)
-        out_t = gamma_t <= target_sinr(2.0 * cfg.target_rate_t)
-        rate_t = 0.5 * np.log2(1.0 + gamma_t)
-        by_mode = {"": (gamma_r <= target_sinr(2.0 * cfg.target_rate_r),
-                        0.5 * np.log2(1.0 + gamma_r))}
+        if outages:
+            out_t = gamma_t <= target_sinr(2.0 * cfg.target_rate_t)
+        if rates:
+            rate_t = 0.5 * np.log2(1.0 + gamma_t)
+        by_mode = {"": (gamma_r <= target_sinr(2.0 * cfg.target_rate_r) if outages else None,
+                        0.5 * np.log2(1.0 + gamma_r) if rates else None)}
     else:
         gamma_r_hat = target_sinr(cfg.target_rate_r)
         gamma_t_hat = target_sinr(cfg.target_rate_t)
         gamma_r_to_t, gamma_r_psic, gamma_r_ipsic, gamma_t = _sinrs(cfg, scheme, terms, ps)
-        out_t = gamma_t <= gamma_t_hat
-        rate_t = np.log2(1.0 + gamma_t)
-        # the reflection user first decodes the transmission user's signal
-        by_mode = {f"_{mode}": ((gamma_r_to_t <= gamma_t_hat) | (gamma <= gamma_r_hat),
-                                np.log2(1.0 + gamma))
+        if outages:
+            out_t = gamma_t <= gamma_t_hat
+            # the reflection user first decodes the transmission user's signal
+            out_r_to_t = gamma_r_to_t <= gamma_t_hat
+        if rates:
+            rate_t = np.log2(1.0 + gamma_t)
+        by_mode = {f"_{mode}": (out_r_to_t | (gamma <= gamma_r_hat) if outages else None,
+                                np.log2(1.0 + gamma) if rates else None)
                    for mode, gamma in (("psic", gamma_r_psic), ("ipsic", gamma_r_ipsic))}
-    out: dict[str, int | tuple[float, float]] = {
-        "outage_t": int(out_t.sum()), "rate_t": _moments(rate_t)}
+    out: dict[str, int | tuple[float, float]] = {}
+    if "outage_t" in metrics:
+        out["outage_t"] = int(np.count_nonzero(out_t))
+    if "rate_t" in metrics:
+        out["rate_t"] = _moments(rate_t)
     for suffix, (out_r, rate_r) in by_mode.items():
-        lim = (1.0 - out_r) * cfg.target_rate_r + (1.0 - out_t) * cfg.target_rate_t
-        out[f"outage_r{suffix}"] = int(out_r.sum())
-        out[f"outage_system{suffix}"] = int((out_r | out_t).sum())
-        out[f"rate_r{suffix}"] = _moments(rate_r)
-        out[f"throughput_limited{suffix}"] = _moments(lim)
-        out[f"throughput_tolerant{suffix}"] = _moments(rate_r + rate_t)
+        if "outage_r" in metrics:
+            out[f"outage_r{suffix}"] = int(np.count_nonzero(out_r))
+        if "outage_system" in metrics:
+            out[f"outage_system{suffix}"] = int(np.count_nonzero(out_r | out_t))
+        if "rate_r" in metrics:
+            out[f"rate_r{suffix}"] = _moments(rate_r)
+        if "throughput_limited" in metrics:
+            out[f"throughput_limited{suffix}"] = _moments(
+                (1.0 - out_r) * cfg.target_rate_r + (1.0 - out_t) * cfg.target_rate_t)
+        if "throughput_tolerant" in metrics:
+            out[f"throughput_tolerant{suffix}"] = _moments(rate_r + rate_t)
     return out
 
 
@@ -298,7 +332,8 @@ def _map_blocks(fn: Callable, blocks: Iterable, workers: int) -> list:
 
 def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
              ps: float | Sequence[float] | None = None, trials: int | None = None,
-             seed: int | None = None, workers: int = 1) -> dict | list:
+             seed: int | None = None, workers: int = 1,
+             metrics: Iterable[str] | None = None) -> dict | list:
     """Run the block simulator at one point or at a list of points.
 
     A point is (cfg, scheme, ps), where ps is one transmit power or a
@@ -308,12 +343,17 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
     on one draw per block and returns, per point, what its lone call would
     return, bit for bit: the configs, schemes, element counts and powers
     that share a call change no point's estimates.  trials and seed default
-    to the first point's config.  The dicts are keyed by metric:
-    NOMA schemes: outage_r_psic, outage_r_ipsic, outage_t,
-    outage_system_psic, outage_system_ipsic, rate_r_psic, rate_r_ipsic,
-    rate_t, throughput_limited_{psic,ipsic}, throughput_tolerant_{psic,ipsic}.
-    astars_oma: outage_r, outage_t, outage_system, rate_r, rate_t,
-    throughput_limited, throughput_tolerant.
+    to the first point's config.
+
+    metrics names the metric families to estimate, from METRICS; None
+    means all of them.  Only the requested families are evaluated and
+    returned, each estimate bit-identical to the one a call with every
+    family gives.  The dicts are keyed by metric: for NOMA schemes the
+    reflection user's families carry the SIC mode (outage_r_psic,
+    outage_r_ipsic, outage_system_{psic,ipsic}, rate_r_{psic,ipsic},
+    throughput_limited_{psic,ipsic}, throughput_tolerant_{psic,ipsic}) and
+    outage_t and rate_t are bare; astars_oma keys every family bare.
+    An unknown family raises ConfigError, an empty set ValueError.
     """
     lone = isinstance(cfg, NetworkConfig)
     points = [(cfg, scheme, ps)] if lone else list(cfg)
@@ -329,6 +369,12 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
         for p in powers:
             _check_power(p)
         runs.append((cfg_p, scheme_p, powers))
+    families = frozenset(METRICS if metrics is None else metrics)
+    if not families:
+        raise ValueError("at least one metric family required")
+    if not families <= set(METRICS):
+        raise ConfigError(f"unknown metric families {sorted(families - set(METRICS))}; "
+                          f"expected some of {METRICS}")
     trials = points[0][0].mc_trials if trials is None else int(trials)
     if trials < 1:
         raise ValueError("at least one trial required")
@@ -340,7 +386,7 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
         out: list = [None] * len(runs)
         for i, terms in _block_terms(seed, block, sizes[block], kernels):
             c, s, powers = runs[i]
-            out[i] = [_partials(c, s, terms, p) for p in powers]
+            out[i] = [_partials(c, s, terms, p, families) for p in powers]
         return out
 
     by_block = _map_blocks(run, range(len(sizes)), workers)

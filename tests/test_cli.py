@@ -148,12 +148,14 @@ def test_sweep_matches_golden_csv(tmp_path, workers):
 
 
 def _count_simulate_calls(monkeypatch) -> list:
-    """Record each simulate call as its list of (L, scheme, power count)."""
+    """Record each simulate call as its list of (L, scheme, power count)
+    and the metric families it asks for."""
     calls = []
     real = mc.simulate
 
     def counting(points, **kwargs):
-        calls.append([(cfg.num_elements, scheme, len(ps)) for cfg, scheme, ps in points])
+        calls.append(([(cfg.num_elements, scheme, len(ps)) for cfg, scheme, ps in points],
+                      kwargs.get("metrics")))
         return real(points, **kwargs)
 
     monkeypatch.setattr(mc, "simulate", counting)
@@ -174,19 +176,21 @@ def _count_block_draws(monkeypatch) -> list:
 
 
 def test_sweep_simulates_once_per_config_and_scheme(tmp_path, monkeypatch):
-    # one call per sweep, with one point per (config, scheme)
+    # one call per sweep, with one point per (config, scheme), asking for
+    # the sweep's metric families only
     calls = _count_simulate_calls(monkeypatch)
     cfg = NetworkConfig()
     # -45 dBm is infeasible for both schemes and is left out of the call
     power = SweepSpec(axis="q_tot_dbm", values=(-45.0, 10.0, 20.0, 30.0),
                       metrics=("outage_r",), schemes=("astars_noma", "pstars_noma"))
     run_sweep(cfg, power, tmp_path / "q", trials=TRIALS, plots=False)
-    assert calls == [[(10, "astars_noma", 3), (10, "pstars_noma", 3)]]
+    assert calls == [([(10, "astars_noma", 3), (10, "pstars_noma", 3)], ("outage_r",))]
     calls.clear()
-    elements = SweepSpec(axis="num_elements", values=(4, 10), metrics=("outage_r",),
-                         fixed_q_tot_dbm=20.0)
+    elements = SweepSpec(axis="num_elements", values=(4, 10),
+                         metrics=("rate_t", "throughput_limited"), fixed_q_tot_dbm=20.0)
     run_sweep(cfg, elements, tmp_path / "L", trials=TRIALS, plots=False)
-    assert calls == [[(4, "astars_noma", 1), (10, "astars_noma", 1)]]
+    assert calls == [([(4, "astars_noma", 1), (10, "astars_noma", 1)],
+                      ("rate_t", "throughput_limited"))]
     calls.clear()
     infeasible = SweepSpec(axis="q_tot_dbm", values=(-45.0,), metrics=("outage_r",))
     run_sweep(cfg, infeasible, tmp_path / "none", trials=TRIALS, plots=False)
@@ -255,6 +259,14 @@ def test_sweep_spec_validation():
         SweepSpec(axis="q_tot_dbm", values=(1.0,), metrics=("nope",))
     with pytest.raises(ConfigError):
         SweepSpec(axis="num_elements", values=(2,), metrics=("outage_r",))
+    # an empty or repeated mode or scheme list, or a repeated metric
+    for lists in ({"modes": ()}, {"schemes": ()},
+                  {"metrics": ("outage_r", "outage_t", "outage_r")},
+                  {"modes": (SicMode.PSIC, SicMode.PSIC)},
+                  {"schemes": ("astars_noma", "astars_oma", "astars_noma")}):
+        with pytest.raises(ConfigError):
+            SweepSpec(**{"axis": "q_tot_dbm", "values": (1.0,), "metrics": ("outage_r",),
+                         **lists})
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +310,11 @@ def test_validate_all_gates_pass_and_report_written(tmp_path, monkeypatch):
     assert all(g.passed for g in gates)
     # one call with one point per (config, scheme); the main scheme's
     # agreement and ordering budgets share one point; each block drawn once
-    assert [[(scheme, n) for _, scheme, n in call] for call in calls] == [[
+    assert [[(scheme, n) for _, scheme, n in call] for call, _ in calls] == [[
         ("astars_noma", 5), ("astars_noma", 3), ("astars_oma", 4), ("pstars_noma", 4)]]
+    # every family the gates read, and not the delay-tolerant throughput
+    assert [set(metrics) for _, metrics in calls] == [{
+        "outage_r", "outage_t", "outage_system", "rate_r", "rate_t", "throughput_limited"}]
     assert blocks == [0, 1, 2]
     report = tmp_path / "gates.csv"
     assert report.exists()
@@ -559,6 +574,18 @@ def test_cli_nonpositive_trials_or_workers_exits_1(tmp_path, capsys, flag):
                "--stop", "10"])
     assert rc == 1
     assert f"{flag} must be >= 1" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("lists", [["--modes", ","], ["--schemes", ","],
+                                   ["--schemes", "astars_noma,astars_noma"],
+                                   ["--modes", "pSIC,pSIC"],
+                                   ["--metrics", "outage_t,outage_t"]])
+def test_cli_sweep_empty_or_repeated_list_exits_1(tmp_path, capsys, lists):
+    rc = main(["--out", str(tmp_path), "--trials", "100", "sweep", "--start", "10",
+               "--stop", "12.5", *lists])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
 
 

@@ -401,7 +401,7 @@ def test_pstars_reduction_matches_unamplified_astars():
 def test_scheme_metric_keys():
     ps = dbm_to_watts(20.0)
     sims = {s: simulate(CFG, s, ps, trials=10_000) for s in SCHEMES}
-    assert set(sims["astars_oma"]) == {
+    assert set(sims["astars_oma"]) == set(mc.METRICS) == {
         "outage_r", "outage_t", "outage_system", "rate_r", "rate_t",
         "throughput_limited", "throughput_tolerant"}
     noma_keys = {"outage_r_psic", "outage_r_ipsic", "outage_t",
@@ -413,8 +413,28 @@ def test_scheme_metric_keys():
     for scheme, estimates in sims.items():
         for key, est in estimates.items():
             assert est.kind == f"{scheme}:{key}"
+    # a family subset gets exactly its families' keys, each estimate the
+    # full call's bit for bit; the throughputs alone still read the
+    # outage indicators or the rate arrays they are built from
+    subsets = [("throughput_tolerant",), ("throughput_limited",), ("outage_system",),
+               ("outage_r", "outage_t"), ("rate_r", "rate_t"),
+               ("outage_t", "rate_r", "throughput_limited")]
+    for scheme in SCHEMES:
+        for families in subsets:
+            for workers in (1, 2):
+                got = simulate(CFG, scheme, ps, trials=10_000, workers=workers,
+                               metrics=families)
+                keys = {k for k in sims[scheme]
+                        if k.removesuffix("_psic").removesuffix("_ipsic") in families}
+                assert set(got) == keys, (scheme, families)
+                assert got == {k: sims[scheme][k] for k in keys}, (scheme, families)
     with pytest.raises(ConfigError):
         simulate(CFG, "no_such_scheme", ps, trials=10)
+    with pytest.raises(ConfigError):
+        simulate(CFG, "astars_noma", ps, trials=10, metrics=("outage_r", "outage_r_psic"))
+    with pytest.raises(ValueError) as empty:
+        simulate(CFG, "astars_noma", ps, trials=10, metrics=())
+    assert type(empty.value) is ValueError
 
 
 def test_throughput_estimates_are_consistent_compositions():
