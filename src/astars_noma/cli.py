@@ -45,13 +45,11 @@ __all__ = [
 CSV_HEADER = ["axis_name", "axis_value", "metric", "mode", "scheme",
               "analytic", "mc_mean", "mc_ci95", "trials", "flag"]
 
-METRICS = mc.METRICS
+# the metrics a sweep writes; each outage reader's cells come from its
+# conditional family
+METRICS = tuple(m for m in mc.METRICS if m not in mc.CONDITIONAL.values())
 
 _MODE_FREE_METRICS = frozenset({"outage_t", "rate_t"})
-
-# the metric families validate's agreement and ordering gates read
-_VALIDATE_METRICS = ("outage_r", "outage_t", "outage_system",
-                     "rate_r", "rate_t", "throughput_limited")
 
 # config key -> (dataclass field, parser)
 _CONFIG_KEYS = {
@@ -220,8 +218,10 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
 
     Every row carries the analytic value (main scheme only; the baselines
     have no closed forms in scope) and the Monte Carlo estimate with its
-    confidence half-width.  Infeasible budget points are kept as flagged
-    rows with empty value cells.
+    confidence half-width: for the outage families and the delay-limited
+    throughput, the estimate conditional on the fades
+    (montecarlo.CONDITIONAL).  Infeasible budget points are kept as
+    flagged rows with empty value cells.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,8 +243,9 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
                 powers_by_group.setdefault((cfg_pt, scheme), []).append(ps)
             cells.append((value, cfg_pt, scheme, ps))
     points = [(*group, powers) for group, powers in powers_by_group.items()]
+    families = {metric: mc.CONDITIONAL.get(metric, metric) for metric in spec.metrics}
     sims = (mc.simulate(points, trials=trials, seed=seed, workers=workers,
-                        metrics=spec.metrics)
+                        metrics=tuple(families.values()))
             if points else [])
     # each group's estimates come back in the order its cells were listed
     sims_by_group = {group: iter(group_sims)
@@ -265,7 +266,8 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
                 if sims is not None:
                     if scheme == "astars_noma":
                         analytic_val = _ANALYTIC_FNS[metric](cfg_pt, mode, ps)
-                    est = sims[metric if mode_free else f"{metric}_{mode.value.lower()}"]
+                    family = families[metric]
+                    est = sims[family if mode_free else f"{family}_{mode.value.lower()}"]
                     mc_mean, mc_ci = est.mean, est.ci95_halfwidth
                     _check_cell(metric, analytic_val)
                     _check_cell(metric, mc_mean)
@@ -424,16 +426,18 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     ps_active = {q: mc.budget_to_ps(dbm_to_watts(q), cfg) for q in (*outage_dbms, *order_dbms)}
     ps_rates = {q: mc.budget_to_ps(dbm_to_watts(q), rates_cfg) for q in rate_dbms}
     ps_passive = {q: mc.budget_to_ps(dbm_to_watts(q), cfg, active=False) for q in order_dbms}
-    groups = ((cfg, "astars_noma", ps_active),
-              (rates_cfg, "astars_noma", ps_rates),
-              (cfg, "astars_oma", {q: ps_active[q] for q in order_dbms}),
-              (cfg, "pstars_noma", ps_passive))
-    sims = mc.simulate([(cfg_s, scheme, list(by_dbm.values()))
-                        for cfg_s, scheme, by_dbm in groups],
-                       trials=trials, seed=seed, workers=workers,
-                       metrics=_VALIDATE_METRICS)
+    # each with the metric families its gates read; the outage and order
+    # gates read the estimates conditional on the fades
+    groups = ((cfg, "astars_noma", ps_active, tuple(mc.CONDITIONAL.values())),
+              (rates_cfg, "astars_noma", ps_rates, ("rate_r", "rate_t")),
+              (cfg, "astars_oma", {q: ps_active[q] for q in order_dbms},
+               ("cond_throughput_limited",)),
+              (cfg, "pstars_noma", ps_passive, ("cond_outage_system",)))
+    sims = mc.simulate([(cfg_s, scheme, list(by_dbm.values()), families)
+                        for cfg_s, scheme, by_dbm, families in groups],
+                       trials=trials, seed=seed, workers=workers)
     noma, noma_rates, oma, pst = (dict(zip(by_dbm, group_sims))
-                                  for (_, _, by_dbm), group_sims in zip(groups, sims))
+                                  for (_, _, by_dbm, _), group_sims in zip(groups, sims))
 
     # 1. outage agreement
     for q_dbm in outage_dbms:
@@ -443,7 +447,7 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
                 ("outage_r_psic", an.outage_r(cfg, SicMode.PSIC, ps)),
                 ("outage_r_ipsic", an.outage_r(cfg, SicMode.IPSIC, ps)),
                 ("outage_t", an.outage_t(cfg, ps))):
-            est = sims[metric]
+            est = sims[f"cond_{metric}"]
             tol = max(0.02, 3.0 * est.ci95_halfwidth)
             diff = abs(value - est.mean)
             gate(f"agree/{metric}@{q_dbm:g}dBm", diff,
@@ -506,11 +510,13 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
 
     # 5. scheme orderings (CI-aware)
     for q_dbm in order_dbms:
-        t_n, t_o = noma[q_dbm]["throughput_limited_psic"], oma[q_dbm]["throughput_limited"]
+        t_n = noma[q_dbm]["cond_throughput_limited_psic"]
+        t_o = oma[q_dbm]["cond_throughput_limited"]
         slack = 3.0 * (t_n.ci95_halfwidth + t_o.ci95_halfwidth)
         gate(f"order/throughput_noma_vs_oma@{q_dbm:g}dBm", t_n.mean - t_o.mean,
              f">= -3ci={-slack:.3g}", t_n.mean - t_o.mean >= -slack)
-        s_n, s_p = noma[q_dbm]["outage_system_psic"], pst[q_dbm]["outage_system_psic"]
+        s_n = noma[q_dbm]["cond_outage_system_psic"]
+        s_p = pst[q_dbm]["cond_outage_system_psic"]
         slack = 3.0 * (s_n.ci95_halfwidth + s_p.ci95_halfwidth)
         gate(f"order/sysout_astars_vs_pstars@{q_dbm:g}dBm", s_p.mean - s_n.mean,
              f">= -3ci={-slack:.3g}", s_p.mean - s_n.mean >= -slack)

@@ -15,23 +15,39 @@ purpose): h_s, h_r, h_t, the surface noise n_s, the residual power E and
 the distance uniforms U.  No state is shared across blocks or purposes.
 Only the trial count shapes what is drawn; the config acts afterwards,
 through h = los + sc z, n_s = sqrt(sigma_s^2 / 2) z, y = sigma_re^2 E and
-d = D sqrt(U), whose path loss d^-alpha is formed once per block for each
-(D, alpha) in the call.  The element streams are drawn one element row at
-a time, in element order, and reduced to running sums as they go, so the
+d = D sqrt(U).  The element streams are drawn one element row at a time,
+in element order, and reduced to running sums as they go, so the
 L-element draw is exactly the first L rows of any larger draw (the prefix
 property), and a lone point's reduction is the same sequential loop
-stopped at its L.
+stopped at its L.  Each point's fades (squared cascade amplitudes,
+surface-noise powers, residual power) are formed from the sums; the path
+loss d^-alpha is formed once per block for each (D, alpha) in the call
+and applied to the fades afterwards.
 
-One ``simulate`` call evaluates a list of points (config, scheme, powers)
-on one draw per block: element counts are read off the running sums,
-every other config axis and every scheme is applied to the same sums, and
-every power to the same per-trial terms.  The points of a call thus share
-common random numbers: differences between them come out tighter, and
-each point's own estimate is what a call with that point alone gives.
-A call estimates only the metric families its caller names: at each
-power the outage indicators are formed only for the outage and
-delay-limited families, and the log2(1 + SINR) arrays only for the rate
-and delay-tolerant ones.
+Two estimators read the same fades.  The raw one applies the drawn
+distances and counts outage indicators or averages log2(1 + SINR); it is
+the ground truth, under the keys outage_r, rate_r, and so on.  The
+conditional one, under the cond_ keys, integrates the two user distances
+out exactly: every link SINR is a X / (b X + N + c d^alpha) in the fade
+terms X and N, so given the fades each decoding stage succeeds iff d lies
+inside a threshold distance, and the disk law gives P(outage | fades) in
+closed form.  Averaging that probability over trials (conditional Monte
+Carlo, a Rao-Blackwellization) keeps the mean and cannot widen the CI.
+It serves the outage families and the delay-limited throughput; a call
+that asks for neither a raw outage family nor a rate family does not draw
+the U stream.
+
+One ``simulate`` call evaluates a list of points (config, scheme, powers
+and, optionally, metric families) on one draw per block: element counts
+are read off the running sums, every other config axis and every scheme
+is applied to the same sums, and every power to the same per-trial terms.
+The points of a call thus share common random numbers: differences
+between them come out tighter, and each point's own estimate is what a
+call with that point alone gives.  A point estimates only the metric
+families it names: at each power the outage indicators are formed only
+for the raw outage and delay-limited families, the log2(1 + SINR) arrays
+only for the rate and delay-tolerant ones, and the conditional outage
+probabilities only for the cond_ families.
 
 Determinism contract: per-block partials are reduced in block order with
 exact (fsum) accumulation, so results are bit-identical for a given
@@ -54,6 +70,7 @@ from .numerics import NumericIntegrityError
 
 __all__ = [
     "BLOCK_TRIALS",
+    "CONDITIONAL",
     "Estimate",
     "METRICS",
     "SCHEMES",
@@ -66,22 +83,47 @@ BLOCK_TRIALS = 8192
 
 SCHEMES = ("astars_noma", "astars_oma", "pstars_noma")
 
-# the metric families simulate can estimate; NOMA schemes key the
-# reflection user's families by SIC mode (outage_r_psic, ...), OMA bare
+# the metric families simulate can estimate.  The first seven read the
+# drawn user distances: the outage families and throughput_limited through
+# the outage indicators, the rates and throughput_tolerant through
+# log2(1 + gamma).  Each cond_ family is an outage reader's estimate
+# conditional on the fades, with the two distances integrated out exactly.
+# NOMA schemes key the reflection user's families by SIC mode
+# (outage_r_psic, cond_outage_r_psic, ...), OMA bare
 METRICS = ("outage_r", "outage_t", "outage_system",
-           "rate_r", "rate_t", "throughput_limited", "throughput_tolerant")
+           "rate_r", "rate_t", "throughput_limited", "throughput_tolerant",
+           "cond_outage_r", "cond_outage_t", "cond_outage_system", "cond_throughput_limited")
+
+# each outage reader's conditional family
+CONDITIONAL = {m.removeprefix("cond_"): m for m in METRICS if m.startswith("cond_")}
 
 # the families read off the outage indicators, and off the log2(1 + gamma) arrays
-_OUTAGE_READERS = frozenset({"outage_r", "outage_t", "outage_system", "throughput_limited"})
+_OUTAGE_READERS = frozenset(CONDITIONAL)
 _RATE_READERS = frozenset({"rate_r", "rate_t", "throughput_tolerant"})
+# the families that read the drawn distances; a call without them skips the U stream
+_DISTANCE_READERS = _OUTAGE_READERS | _RATE_READERS
 
 # a block's substreams; the index is the second word of each one's spawn key
 _PURPOSES = ("h_s", "h_r", "h_t", "n_s", "E", "U")
 
+
+class _Fades(NamedTuple):
+    """Per-trial terms of a block that depend on neither the transmit
+    power nor the user distances: the squared cascade amplitudes, the drawn
+    surface-noise powers 1/2 sigma_s^2 |nsum|^2 at each user (None where
+    the point reads no drawn noise) and the residual-interference power."""
+
+    amp_sq_r: np.ndarray
+    amp_sq_t: np.ndarray
+    noise_r: np.ndarray | None
+    noise_t: np.ndarray | None
+    h_re_sq: np.ndarray
+
+
 class _Terms(NamedTuple):
-    """Per-trial terms of a block that do not depend on the transmit power:
-    the received-signal gains, the amplified-noise powers and the
-    residual-interference power."""
+    """Per-trial terms of a block that do not depend on the transmit power,
+    the drawn distances applied: the received-signal gains, the
+    amplified-noise powers and the residual-interference power."""
 
     g_r: np.ndarray
     g_t: np.ndarray
@@ -150,49 +192,70 @@ def _element_sums(seed: int, block: int, size: int, kappas: Sequence[float],
         yield sums
 
 
-def _terms(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict,
-           residual: np.ndarray, loss: np.ndarray) -> _Terms:
-    """A block's power-free per-trial terms at cfg, from the element sums
-    at its K-factor and element count, the standard exponentials of the
-    residual power and the two users' surface-to-user path losses
-    d^-alpha at cfg's radius and exponent (row 0 the reflection user,
-    row 1 the transmission user).
-
+def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict,
+           residual: np.ndarray) -> _Fades:
+    """A block's fades at cfg, from the element sums at its K-factor and
+    element count and the standard exponentials of the residual power.
     The phase controller aligns the cascade, so its amplitude is the sum of
     per-element products of envelopes; the thermal noise keeps its random
-    phases and rides the same path loss.  In mean-noise mode the drawn
-    noise power is replaced by its analysis value zeta sigma_s^2.
-    """
+    phases."""
+    drawn = scheme != "pstars_noma" and not cfg.mean_noise_mode
+
+    def noise(user):
+        return 0.5 * cfg.noise_sigma_s2 * np.abs(nsum[user]) ** 2 if drawn else None
+
+    return _Fades(amp["h_r"] ** 2, amp["h_t"] ** 2, noise("h_r"), noise("h_t"),
+                  cfg.noise_sigma_re2 * residual)
+
+
+def _terms(cfg: NetworkConfig, scheme: str, fades: _Fades, loss: np.ndarray) -> _Terms:
+    """A block's power-free per-trial terms at cfg: its fades with the two
+    users' surface-to-user path losses d^-alpha applied (row 0 the
+    reflection user, row 1 the transmission user).  The amplified noise
+    rides the same path loss as the gain.  In mean-noise mode the drawn
+    noise power is replaced by its analysis value zeta sigma_s^2."""
     eta0 = cfg.path_eta0
     bs_loss = eta0 ** 2 * cfg.dist_bs ** -cfg.path_alpha
 
-    def side(user, row, beta):
+    def side(amp_sq, noise, row, beta):
         pl = loss[row]
-        gain = bs_loss * pl * amp[user] ** 2
+        gain = bs_loss * pl * amp_sq
         if scheme == "pstars_noma":
             noise_amp = np.zeros(pl.shape)
         elif cfg.mean_noise_mode:
             zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
             noise_amp = cfg.amp_lambda * beta * eta0 * zeta * cfg.noise_sigma_s2 * pl
         else:
-            noise_sum = 0.5 * cfg.noise_sigma_s2 * np.abs(nsum[user]) ** 2
-            noise_amp = cfg.amp_lambda * beta * eta0 * pl * noise_sum
+            noise_amp = cfg.amp_lambda * beta * eta0 * pl * noise
         return gain, noise_amp
 
-    g_r, noise_r = side("h_r", 0, cfg.beta_r)
-    g_t, noise_t = side("h_t", 1, cfg.beta_t)
-    return _Terms(g_r, g_t, noise_r, noise_t, cfg.noise_sigma_re2 * residual)
+    g_r, noise_r = side(fades.amp_sq_r, fades.noise_r, 0, cfg.beta_r)
+    g_t, noise_t = side(fades.amp_sq_t, fades.noise_t, 1, cfg.beta_t)
+    return _Terms(g_r, g_t, noise_r, noise_t, fades.h_re_sq)
 
 
-def _block_terms(seed: int, block: int, size: int,
-                 points: Sequence[tuple[NetworkConfig, str]]) -> Iterator[tuple[int, _Terms]]:
-    """Draw one block once and yield (index, terms) for every (cfg, scheme)
-    of points, in order of element count.  Raises NumericIntegrityError if
-    any power-free term is not finite."""
-    residual = _stream(seed, block, "E").standard_exponential(size)
+def _path_losses(seed: int, block: int, size: int,
+                 keys: Iterable[tuple[float, float]]) -> dict:
+    """One block's surface-to-user path losses d^-alpha, rows (reflection
+    user, transmission user), for each (radius_d, path_alpha) of keys, all
+    from one draw of the U stream; with no keys nothing is drawn.  Raises
+    NumericIntegrityError if a loss is not finite."""
+    keys = tuple(dict.fromkeys(keys))
+    if not keys:
+        return {}
     radial = sample_distance(_stream(seed, block, "U"), 1.0, (2, size))
-    loss = {key: (key[0] * radial) ** -key[1]
-            for key in dict.fromkeys((cfg.radius_d, cfg.path_alpha) for cfg, _ in points)}
+    loss = {key: (key[0] * radial) ** -key[1] for key in keys}
+    if not all(np.isfinite(pl).all() for pl in loss.values()):
+        raise NumericIntegrityError(f"non-finite path loss: block {block}")
+    return loss
+
+
+def _block_fades(seed: int, block: int, size: int,
+                 points: Sequence[tuple[NetworkConfig, str]]) -> Iterator[tuple[int, _Fades]]:
+    """Draw one block's fades once and yield (index, fades) for every
+    (cfg, scheme) of points, in order of element count.  Raises
+    NumericIntegrityError if any fade term is not finite."""
+    residual = _stream(seed, block, "E").standard_exponential(size)
     by_length: dict[int, list[int]] = {}
     for i, (cfg, _) in enumerate(points):
         by_length.setdefault(cfg.num_elements, []).append(i)
@@ -203,12 +266,11 @@ def _block_terms(seed: int, block: int, size: int,
     for L, at_l in zip(range(1, max(by_length) + 1), sums):
         for i in by_length.get(L, ()):
             cfg, scheme = points[i]
-            terms = _terms(cfg, scheme, *at_l[cfg.rician_kappa], residual,
-                           loss[cfg.radius_d, cfg.path_alpha])
-            if not all(np.isfinite(t).all() for t in terms):
+            fades = _fades(cfg, scheme, *at_l[cfg.rician_kappa], residual)
+            if not all(np.isfinite(f).all() for f in fades if f is not None):
                 raise NumericIntegrityError(
-                    f"non-finite power-free term: {scheme} block {block} at L = {L}")
-            yield i, terms
+                    f"non-finite fade term: {scheme} block {block} at L = {L}")
+            yield i, fades
 
 
 def _sinrs(cfg: NetworkConfig, scheme: str, terms: _Terms,
@@ -233,8 +295,10 @@ def _sinrs(cfg: NetworkConfig, scheme: str, terms: _Terms,
             cfg.a_t * s_t / (cfg.a_r * s_t + terms.noise_t + sigma_02))
 
 
-def _moments(values: np.ndarray) -> tuple[float, float]:
-    return float(values.sum()), float((values * values).sum())
+def _moments(values: np.ndarray, work: np.ndarray | None = None) -> tuple[float, float]:
+    """(sum, sum of squares) of values; work, if given, takes the squares."""
+    return (float(np.add.reduce(values)),
+            float(np.add.reduce(np.multiply(values, values, out=work))))
 
 
 def _partials(cfg: NetworkConfig, scheme: str, terms: _Terms, ps: float,
@@ -292,12 +356,127 @@ def _partials(cfg: NetworkConfig, scheme: str, terms: _Terms, ps: float,
     return out
 
 
+def _thresholds(cfg: NetworkConfig, scheme: str,
+                fades: _Fades) -> tuple[list[tuple], dict[str, list[tuple]]]:
+    """One block's threshold coefficients at cfg, free of power and
+    distance: the transmission user's decoding stages, and the reflection
+    user's keyed by SIC-mode suffix ("_psic" and "_ipsic" for the NOMA
+    schemes, "" for astars_oma).
+
+    Every link SINR has the form A ps S pl / (B ps S pl + N pl + c) in the
+    user's path loss pl = d^-alpha, with S the signal and N the amplified
+    noise per unit path loss, so a decoding stage with target gamma_hat
+    succeeds iff (d/D)^alpha < t = (ps k x - y) / (1 + ps w), where
+    k = (A - B gamma_hat) / gamma_hat, x = S / (sigma_0^2 D^alpha),
+    y = N / (sigma_0^2 D^alpha), and w = sigma_re^2 E / sigma_0^2 on the
+    ipSIC own-signal stage and 0 elsewhere.  A stage is stored as
+    (k, x, 1 + y, w), with w None where it is 0.  A user decodes iff every
+    one of its stages succeeds; the pSIC stages share x and y and have no
+    w, so they merge into one with the smaller k.  A zero target makes k
+    infinite, a stage that never fails; a degenerate allocation makes it
+    nonpositive, a stage that always does.
+    """
+    unit = 1.0 / (cfg.noise_sigma_02 * cfg.radius_d ** cfg.path_alpha)
+    lam = 1.0 if scheme == "pstars_noma" else cfg.amp_lambda
+    bs_loss = cfg.path_eta0 ** 2 * cfg.dist_bs ** -cfg.path_alpha
+
+    def user(amp_sq, noise, beta):
+        x = (lam * beta * bs_loss * unit) * amp_sq
+        if scheme == "pstars_noma":
+            return x, 1.0
+        amp_noise = cfg.amp_lambda * beta * cfg.path_eta0 * unit
+        if cfg.mean_noise_mode:
+            zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
+            return x, 1.0 + amp_noise * zeta * cfg.noise_sigma_s2
+        return x, 1.0 + amp_noise * noise
+
+    def ratio(a, gamma_hat):
+        return a / gamma_hat if gamma_hat > 0.0 else math.inf
+
+    user_r = user(fades.amp_sq_r, fades.noise_r, cfg.beta_r)
+    user_t = user(fades.amp_sq_t, fades.noise_t, cfg.beta_t)
+    if scheme == "astars_oma":
+        # dedicated slots: full power, doubled spectral-efficiency target
+        return ([(ratio(1.0, target_sinr(2.0 * cfg.target_rate_t)), *user_t, None)],
+                {"": [(ratio(1.0, target_sinr(2.0 * cfg.target_rate_r)), *user_r, None)]})
+    gamma_r_hat = target_sinr(cfg.target_rate_r)
+    gamma_t_hat = target_sinr(cfg.target_rate_t)
+    # decoding the transmission user's signal, under the reflection user's
+    # own signal as interference; then the reflection user's own signal
+    first = ratio(cfg.a_t - gamma_t_hat * cfg.a_r, gamma_t_hat)
+    own = ratio(cfg.a_r, gamma_r_hat)
+    w = fades.h_re_sq / cfg.noise_sigma_02
+    return ([(first, *user_t, None)],
+            {"_psic": [(min(first, own), *user_r, None)],
+             "_ipsic": [(first, *user_r, None), (own, *user_r, w)]})
+
+
+def _outage(stages: list[tuple], ps: float, exponent: float, out: np.ndarray,
+            work: np.ndarray) -> np.ndarray:
+    """Per trial, the probability over the user's disk-law distance that
+    some stage of its decoding fails at transmit power ps:
+    1 - P((d/D)^alpha < t) = 1 - clip(t, 0, 1)^(2/alpha) at the smallest
+    stage threshold t, with exponent = 2/alpha.  Written into out; work
+    holds two scratch rows."""
+    for n, (k, x, offset, w) in enumerate(stages):
+        fail = out if n == 0 else work[0]
+        # 1 - t = (1 + y + ps w - ps k x) / (1 + ps w)
+        np.multiply(x, -ps * k, out=fail)
+        fail += offset
+        if w is not None:
+            den = np.multiply(w, ps, out=work[1])
+            fail += den
+            den += 1.0
+            fail /= den
+        if n:
+            np.maximum(out, fail, out=out)
+    np.clip(out, 0.0, 1.0, out=out)
+    if exponent != 1.0:
+        np.subtract(1.0, out, out=out)
+        np.power(out, exponent, out=out)
+        np.subtract(1.0, out, out=out)
+    return out
+
+
+def _cond_partials(cfg: NetworkConfig, stages: tuple[list[tuple], dict[str, list[tuple]]],
+                   ps: float, metrics: frozenset[str],
+                   work: np.ndarray) -> dict[str, tuple[float, float]]:
+    """Conditional partial sums of one block at one transmit power for the
+    cond_ families in metrics, keyed like the raw ones: (sum, sum of
+    squares) of each trial's outage probability given its fades.  The two
+    distances are independent given the fades, so the system outage is
+    p_r + p_t - p_r p_t and the delay-limited throughput
+    (1 - p_r) R_r + (1 - p_t) R_t.  work holds four scratch rows of the
+    block's size."""
+    exponent = 2.0 / cfg.path_alpha
+    stages_t, stages_r = stages
+    p_t = (_outage(stages_t, ps, exponent, work[0], work[2:])
+           if metrics != {"cond_outage_r"} else None)
+    out: dict[str, tuple[float, float]] = {}
+    if "cond_outage_t" in metrics:
+        out["cond_outage_t"] = _moments(p_t, work[2])
+    if metrics == {"cond_outage_t"}:
+        return out
+    for suffix, stages_mode in stages_r.items():
+        p_r = _outage(stages_mode, ps, exponent, work[1], work[2:])
+        if "cond_outage_r" in metrics:
+            out[f"cond_outage_r{suffix}"] = _moments(p_r, work[2])
+        if "cond_outage_system" in metrics:
+            out[f"cond_outage_system{suffix}"] = _moments(p_r + p_t - p_r * p_t, work[2])
+        if "cond_throughput_limited" in metrics:
+            out[f"cond_throughput_limited{suffix}"] = _moments(
+                (1.0 - p_r) * cfg.target_rate_r + (1.0 - p_t) * cfg.target_rate_t, work[2])
+    return out
+
+
 def _estimates(partials: Sequence[dict], trials: int, tag: str) -> dict[str, Estimate]:
     """Reduce one power's per-block partials, in block order: outage counts
     get the binomial (Wald) CI, (sum, sum of squares) the sample-variance
     CI.  An outage cell with no events, or with every trial an event, gets
     the exact one-sided Clopper-Pearson bound 1 - 0.025^(1/n) (about 3.69/n)
-    instead of the Wald width 0."""
+    instead of the Wald width 0; so does a conditional outage cell whose
+    per-trial probabilities are all 0 or all 1, where no trial's fades
+    admit an outage, or a success, at any distance."""
     estimates: dict[str, Estimate] = {}
     for key, first in partials[0].items():
         if isinstance(first, tuple):
@@ -307,12 +486,15 @@ def _estimates(partials: Sequence[dict], trials: int, tag: str) -> dict[str, Est
             var = (max(total_sq - total * total / trials, 0.0) / (trials - 1)
                    if trials > 1 else 0.0)
             halfwidth = 1.96 * math.sqrt(var / trials)
+            edge = key.startswith("cond_outage") and total in (0.0, trials)
         else:
             events = sum(p[key] for p in partials)
             mean = events / trials
-            halfwidth = (1.96 * math.sqrt(mean * (1.0 - mean) / trials)
-                         if 0 < events < trials
-                         else -math.expm1(math.log(0.025) / trials))
+            edge = events in (0, trials)
+            if not edge:
+                halfwidth = 1.96 * math.sqrt(mean * (1.0 - mean) / trials)
+        if edge:
+            halfwidth = -math.expm1(math.log(0.025) / trials)
         estimates[key] = Estimate(mean=mean, trials=trials, kind=tag + key,
                                   ci95_halfwidth=halfwidth)
     return estimates
@@ -330,37 +512,72 @@ def _map_blocks(fn: Callable, blocks: Iterable, workers: int) -> list:
     return [fn(b) for b in blocks]
 
 
+def _point_partials(cfg: NetworkConfig, scheme: str, powers: list[float],
+                    families: frozenset[str], fades: _Fades, loss: dict) -> list[dict]:
+    """One point's partial sums of one block, one dict per power: the raw
+    families from its fades with the drawn path losses applied, the
+    conditional ones from its threshold coefficients."""
+    parts: list[dict] = [{} for _ in powers]
+    raw, cond = families & _DISTANCE_READERS, families - _DISTANCE_READERS
+    if raw:
+        terms = _terms(cfg, scheme, fades, loss[cfg.radius_d, cfg.path_alpha])
+        for part, ps in zip(parts, powers):
+            part.update(_partials(cfg, scheme, terms, ps, raw))
+    if cond:
+        stages = _thresholds(cfg, scheme, fades)
+        work = np.empty((4, fades.h_re_sq.size))
+        for part, ps in zip(parts, powers):
+            part.update(_cond_partials(cfg, stages, ps, cond, work))
+    return parts
+
+
+def _families(metrics: Iterable[str] | None) -> frozenset[str]:
+    """The checked set of metric families; None is every family."""
+    families = frozenset(METRICS if metrics is None else metrics)
+    if not families:
+        raise ValueError("at least one metric family required")
+    if not families <= set(METRICS):
+        raise ConfigError(f"unknown metric families {sorted(families - set(METRICS))}; "
+                          f"expected some of {METRICS}")
+    return families
+
+
 def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
              ps: float | Sequence[float] | None = None, trials: int | None = None,
              seed: int | None = None, workers: int = 1,
              metrics: Iterable[str] | None = None) -> dict | list:
     """Run the block simulator at one point or at a list of points.
 
-    A point is (cfg, scheme, ps), where ps is one transmit power or a
-    sequence of powers.  ``simulate(cfg, scheme, ps)`` runs one point and
-    returns its estimates: a dict for one power, or a list with one dict
-    per power, in order.  ``simulate(points)`` runs every point of the list
-    on one draw per block and returns, per point, what its lone call would
-    return, bit for bit: the configs, schemes, element counts and powers
-    that share a call change no point's estimates.  trials and seed default
-    to the first point's config.
+    A point is (cfg, scheme, ps) or (cfg, scheme, ps, metrics), where ps is
+    one transmit power or a sequence of powers.  ``simulate(cfg, scheme,
+    ps)`` runs one point and returns its estimates: a dict for one power,
+    or a list with one dict per power, in order.  ``simulate(points)`` runs
+    every point of the list on one draw per block and returns, per point,
+    what its lone call would return, bit for bit: the configs, schemes,
+    element counts, powers and metric families that share a call change no
+    point's estimates.  trials and seed default to the first point's
+    config.
 
     metrics names the metric families to estimate, from METRICS; None
-    means all of them.  Only the requested families are evaluated and
-    returned, each estimate bit-identical to the one a call with every
-    family gives.  The dicts are keyed by metric: for NOMA schemes the
-    reflection user's families carry the SIC mode (outage_r_psic,
-    outage_r_ipsic, outage_system_{psic,ipsic}, rate_r_{psic,ipsic},
-    throughput_limited_{psic,ipsic}, throughput_tolerant_{psic,ipsic}) and
-    outage_t and rate_t are bare; astars_oma keys every family bare.
-    An unknown family raises ConfigError, an empty set ValueError.
+    means all of them.  A point's own metrics, if given, replace the
+    call's.  Only the requested families are evaluated and returned, each
+    estimate bit-identical to the one a call with every family gives.  The
+    dicts are keyed by metric: for NOMA schemes the reflection user's
+    families carry the SIC mode (outage_r_psic, outage_r_ipsic,
+    outage_system_{psic,ipsic}, rate_r_{psic,ipsic},
+    throughput_limited_{psic,ipsic}, throughput_tolerant_{psic,ipsic}, and
+    the same for the cond_ families) and outage_t, rate_t and
+    cond_outage_t are bare; astars_oma keys every family bare.  An unknown
+    family raises ConfigError, an empty set ValueError.
     """
     lone = isinstance(cfg, NetworkConfig)
     points = [(cfg, scheme, ps)] if lone else list(cfg)
     if not points:
         raise ValueError("at least one point required")
     runs = []
-    for cfg_p, scheme_p, ps_p in points:
+    for cfg_p, scheme_p, ps_p, *own in points:
+        if len(own) > 1:
+            raise ValueError("a point is (cfg, scheme, ps) or (cfg, scheme, ps, metrics)")
         if scheme_p not in SCHEMES:
             raise ConfigError(f"unknown scheme {scheme_p!r}; expected one of {SCHEMES}")
         powers = [ps_p] if np.ndim(ps_p) == 0 else list(ps_p)
@@ -368,31 +585,27 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
             raise ValueError("at least one transmit power required")
         for p in powers:
             _check_power(p)
-        runs.append((cfg_p, scheme_p, powers))
-    families = frozenset(METRICS if metrics is None else metrics)
-    if not families:
-        raise ValueError("at least one metric family required")
-    if not families <= set(METRICS):
-        raise ConfigError(f"unknown metric families {sorted(families - set(METRICS))}; "
-                          f"expected some of {METRICS}")
+        runs.append((cfg_p, scheme_p, powers, _families(own[0] if own else metrics)))
     trials = points[0][0].mc_trials if trials is None else int(trials)
     if trials < 1:
         raise ValueError("at least one trial required")
     seed = points[0][0].seed if seed is None else int(seed)
     sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
-    kernels = [(c, s) for c, s, _ in runs]
+    kernels = [(c, s) for c, s, _, _ in runs]
+    losses = [(c.radius_d, c.path_alpha) for c, _, _, families in runs
+              if not families.isdisjoint(_DISTANCE_READERS)]
 
     def run(block: int) -> list[list[dict]]:
+        loss = _path_losses(seed, block, sizes[block], losses)
         out: list = [None] * len(runs)
-        for i, terms in _block_terms(seed, block, sizes[block], kernels):
-            c, s, powers = runs[i]
-            out[i] = [_partials(c, s, terms, p, families) for p in powers]
+        for i, fades in _block_fades(seed, block, sizes[block], kernels):
+            out[i] = _point_partials(*runs[i], fades, loss)
         return out
 
     by_block = _map_blocks(run, range(len(sizes)), workers)
 
     results = []
-    for i, ((_, s, powers), (_, _, ps_p)) in enumerate(zip(runs, points)):
+    for i, ((_, s, powers, _), (_, _, ps_p, *_)) in enumerate(zip(runs, points)):
         per_power = [_estimates([blk[i][k] for blk in by_block], trials, f"{s}:")
                      for k in range(len(powers))]
         results.append(per_power[0] if np.ndim(ps_p) == 0 else per_power)

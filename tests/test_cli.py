@@ -148,14 +148,16 @@ def test_sweep_matches_golden_csv(tmp_path, workers):
 
 
 def _count_simulate_calls(monkeypatch) -> list:
-    """Record each simulate call as its list of (L, scheme, power count)
-    and the metric families it asks for."""
+    """Record each simulate call as its list of (L, scheme, power count,
+    metric families) points, with the call's families for a point that
+    names none."""
     calls = []
     real = mc.simulate
 
     def counting(points, **kwargs):
-        calls.append(([(cfg.num_elements, scheme, len(ps)) for cfg, scheme, ps in points],
-                      kwargs.get("metrics")))
+        calls.append([(cfg.num_elements, scheme, len(ps),
+                       tuple(own[0]) if own else kwargs.get("metrics"))
+                      for cfg, scheme, ps, *own in points])
         return real(points, **kwargs)
 
     monkeypatch.setattr(mc, "simulate", counting)
@@ -165,32 +167,34 @@ def _count_simulate_calls(monkeypatch) -> list:
 def _count_block_draws(monkeypatch) -> list:
     """Record the block index of every simulator block draw."""
     blocks = []
-    real = mc._block_terms
+    real = mc._block_fades
 
     def counting(seed, block, size, points):
         blocks.append(block)
         return real(seed, block, size, points)
 
-    monkeypatch.setattr(mc, "_block_terms", counting)
+    monkeypatch.setattr(mc, "_block_fades", counting)
     return blocks
 
 
 def test_sweep_simulates_once_per_config_and_scheme(tmp_path, monkeypatch):
     # one call per sweep, with one point per (config, scheme), asking for
-    # the sweep's metric families only
+    # the sweep's metric families only, each outage reader by its
+    # conditional family
     calls = _count_simulate_calls(monkeypatch)
     cfg = NetworkConfig()
     # -45 dBm is infeasible for both schemes and is left out of the call
     power = SweepSpec(axis="q_tot_dbm", values=(-45.0, 10.0, 20.0, 30.0),
                       metrics=("outage_r",), schemes=("astars_noma", "pstars_noma"))
     run_sweep(cfg, power, tmp_path / "q", trials=TRIALS, plots=False)
-    assert calls == [([(10, "astars_noma", 3), (10, "pstars_noma", 3)], ("outage_r",))]
+    assert calls == [[(10, "astars_noma", 3, ("cond_outage_r",)),
+                      (10, "pstars_noma", 3, ("cond_outage_r",))]]
     calls.clear()
     elements = SweepSpec(axis="num_elements", values=(4, 10),
                          metrics=("rate_t", "throughput_limited"), fixed_q_tot_dbm=20.0)
     run_sweep(cfg, elements, tmp_path / "L", trials=TRIALS, plots=False)
-    assert calls == [([(4, "astars_noma", 1), (10, "astars_noma", 1)],
-                      ("rate_t", "throughput_limited"))]
+    assert calls == [[(4, "astars_noma", 1, ("rate_t", "cond_throughput_limited")),
+                      (10, "astars_noma", 1, ("rate_t", "cond_throughput_limited"))]]
     calls.clear()
     infeasible = SweepSpec(axis="q_tot_dbm", values=(-45.0,), metrics=("outage_r",))
     run_sweep(cfg, infeasible, tmp_path / "none", trials=TRIALS, plots=False)
@@ -310,11 +314,13 @@ def test_validate_all_gates_pass_and_report_written(tmp_path, monkeypatch):
     assert all(g.passed for g in gates)
     # one call with one point per (config, scheme); the main scheme's
     # agreement and ordering budgets share one point; each block drawn once
-    assert [[(scheme, n) for _, scheme, n in call] for call, _ in calls] == [[
+    assert [[(scheme, n) for _, scheme, n, _ in call] for call in calls] == [[
         ("astars_noma", 5), ("astars_noma", 3), ("astars_oma", 4), ("pstars_noma", 4)]]
-    # every family the gates read, and not the delay-tolerant throughput
-    assert [set(metrics) for _, metrics in calls] == [{
-        "outage_r", "outage_t", "outage_system", "rate_r", "rate_t", "throughput_limited"}]
+    # each point asks for the families its own gates read: the outage and
+    # ordering gates the conditional estimates, the rate gates the rates
+    assert [[set(families) for *_, families in call] for call in calls] == [[
+        {"cond_outage_r", "cond_outage_t", "cond_outage_system", "cond_throughput_limited"},
+        {"rate_r", "rate_t"}, {"cond_throughput_limited"}, {"cond_outage_system"}]]
     assert blocks == [0, 1, 2]
     report = tmp_path / "gates.csv"
     assert report.exists()
@@ -351,13 +357,13 @@ def test_every_validate_gate_can_fail(monkeypatch):
     monkeypatch.setattr(asy, "fit_order", lambda *args: replace(
         fit_order(*args), slope=fit_order(*args).slope + 10.0))
     monkeypatch.setattr(asy, "ergodic_bound_r_psic", shifted(asy.ergodic_bound_r_psic, -1.0))
-    broken = {"astars_oma": ("throughput_limited", 10.0),
-              "pstars_noma": ("outage_system_psic", -1.0)}
+    broken = {"astars_oma": ("cond_throughput_limited", 10.0),
+              "pstars_noma": ("cond_outage_system_psic", -1.0)}
     simulate = mc.simulate
 
     def broken_simulate(points, **kwargs):
         results = simulate(points, **kwargs)
-        for (_, scheme, _), point_sims in zip(points, results):
+        for (_, scheme, *_), point_sims in zip(points, results):
             if scheme in broken:
                 key, mean = broken[scheme]
                 for sims in point_sims:

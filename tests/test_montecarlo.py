@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from astars_noma import montecarlo as mc
-from astars_noma.analytic import NumericIntegrityError, SicMode
+from astars_noma.analytic import NumericIntegrityError, SicMode, target_sinr
 from astars_noma.model import ConfigError, NetworkConfig, dbm_to_watts, noise_power_factor
-from astars_noma.montecarlo import (BLOCK_TRIALS, SCHEMES, Estimate, _block_terms,
-                                    _element_rows, _element_sums, _rician, _sinrs,
-                                    _stream, budget_to_ps, simulate,
+from astars_noma.montecarlo import (BLOCK_TRIALS, SCHEMES, Estimate, _block_fades,
+                                    _element_rows, _element_sums, _path_losses, _rician,
+                                    _sinrs, _stream, _terms, budget_to_ps, simulate,
                                     surface_output_power)
 
 CFG = NetworkConfig()
@@ -43,9 +43,11 @@ ARCHIVE = {
 
 
 def block_terms(cfg, scheme="astars_noma", size=64, seed=0, block=0):
-    """The power-free terms of one block of one (cfg, scheme)."""
-    [(_, terms)] = _block_terms(seed, block, size, [(cfg, scheme)])
-    return terms
+    """The power-free terms of one block of one (cfg, scheme): its fades
+    with the block's path losses applied."""
+    [(_, fades)] = _block_fades(seed, block, size, [(cfg, scheme)])
+    key = (cfg.radius_d, cfg.path_alpha)
+    return _terms(cfg, scheme, fades, _path_losses(seed, block, size, [key])[key])
 
 
 # ---------------------------------------------------------------------------
@@ -228,14 +230,22 @@ def test_archived_reference_block_bit_exact():
         assert sims[key].trials == 1_000_000
 
 
+# the schemes and the model switches that change the conditional kernel
+COND_CELLS = [(CFG, "astars_noma"), (CFG, "astars_oma"), (CFG, "pstars_noma"),
+              (replace(CFG, mean_noise_mode=True), "astars_noma"),
+              (replace(CFG, path_alpha=3.0), "astars_noma")]
+
+
 def test_worker_count_leaves_estimates_bit_identical():
-    ps = dbm_to_watts(20.0)
-    runs = [simulate(CFG, "astars_noma", ps, trials=3 * BLOCK_TRIALS + 17,
-                     seed=99, workers=w) for w in (1, 2, 7)]
-    for other in runs[1:]:
-        for key, est in runs[0].items():
-            assert other[key].mean == est.mean
-            assert other[key].ci95_halfwidth == est.ci95_halfwidth
+    powers = [dbm_to_watts(d) for d in (5.0, 20.0)]
+    for cfg, scheme in COND_CELLS:
+        runs = [simulate(cfg, scheme, powers, trials=3 * BLOCK_TRIALS + 17,
+                         seed=99, workers=w) for w in (1, 2, 7)]
+        for other in runs[1:]:
+            for many, one in zip(other, runs[0]):
+                for key, est in one.items():
+                    assert many[key].mean == est.mean, (scheme, key)
+                    assert many[key].ci95_halfwidth == est.ci95_halfwidth, (scheme, key)
 
 
 def test_seed_changes_estimates():
@@ -272,11 +282,20 @@ def test_sweep_point_equals_its_lone_call(workers):
                (replace(CFG, radius_d=20.0, a_r=0.2, a_t=0.8), "astars_oma", powers[0]),
                # three (radius_d, path_alpha) path-loss keys in one block
                (replace(CFG, path_alpha=3.0, num_elements=2), "astars_noma", powers),
-               (replace(CFG, radius_d=20.0, num_elements=7), "pstars_noma", powers[1])]
+               (replace(CFG, radius_d=20.0, num_elements=7), "pstars_noma", powers[1]),
+               # a point's own families replace the call's
+               (replace(CFG, num_elements=3), "astars_noma", powers,
+                ("cond_outage_r", "cond_outage_t")),
+               (replace(CFG, a_r=0.2, a_t=0.8), "astars_noma", powers[0], ("rate_r",)),
+               (replace(CFG, path_alpha=3.0, num_elements=4), "astars_oma", powers,
+                ("cond_throughput_limited", "outage_t")),
+               (replace(CFG, path_alpha=3.0), "pstars_noma", powers, ("cond_outage_system",))]
     swept = simulate(points, trials=trials, seed=41, workers=workers)
     assert len(swept) == len(points)
-    for point, got in zip(points, swept):
-        assert got == simulate(*point, trials=trials, seed=41), point[:2]
+    for (cfg, scheme, ps, *own), got in zip(points, swept):
+        lone = simulate(cfg, scheme, ps, trials=trials, seed=41, metrics=own[0] if own else None)
+        assert got == lone, (cfg, scheme, own)
+    assert set(swept[-3]) == {"rate_r_psic", "rate_r_ipsic"}
 
 
 def test_point_list_defaults_and_rejections():
@@ -286,6 +305,13 @@ def test_point_list_defaults_and_rejections():
         simulate([], trials=10)
     with pytest.raises(ConfigError):
         simulate([(CFG, "astars_noma", 1.0), (CFG, "no_such_scheme", 1.0)], trials=10)
+    # a point's own families are checked like the call's
+    with pytest.raises(ConfigError):
+        simulate([(CFG, "astars_noma", 1.0, ("outage",))], trials=10)
+    with pytest.raises(ValueError):
+        simulate([(CFG, "astars_noma", 1.0, ())], trials=10)
+    with pytest.raises(ValueError):
+        simulate([(CFG, "astars_noma", 1.0, ("cond_outage_t",), None)], trials=10)
 
 
 @pytest.mark.parametrize("powers", [math.nan, math.inf, -math.inf, 0.0, -1.0,
@@ -343,9 +369,25 @@ def test_zero_event_outage_cell_has_exact_bound():
     cells = (never["outage_r_psic"], never["outage_t"], sure["outage_t"],
              sure["outage_r_psic"])
     assert [est.mean for est in cells] == [0.0, 0.0, 1.0, 1.0]
+    # so do conditional cells whose per-trial probabilities are all 0 (no
+    # trial's fades admit an outage at any distance) or all 1 (none admits
+    # a success), the zero targets and the degenerate allocation exactly
+    cells += tuple(never[k] for k in ("cond_outage_r_psic", "cond_outage_r_ipsic",
+                                      "cond_outage_t", "cond_outage_system_psic"))
+    cells += tuple(sure[k] for k in ("cond_outage_t", "cond_outage_r_psic",
+                                     "cond_outage_system_ipsic"))
+    assert [est.mean for est in cells[4:]] == [0.0] * 4 + [1.0] * 3
     for est in cells:
         assert est.ci95_halfwidth == pytest.approx(bound, rel=1e-9)
         assert est.ci95_halfwidth == pytest.approx(3.689 / n, rel=1e-3)
+    # a throughput is not an outage cell: it keeps its sample-variance CI
+    assert never["cond_throughput_limited_psic"].ci95_halfwidth == 0.0
+    # the bound follows the per-trial probabilities: all 0, all 1, or mixed
+    for partials, bounded in (([(0.0, 0.0), (0.0, 0.0)], True),
+                              ([(5.0, 5.0), (3.0, 3.0)], True),
+                              ([(0.5, 0.25), (0.0, 0.0)], False)):
+        est = mc._estimates([{"cond_outage_t": p} for p in partials], 8, "")["cond_outage_t"]
+        assert (est.ci95_halfwidth == pytest.approx(1.0 - 0.025 ** (1.0 / 8))) is bounded
 
 
 def test_rate_t_estimate_respects_allocation_ceiling():
@@ -401,14 +443,20 @@ def test_pstars_reduction_matches_unamplified_astars():
 def test_scheme_metric_keys():
     ps = dbm_to_watts(20.0)
     sims = {s: simulate(CFG, s, ps, trials=10_000) for s in SCHEMES}
-    assert set(sims["astars_oma"]) == set(mc.METRICS) == {
-        "outage_r", "outage_t", "outage_system", "rate_r", "rate_t",
-        "throughput_limited", "throughput_tolerant"}
+    raw = {"outage_r", "outage_t", "outage_system", "rate_r", "rate_t",
+           "throughput_limited", "throughput_tolerant"}
+    cond = {"cond_outage_r", "cond_outage_t", "cond_outage_system",
+            "cond_throughput_limited"}
+    assert set(sims["astars_oma"]) == set(mc.METRICS) == raw | cond
+    assert mc.CONDITIONAL == {m.removeprefix("cond_"): m for m in cond}
     noma_keys = {"outage_r_psic", "outage_r_ipsic", "outage_t",
                  "outage_system_psic", "outage_system_ipsic", "rate_r_psic",
                  "rate_r_ipsic", "rate_t", "throughput_limited_psic",
                  "throughput_limited_ipsic", "throughput_tolerant_psic",
-                 "throughput_tolerant_ipsic"}
+                 "throughput_tolerant_ipsic",
+                 "cond_outage_r_psic", "cond_outage_r_ipsic", "cond_outage_t",
+                 "cond_outage_system_psic", "cond_outage_system_ipsic",
+                 "cond_throughput_limited_psic", "cond_throughput_limited_ipsic"}
     assert set(sims["astars_noma"]) == set(sims["pstars_noma"]) == noma_keys
     for scheme, estimates in sims.items():
         for key, est in estimates.items():
@@ -418,7 +466,10 @@ def test_scheme_metric_keys():
     # outage indicators or the rate arrays they are built from
     subsets = [("throughput_tolerant",), ("throughput_limited",), ("outage_system",),
                ("outage_r", "outage_t"), ("rate_r", "rate_t"),
-               ("outage_t", "rate_r", "throughput_limited")]
+               ("outage_t", "rate_r", "throughput_limited"),
+               ("cond_outage_r", "cond_outage_t"), ("cond_outage_system",),
+               ("cond_throughput_limited",), ("cond_outage_t",),
+               ("outage_r", "cond_outage_r", "rate_t")]
     for scheme in SCHEMES:
         for families in subsets:
             for workers in (1, 2):
@@ -447,6 +498,79 @@ def test_throughput_estimates_are_consistent_compositions():
     tol = sims["throughput_tolerant_psic"]
     assert tol.mean == pytest.approx(sims["rate_r_psic"].mean + sims["rate_t"].mean,
                                      abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the estimator conditional on the fades
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cfg, scheme", COND_CELLS,
+                         ids=["noma", "oma", "pstars", "mean_noise", "alpha3"])
+def test_conditional_estimates_agree_with_raw_and_are_tighter(cfg, scheme):
+    # integrating the distances out cannot move the mean and cannot widen
+    # the CI (Rao-Blackwellization); at the same seed the two estimates
+    # read the same fades; budgets where every raw cell sees events and
+    # misses, so neither CI is a zero-event bound
+    powers = [budget_to_ps(dbm_to_watts(q), cfg, active=scheme != "pstars_noma")
+              for q in (12.5, 17.5, 22.5)]
+    if cfg.path_alpha == 3.0:
+        powers = [dbm_to_watts(q) for q in (35.0, 40.0, 45.0)]
+    checked = 0
+    for sims in simulate(cfg, scheme, powers, trials=60_000, seed=21):
+        for key, est in sims.items():
+            if not key.startswith("cond_"):
+                continue
+            raw = sims[key.removeprefix("cond_")]
+            sigma = math.hypot(est.ci95_halfwidth, raw.ci95_halfwidth) / 1.96
+            assert abs(est.mean - raw.mean) <= 4.0 * sigma, (key, est, raw)
+            assert est.ci95_halfwidth <= raw.ci95_halfwidth, (key, est, raw)
+            checked += 1
+    assert checked == 3 * (4 if scheme == "astars_oma" else 7)
+
+
+def test_conditional_outage_is_the_disk_average_of_the_raw_indicator():
+    # per trial, P(outage | fades) against the raw outage indicators at M
+    # equal-mass disk-law distances: monotone in d, so within 1/M
+    size, M = 48, 1000
+    v = np.sqrt((np.arange(M) + 0.5) / M)
+    ps = dbm_to_watts(15.0)
+    for cfg, scheme in COND_CELLS:
+        [(_, fades)] = _block_fades(3, 0, size, [(cfg, scheme)])
+        stages_t, stages_r = mc._thresholds(cfg, scheme, fades)
+        every = fades._replace(**{name: np.repeat(value, M) for name, value
+                                  in fades._asdict().items() if value is not None})
+        loss = np.tile((cfg.radius_d * v) ** -cfg.path_alpha, size)
+        gammas = _sinrs(cfg, scheme, _terms(cfg, scheme, every, np.stack([loss, loss])), ps)
+        if scheme == "astars_oma":
+            out_t = gammas[1] <= target_sinr(2.0 * cfg.target_rate_t)
+            out_r = {"": gammas[0] <= target_sinr(2.0 * cfg.target_rate_r)}
+        else:
+            g_r_hat, g_t_hat = target_sinr(cfg.target_rate_r), target_sinr(cfg.target_rate_t)
+            out_t = gammas[3] <= g_t_hat
+            out_r = {"_psic": (gammas[0] <= g_t_hat) | (gammas[1] <= g_r_hat),
+                     "_ipsic": (gammas[0] <= g_t_hat) | (gammas[2] <= g_r_hat)}
+        for stages, out in ((stages_t, out_t), *((stages_r[k], out_r[k]) for k in out_r)):
+            exact = mc._outage(stages, ps, 2.0 / cfg.path_alpha, np.empty(size),
+                               np.empty((2, size)))
+            grid = out.reshape(size, M).mean(axis=1)
+            assert np.all(np.abs(exact - grid) <= 1.0 / M + 1e-12), (cfg, scheme)
+            assert 0.0 < exact.mean() < 1.0
+
+
+def test_conditional_families_skip_the_distance_draw(monkeypatch):
+    purposes = []
+    real = mc._stream
+
+    def recording(seed, block, purpose):
+        purposes.append(purpose)
+        return real(seed, block, purpose)
+
+    monkeypatch.setattr(mc, "_stream", recording)
+    simulate(CFG, "astars_noma", 1.0, trials=100, metrics=tuple(mc.CONDITIONAL.values()))
+    assert "U" not in purposes and "E" in purposes
+    purposes.clear()
+    simulate(CFG, "astars_noma", 1.0, trials=100, metrics=("cond_outage_r", "rate_t"))
+    assert purposes.count("U") == 1
 
 
 # ---------------------------------------------------------------------------
