@@ -37,6 +37,27 @@ It serves the outage families and the delay-limited throughput; a call
 that asks for neither a raw outage family nor a rate family does not draw
 the U stream.
 
+Each cond_ estimate then uses control variates.  The controls are the
+phase-aligned cascade amplitude S_u = sum_l |h_s,l| |h_u,l| and its square,
+whose means are exact: E S_u = L m and E S_u^2 = L v + (L m)^2, with (m, v)
+the per-element product's mean and variance (model.element_moments), so
+the Gamma fit does not enter.  A user's outage regresses on its own pair
+(at alpha = 2 it is a clipped affine function of S_u^2), the system
+outage and the delay-limited throughput on both users' pairs.  The
+estimate is p-bar - beta . (X-bar - mu) with beta fitted by least squares
+on the same trials, and its CI is 1.96 sqrt(s_res^2 / n), s_res^2 the
+residual variance over n - q - 1 for q controls.  An estimated beta
+biases the mean by O(1/n), far below the CI at the default 10^5 trials.
+An adjusted mean outside the family's range ([0, 1], or [0, R_r + R_t]
+for the throughput) falls back to the plain conditional estimate and CI,
+marked by Estimate.fallback; so does a cell whose controls cannot be
+fitted, or fit every trial to rounding (the trials then say nothing of
+the residual's spread).  A cell whose per-trial values all sit at one end
+of that range keeps its plain mean and the exact bound 1 - 0.025^(1/n),
+scaled to the range.  A block whose fades put a user's outage at exactly
+0 at some power, at every distance, is not evaluated there: its partial
+sums are the zeros that evaluating it gives.
+
 One ``simulate`` call evaluates a list of points (config, scheme, powers
 and, optionally, metric families) on one draw per block: element counts
 are read off the running sums, every other config axis and every scheme
@@ -51,7 +72,9 @@ probabilities only for the cond_ families.
 
 Determinism contract: per-block partials are reduced in block order with
 exact (fsum) accumulation, so results are bit-identical for a given
-(config, seed) whatever the worker count.
+(config, seed) whatever the worker count.  The control products are numpy
+ufunc and einsum reductions and the control fit is solved in Python
+floats, so no BLAS kernel, thread count or host CPU changes a bit.
 """
 
 from __future__ import annotations
@@ -65,7 +88,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import _check_power, target_sinr
-from .model import ConfigError, NetworkConfig, noise_power_factor, sample_distance
+from .model import (ConfigError, NetworkConfig, element_moments, noise_power_factor,
+                    sample_distance)
 from .numerics import NumericIntegrityError
 
 __all__ = [
@@ -103,16 +127,31 @@ _RATE_READERS = frozenset({"rate_r", "rate_t", "throughput_tolerant"})
 # the families that read the drawn distances; a call without them skips the U stream
 _DISTANCE_READERS = _OUTAGE_READERS | _RATE_READERS
 
+# a user at or above its zero power by this factor is not evaluated (_cond_partials)
+_ZERO_MARGIN = 1.0 + 1e-9
+# the partial sums of a row of zeros, by its number of controls, shared
+_ZERO_PARTIALS = {q: (0.0,) * (2 + q) for q in (2, 4)}
+
+# the users whose cascade amplitude S_u and its square each cond_ family
+# regresses on (see _controls): a user's outage on its own, the joint
+# families on both
+_CONTROL_USERS = {"cond_outage_r": ("r",), "cond_outage_t": ("t",),
+                  "cond_outage_system": ("r", "t"), "cond_throughput_limited": ("r", "t")}
+
 # a block's substreams; the index is the second word of each one's spawn key
 _PURPOSES = ("h_s", "h_r", "h_t", "n_s", "E", "U")
 
 
 class _Fades(NamedTuple):
     """Per-trial terms of a block that depend on neither the transmit
-    power nor the user distances: the squared cascade amplitudes, the drawn
-    surface-noise powers 1/2 sigma_s^2 |nsum|^2 at each user (None where
-    the point reads no drawn noise) and the residual-interference power."""
+    power nor the user distances: the phase-aligned cascade amplitudes (the
+    running sums themselves, shared by every point at the block's
+    (kappa, L)) and their squares, the drawn surface-noise powers
+    1/2 sigma_s^2 |nsum|^2 at each user (None where the point reads no
+    drawn noise) and the residual-interference power."""
 
+    amp_r: np.ndarray
+    amp_t: np.ndarray
     amp_sq_r: np.ndarray
     amp_sq_t: np.ndarray
     noise_r: np.ndarray | None
@@ -134,12 +173,17 @@ class _Terms(NamedTuple):
 
 @dataclass(frozen=True)
 class Estimate:
-    """A simulated metric with its 95% confidence half-width."""
+    """A simulated metric with its 95% confidence half-width.  fallback
+    marks a cond_ estimate that carries the plain conditional mean and CI
+    because its control-variate adjustment was not usable: the adjusted
+    mean left the family's range, the controls were collinear or had too
+    few trials to fit, or they fit every trial to rounding."""
 
     mean: float
     trials: int
     ci95_halfwidth: float
     kind: str
+    fallback: bool = False
 
 
 def _stream(seed: int, block: int, purpose: str) -> np.random.Generator:
@@ -192,6 +236,22 @@ def _element_sums(seed: int, block: int, size: int, kappas: Sequence[float],
         yield sums
 
 
+def _controls(fades: _Fades, family: str) -> tuple[np.ndarray, ...]:
+    """The control rows a cond_ family regresses on: S_u and S_u^2 for each
+    of its users (_CONTROL_USERS), in order."""
+    rows = {"r": (fades.amp_r, fades.amp_sq_r), "t": (fades.amp_t, fades.amp_sq_t)}
+    return tuple(row for user in _CONTROL_USERS[family] for row in rows[user])
+
+
+def _control_means(kappa: float, num_elements: int, users: tuple[str, ...]) -> list[float]:
+    """The exact means of the control rows of users: E S_u = L m and
+    E S_u^2 = L v + (L m)^2, with (m, v) the per-element product's mean and
+    variance (model.element_moments).  The Gamma fit plays no part."""
+    m, v = element_moments(kappa)
+    mean = num_elements * m
+    return [mean, num_elements * v + mean * mean] * len(users)
+
+
 def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict,
            residual: np.ndarray) -> _Fades:
     """A block's fades at cfg, from the element sums at its K-factor and
@@ -204,8 +264,8 @@ def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict,
     def noise(user):
         return 0.5 * cfg.noise_sigma_s2 * np.abs(nsum[user]) ** 2 if drawn else None
 
-    return _Fades(amp["h_r"] ** 2, amp["h_t"] ** 2, noise("h_r"), noise("h_t"),
-                  cfg.noise_sigma_re2 * residual)
+    return _Fades(amp["h_r"], amp["h_t"], amp["h_r"] ** 2, amp["h_t"] ** 2,
+                  noise("h_r"), noise("h_t"), cfg.noise_sigma_re2 * residual)
 
 
 def _terms(cfg: NetworkConfig, scheme: str, fades: _Fades, loss: np.ndarray) -> _Terms:
@@ -430,7 +490,8 @@ def _outage(stages: list[tuple], ps: float, exponent: float, out: np.ndarray,
             fail /= den
         if n:
             np.maximum(out, fail, out=out)
-    np.clip(out, 0.0, 1.0, out=out)
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, 1.0, out=out)
     if exponent != 1.0:
         np.subtract(1.0, out, out=out)
         np.power(out, exponent, out=out)
@@ -438,65 +499,203 @@ def _outage(stages: list[tuple], ps: float, exponent: float, out: np.ndarray,
     return out
 
 
+def _zero_power(stages: list[tuple], top: float, work: np.ndarray) -> float:
+    """The transmit power from which a user's outage probability given the
+    fades is exactly 0 at every trial of the block: the largest
+    (1 + y)/(k x - w) over trials and stages, since a stage cannot fail
+    once ps (k x - w) >= 1 + y; inf if some trial has k x <= w at some
+    stage, which then fails at every power.  inf too when it lies above
+    top, the largest power asked for; the block's first trials, whose
+    bound is a lower one, often show that without a pass over the block.
+    work holds two scratch rows of the block's size."""
+    head = 0.0
+    for k, x, offset, w in stages:
+        offsets = offset[:4].tolist() if isinstance(offset, np.ndarray) else [offset] * 4
+        extra = w[:4].tolist() if w is not None else [0.0] * 4
+        for x_i, off_i, w_i in zip(x[:4].tolist(), offsets, extra):
+            den = k * x_i - w_i
+            if not den > 0.0:
+                return math.inf
+            head = max(head, off_i / den)
+    if head * _ZERO_MARGIN > top:
+        return math.inf
+    star = 0.0
+    for k, x, offset, w in stages:
+        den = np.multiply(x, k, out=work[0])
+        if w is not None:
+            den -= w
+        if not den.min() > 0.0:
+            return math.inf
+        star = max(star, float(np.divide(offset, den, out=work[1]).max()))
+    return math.inf if star * _ZERO_MARGIN > top else star
+
+
+def _cv_moments(values: np.ndarray | float, controls: tuple[np.ndarray, ...],
+                work: np.ndarray | None) -> tuple[float, ...]:
+    """(sum, sum of squares, sums of products with each control row) of one
+    cell's per-trial values; the products by einsum, whose summation order
+    depends on neither the BLAS build nor its thread count.  A float stands
+    for a row of that value, and a row of exact zeros gives zeros without a
+    pass.  work, if given, takes the squares."""
+    if isinstance(values, float):
+        if values == 0.0:
+            return _ZERO_PARTIALS[len(controls)]
+        values = np.full(controls[0].shape, values)
+    return (*_moments(values, work),
+            *(float(np.einsum("n,n->", values, row)) for row in controls))
+
+
 def _cond_partials(cfg: NetworkConfig, stages: tuple[list[tuple], dict[str, list[tuple]]],
-                   ps: float, metrics: frozenset[str],
-                   work: np.ndarray) -> dict[str, tuple[float, float]]:
+                   zero_from: tuple[float, dict[str, float]], ps: float,
+                   metrics: frozenset[str], controls: dict[str, tuple],
+                   work: np.ndarray) -> dict[str, tuple[float, ...]]:
     """Conditional partial sums of one block at one transmit power for the
-    cond_ families in metrics, keyed like the raw ones: (sum, sum of
-    squares) of each trial's outage probability given its fades.  The two
+    cond_ families in metrics, keyed like the raw ones: the sum and sum of
+    squares of each trial's value given its fades, then its sums of
+    products with the family's control rows (``_controls``).  The two
     distances are independent given the fades, so the system outage is
     p_r + p_t - p_r p_t and the delay-limited throughput
-    (1 - p_r) R_r + (1 - p_t) R_t.  work holds four scratch rows of the
-    block's size."""
+    (1 - p_r) R_r + (1 - p_t) R_t.  A user at or above its zero power
+    (``_zero_power``; the 1e-9 relative margin keeps the float evaluation at
+    exact 0 too) is not evaluated: its outage is the exact 0 that
+    evaluating it gives.  work holds four scratch rows of the block's
+    size."""
     exponent = 2.0 / cfg.path_alpha
     stages_t, stages_r = stages
-    p_t = (_outage(stages_t, ps, exponent, work[0], work[2:])
-           if metrics != {"cond_outage_r"} else None)
-    out: dict[str, tuple[float, float]] = {}
+    zero_t, zero_r = zero_from
+
+    def outage(user_stages, star, row):
+        if ps >= star * _ZERO_MARGIN:
+            return 0.0
+        return _outage(user_stages, ps, exponent, work[row], work[2:])
+
+    def moments(family, values):
+        return _cv_moments(values, controls[family], work[2])
+
+    p_t = outage(stages_t, zero_t, 0) if metrics != {"cond_outage_r"} else None
+    out: dict[str, tuple[float, ...]] = {}
     if "cond_outage_t" in metrics:
-        out["cond_outage_t"] = _moments(p_t, work[2])
+        out["cond_outage_t"] = moments("cond_outage_t", p_t)
     if metrics == {"cond_outage_t"}:
         return out
     for suffix, stages_mode in stages_r.items():
-        p_r = _outage(stages_mode, ps, exponent, work[1], work[2:])
+        p_r = outage(stages_mode, zero_r[suffix], 1)
         if "cond_outage_r" in metrics:
-            out[f"cond_outage_r{suffix}"] = _moments(p_r, work[2])
+            out[f"cond_outage_r{suffix}"] = moments("cond_outage_r", p_r)
         if "cond_outage_system" in metrics:
-            out[f"cond_outage_system{suffix}"] = _moments(p_r + p_t - p_r * p_t, work[2])
+            out[f"cond_outage_system{suffix}"] = moments("cond_outage_system",
+                                                         p_r + p_t - p_r * p_t)
         if "cond_throughput_limited" in metrics:
-            out[f"cond_throughput_limited{suffix}"] = _moments(
-                (1.0 - p_r) * cfg.target_rate_r + (1.0 - p_t) * cfg.target_rate_t, work[2])
+            out[f"cond_throughput_limited{suffix}"] = moments(
+                "cond_throughput_limited",
+                (1.0 - p_r) * cfg.target_rate_r + (1.0 - p_t) * cfg.target_rate_t)
     return out
 
 
-def _estimates(partials: Sequence[dict], trials: int, tag: str) -> dict[str, Estimate]:
-    """Reduce one power's per-block partials, in block order: outage counts
-    get the binomial (Wald) CI, (sum, sum of squares) the sample-variance
-    CI.  An outage cell with no events, or with every trial an event, gets
-    the exact one-sided Clopper-Pearson bound 1 - 0.025^(1/n) (about 3.69/n)
-    instead of the Wald width 0; so does a conditional outage cell whose
-    per-trial probabilities are all 0 or all 1, where no trial's fades
-    admit an outage, or a success, at any distance."""
+def _fit(sums: list[float], products: list[list[float]], means: list[float],
+         trials: int) -> tuple | None:
+    """The regression set-up on a set of control rows, from their
+    block-summed sums and products and their exact means: the sums, their
+    deviations from trials x means, and the Cholesky factor of the
+    controls' covariance matrix in correlation form (scales d, lower
+    factor).  In Python floats, so that no BLAS kernel enters.  None with
+    too few trials to fit, or when some control is, to 1e-10 of its
+    variance, an affine function of the others."""
+    q = len(sums)
+    if trials <= q + 1:
+        return None
+    cov = [[products[i][j] - sums[i] * sums[j] / trials for j in range(q)] for i in range(q)]
+    if min(cov[i][i] for i in range(q)) <= 0.0:
+        return None
+    d = [math.sqrt(cov[i][i]) for i in range(q)]
+    chol = [[0.0] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i + 1):
+            r = cov[i][j] / (d[i] * d[j]) - sum(chol[i][k] * chol[j][k] for k in range(j))
+            if i > j:
+                chol[i][j] = r / chol[j][j]
+            elif r > 1e-10:
+                chol[i][i] = math.sqrt(r)
+            else:
+                return None
+    return sums, [s - trials * m for s, m in zip(sums, means)], d, chol
+
+
+def _controlled(cols: list[float], fit: tuple, trials: int) -> tuple[float, float] | None:
+    """The control-variate estimate (mean, ci95 half-width) of one cond_
+    cell from its column sums (sum p, sum p^2, sum p c) and its family's
+    fit (``_fit``): p-bar - beta . (c-bar - mu), with beta the
+    least-squares coefficient of p on the controls c and mu their exact
+    means.  The CI is 1.96 sqrt(s_res^2 / n), with s_res^2 the residual
+    sum of squares over n - q - 1 for q controls.  None when that sum is
+    within the rounding of the column sums (1e-12 of sum p^2): the
+    controls then account for every trial (pstars_noma's pSIC outage is
+    affine in S_r^2 wherever no trial is clipped), and the trials say
+    nothing of the residual's spread."""
+    total, total_sq, *cross = cols
+    csum, dev, d, chol = fit
+    q = len(csum)
+    cov_p = [c - total * s / trials for c, s in zip(cross, csum)]
+    # (d R d) beta = cov_p, with R = chol chol^T
+    y = [0.0] * q
+    for i in range(q):
+        y[i] = (cov_p[i] / d[i] - sum(chol[i][k] * y[k] for k in range(i))) / chol[i][i]
+    for i in reversed(range(q)):
+        y[i] = (y[i] - sum(chol[k][i] * y[k] for k in range(i + 1, q))) / chol[i][i]
+    beta = [y[i] / d[i] for i in range(q)]
+    mean = (total - sum(b * e for b, e in zip(beta, dev))) / trials
+    rss = total_sq - total * total / trials - sum(b * c for b, c in zip(beta, cov_p))
+    if rss <= 1e-12 * total_sq:
+        return None
+    return mean, 1.96 * math.sqrt(rss / (trials - q - 1) / trials)
+
+
+def _estimates(partials: Sequence[dict], trials: int, tag: str,
+               fits: dict[str, tuple | None] | None = None,
+               ceiling: float = 1.0) -> dict[str, Estimate]:
+    """Reduce one power's per-block partials, in block order, with exact
+    (fsum) sums: outage counts get the binomial (Wald) CI, (sum, sum of
+    squares) the sample-variance CI.  An outage cell with no events, or
+    with every trial an event, gets the exact one-sided Clopper-Pearson
+    bound 1 - 0.025^(1/n) (about 3.69/n) instead of the Wald width 0.
+
+    A cond_ cell whose per-trial values all sit at one end of its family's
+    range ([0, 1] for outages, [0, ceiling] = [0, R_r + R_t] for the
+    delay-limited throughput), to summation rounding, keeps its plain mean
+    and gets that bound scaled to the range.  Any other cond_ cell, given
+    each family's regression set-up (``_fit``), carries its control-variate
+    estimate (``_controlled``); where there is none, or it leaves the
+    family's range, the plain conditional estimate and CI with
+    ``fallback`` set."""
+    bound = -math.expm1(math.log(0.025) / trials)
     estimates: dict[str, Estimate] = {}
     for key, first in partials[0].items():
+        fallback = False
         if isinstance(first, tuple):
-            total = math.fsum(p[key][0] for p in partials)
-            total_sq = math.fsum(p[key][1] for p in partials)
+            cols = [math.fsum(col) for col in zip(*(p[key] for p in partials))]
+            total, total_sq = cols[:2]
             mean = total / trials
             var = (max(total_sq - total * total / trials, 0.0) / (trials - 1)
                    if trials > 1 else 0.0)
             halfwidth = 1.96 * math.sqrt(var / trials)
-            edge = key.startswith("cond_outage") and total in (0.0, trials)
+            if key.startswith("cond_"):
+                top = ceiling if key.startswith("cond_throughput") else 1.0
+                if total == 0.0 or math.isclose(total, trials * top, rel_tol=1e-12):
+                    halfwidth = top * bound
+                elif fits is not None:
+                    fit = fits[next(f for f in _CONTROL_USERS if key.startswith(f))]
+                    adjusted = _controlled(cols, fit, trials) if fit else None
+                    if adjusted is not None and 0.0 <= adjusted[0] <= top:
+                        mean, halfwidth = adjusted
+                    else:
+                        fallback = True
         else:
             events = sum(p[key] for p in partials)
             mean = events / trials
-            edge = events in (0, trials)
-            if not edge:
-                halfwidth = 1.96 * math.sqrt(mean * (1.0 - mean) / trials)
-        if edge:
-            halfwidth = -math.expm1(math.log(0.025) / trials)
+            halfwidth = (bound if events in (0, trials)
+                         else 1.96 * math.sqrt(mean * (1.0 - mean) / trials))
         estimates[key] = Estimate(mean=mean, trials=trials, kind=tag + key,
-                                  ci95_halfwidth=halfwidth)
+                                  ci95_halfwidth=halfwidth, fallback=fallback)
     return estimates
 
 
@@ -516,7 +715,7 @@ def _point_partials(cfg: NetworkConfig, scheme: str, powers: list[float],
                     families: frozenset[str], fades: _Fades, loss: dict) -> list[dict]:
     """One point's partial sums of one block, one dict per power: the raw
     families from its fades with the drawn path losses applied, the
-    conditional ones from its threshold coefficients."""
+    conditional ones from its threshold coefficients and control rows."""
     parts: list[dict] = [{} for _ in powers]
     raw, cond = families & _DISTANCE_READERS, families - _DISTANCE_READERS
     if raw:
@@ -526,8 +725,12 @@ def _point_partials(cfg: NetworkConfig, scheme: str, powers: list[float],
     if cond:
         stages = _thresholds(cfg, scheme, fades)
         work = np.empty((4, fades.h_re_sq.size))
+        top = max(powers)
+        zero_from = (_zero_power(stages[0], top, work),
+                     {suffix: _zero_power(user, top, work) for suffix, user in stages[1].items()})
+        controls = {family: _controls(fades, family) for family in cond}
         for part, ps in zip(parts, powers):
-            part.update(_cond_partials(cfg, stages, ps, cond, work))
+            part.update(_cond_partials(cfg, stages, zero_from, ps, cond, controls, work))
     return parts
 
 
@@ -595,18 +798,41 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
     losses = [(c.radius_d, c.path_alpha) for c, _, _, families in runs
               if not families.isdisjoint(_DISTANCE_READERS)]
 
-    def run(block: int) -> list[list[dict]]:
+    def run(block: int) -> tuple[list, dict]:
         loss = _path_losses(seed, block, sizes[block], losses)
         out: list = [None] * len(runs)
+        # the sums and products of the control rows each cond_ family reads,
+        # once per (kappa, L) and set of users
+        controls: dict[tuple, tuple] = {}
         for i, fades in _block_fades(seed, block, sizes[block], kernels):
+            cfg_i, _, _, families = runs[i]
+            for family in families - _DISTANCE_READERS:
+                key = (cfg_i.rician_kappa, cfg_i.num_elements, _CONTROL_USERS[family])
+                if key not in controls:
+                    rows = _controls(fades, family)
+                    controls[key] = ([float(np.add.reduce(a)) for a in rows],
+                                     [[float(np.einsum("n,n->", a, b)) for b in rows[i:]]
+                                      for i, a in enumerate(rows)])
             out[i] = _point_partials(*runs[i], fades, loss)
-        return out
+        return out, controls
 
     by_block = _map_blocks(run, range(len(sizes)), workers)
+    fits = {}
+    for key in by_block[0][1]:
+        sums = [math.fsum(col) for col in zip(*(blk[1][key][0] for blk in by_block))]
+        # the upper triangle of the products, mirrored
+        upper = [[math.fsum(col) for col in zip(*(blk[1][key][1][i] for blk in by_block))]
+                 for i in range(len(sums))]
+        products = [[upper[min(i, j)][abs(j - i)] for j in range(len(sums))]
+                    for i in range(len(sums))]
+        fits[key] = _fit(sums, products, _control_means(*key), trials)
 
     results = []
-    for i, ((_, s, powers, _), (_, _, ps_p, *_)) in enumerate(zip(runs, points)):
-        per_power = [_estimates([blk[i][k] for blk in by_block], trials, f"{s}:")
+    for i, ((c, s, powers, families), (_, _, ps_p, *_)) in enumerate(zip(runs, points)):
+        own = {family: fits[c.rician_kappa, c.num_elements, users]
+               for family, users in _CONTROL_USERS.items() if family in families}
+        per_power = [_estimates([blk[0][i][k] for blk in by_block], trials, f"{s}:", own,
+                                c.target_rate_r + c.target_rate_t)
                      for k in range(len(powers))]
         results.append(per_power[0] if np.ndim(ps_p) == 0 else per_power)
     return results[0] if lone else results

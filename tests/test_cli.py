@@ -295,6 +295,33 @@ def test_figure_smoke_run(tmp_path, capsys):
     assert {"astars_noma", "astars_oma"} <= schemes
 
 
+FIG2A_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference" / "fig2a_budget"
+
+
+def test_fig2a_cells_agree_with_the_frozen_reference_within_their_cis(tmp_path, capsys):
+    # every fig2a Monte Carlo cell at the default 10^5 trials, a
+    # control-variate estimate, against the benchmark's frozen 10^6-trial
+    # raw cell (made at another seed), within 4 sigma of the two CIs
+    # combined; unlike a count test, it reads each cell's own CI
+    rc = main(["--out", str(tmp_path), "--trials", "100000", "--seed", "987654",
+               "--no-plots", "figure", "fig2a"])
+    assert rc == 0
+    checked = 0
+    for frozen in sorted(FIG2A_REFERENCE.glob("*.csv")):
+        got = {(r["axis_value"], r["mode"], r["scheme"]): r
+               for r in _read(tmp_path / "fig2a" / frozen.name)}
+        for ref in _read(frozen):
+            if ref["flag"]:
+                continue
+            cell = got[ref["axis_value"], ref["mode"], ref["scheme"]]
+            assert cell["trials"] == "100000"
+            sigma = math.hypot(float(cell["mc_ci95"]), float(ref["mc_ci95"])) / 1.96
+            diff = abs(float(cell["mc_mean"]) - float(ref["mc_mean"]))
+            assert diff <= 4.0 * sigma, (frozen.name, ref, cell)
+            checked += 1
+    assert checked == 105
+
+
 def test_figure_unknown_id(tmp_path, capsys):
     rc = main(["--out", str(tmp_path), "figure", "fig99z"])
     assert rc == 1

@@ -237,7 +237,9 @@ COND_CELLS = [(CFG, "astars_noma"), (CFG, "astars_oma"), (CFG, "pstars_noma"),
 
 
 def test_worker_count_leaves_estimates_bit_identical():
-    powers = [dbm_to_watts(d) for d in (5.0, 20.0)]
+    # at 40 dBm some blocks of the pSIC cells have an exactly-zero outage
+    # and are not evaluated
+    powers = [dbm_to_watts(d) for d in (5.0, 20.0, 40.0)]
     for cfg, scheme in COND_CELLS:
         runs = [simulate(cfg, scheme, powers, trials=3 * BLOCK_TRIALS + 17,
                          seed=99, workers=w) for w in (1, 2, 7)]
@@ -380,7 +382,8 @@ def test_zero_event_outage_cell_has_exact_bound():
     for est in cells:
         assert est.ci95_halfwidth == pytest.approx(bound, rel=1e-9)
         assert est.ci95_halfwidth == pytest.approx(3.689 / n, rel=1e-3)
-    # a throughput is not an outage cell: it keeps its sample-variance CI
+    # a throughput cell's bound is scaled to its range [0, R_r + R_t],
+    # here [0, 0] (test_throughput_cell_at_an_end_of_its_range_has_exact_bound)
     assert never["cond_throughput_limited_psic"].ci95_halfwidth == 0.0
     # the bound follows the per-trial probabilities: all 0, all 1, or mixed
     for partials, bounded in (([(0.0, 0.0), (0.0, 0.0)], True),
@@ -506,26 +509,88 @@ def test_throughput_estimates_are_consistent_compositions():
 
 @pytest.mark.parametrize("cfg, scheme", COND_CELLS,
                          ids=["noma", "oma", "pstars", "mean_noise", "alpha3"])
-def test_conditional_estimates_agree_with_raw_and_are_tighter(cfg, scheme):
+def test_conditional_estimates_agree_with_raw_and_are_tighter(cfg, scheme, monkeypatch):
     # integrating the distances out cannot move the mean and cannot widen
-    # the CI (Rao-Blackwellization); at the same seed the two estimates
+    # the CI (Rao-Blackwellization), and the control variates, whose means
+    # are exact, tighten it further; at the same seed all three estimates
     # read the same fades; budgets where every raw cell sees events and
-    # misses, so neither CI is a zero-event bound
+    # misses, so no CI is a zero-event bound
     powers = [budget_to_ps(dbm_to_watts(q), cfg, active=scheme != "pstars_noma")
               for q in (12.5, 17.5, 22.5)]
     if cfg.path_alpha == 3.0:
         powers = [dbm_to_watts(q) for q in (35.0, 40.0, 45.0)]
+    controlled = simulate(cfg, scheme, powers, trials=60_000, seed=21)
+    monkeypatch.setattr(mc, "_fit", lambda *args: None)
+    plain = simulate(cfg, scheme, powers, trials=60_000, seed=21)
     checked = 0
-    for sims in simulate(cfg, scheme, powers, trials=60_000, seed=21):
+    for sims, plain_sims in zip(controlled, plain):
         for key, est in sims.items():
             if not key.startswith("cond_"):
                 continue
-            raw = sims[key.removeprefix("cond_")]
+            raw, unadjusted = sims[key.removeprefix("cond_")], plain_sims[key]
+            assert unadjusted.fallback
+            # without amplified noise a pSIC-type outage can be affine in the
+            # controls at every trial; then the plain estimate stands
+            assert not est.fallback or (scheme == "pstars_noma" and est == unadjusted)
             sigma = math.hypot(est.ci95_halfwidth, raw.ci95_halfwidth) / 1.96
             assert abs(est.mean - raw.mean) <= 4.0 * sigma, (key, est, raw)
-            assert est.ci95_halfwidth <= raw.ci95_halfwidth, (key, est, raw)
+            assert est.ci95_halfwidth <= unadjusted.ci95_halfwidth, (key, est, unadjusted)
+            assert unadjusted.ci95_halfwidth <= raw.ci95_halfwidth, (key, unadjusted, raw)
             checked += 1
     assert checked == 3 * (4 if scheme == "astars_oma" else 7)
+
+
+def test_a_wrong_control_mean_moves_the_estimate(monkeypatch):
+    # the control means enter the estimate: 1% on the per-element mean m
+    # moves a fig2a cell at 12.5 dBm by more than its own CI, so the test
+    # above would see a wrong mean
+    ps = budget_to_ps(dbm_to_watts(12.5), CFG)
+    key = "cond_outage_r_psic"
+    right = simulate(CFG, "astars_noma", ps, trials=50_000, seed=8, metrics=("cond_outage_r",))
+    real = mc.element_moments
+    monkeypatch.setattr(mc, "element_moments", lambda k: (1.01 * real(k)[0], real(k)[1]))
+    wrong = simulate(CFG, "astars_noma", ps, trials=50_000, seed=8, metrics=("cond_outage_r",))
+    assert abs(wrong[key].mean - right[key].mean) > right[key].ci95_halfwidth
+    assert not wrong[key].fallback and not right[key].fallback
+
+
+@pytest.mark.parametrize("cfg, scheme", COND_CELLS,
+                         ids=["noma", "oma", "pstars", "mean_noise", "alpha3"])
+def test_zero_power_skip_is_exact(cfg, scheme):
+    # from a user's zero power ps* on (the 1e-9 margin included) the block's
+    # partial sums are the ones a forced evaluation of every user gives,
+    # bit for bit, for every family; just below ps* some trial has an
+    # outage, so ps* is the least such power, not merely a bound
+    size = 512
+    families = frozenset(mc.CONDITIONAL.values())
+    [(_, fades)] = _block_fades(5, 0, size, [(cfg, scheme)])
+    stages = mc._thresholds(cfg, scheme, fades)
+    users = [stages[0], *stages[1].values()]
+    stars = [mc._zero_power(user, math.inf, np.empty((2, size))) for user in users]
+    zero_from = (stars[0], dict(zip(stages[1], stars[1:])))
+    forced = (math.inf, {suffix: math.inf for suffix in stages[1]})
+    controls = {family: mc._controls(fades, family) for family in families}
+    exponent = 2.0 / cfg.path_alpha
+    work = np.empty((4, size))
+    skipped = 0
+    for user, star in zip(users, stars):
+        if math.isinf(star):
+            # some trial has k x <= w at some stage: an outage at any power
+            assert mc._outage(user, 1e9, exponent, np.empty(size), np.empty((2, size))).any()
+            continue
+        below = mc._outage(user, star * (1.0 - 1e-6), exponent, np.empty(size),
+                           np.empty((2, size)))
+        assert below.max() > 0.0
+        for ps in (star, star * mc._ZERO_MARGIN, star * mc._ZERO_MARGIN * (1.0 + 1e-12),
+                   2.0 * star):
+            if ps >= star * mc._ZERO_MARGIN:
+                full = mc._outage(user, ps, exponent, np.empty(size), np.empty((2, size)))
+                assert not full.any()
+                skipped += 1
+            got = mc._cond_partials(cfg, stages, zero_from, ps, families, controls, work)
+            want = mc._cond_partials(cfg, stages, forced, ps, families, controls, work)
+            assert got == want, (cfg, scheme, ps)
+    assert skipped == 3 * sum(map(math.isfinite, stars)) > 0
 
 
 def test_conditional_outage_is_the_disk_average_of_the_raw_indicator():
@@ -555,6 +620,83 @@ def test_conditional_outage_is_the_disk_average_of_the_raw_indicator():
             grid = out.reshape(size, M).mean(axis=1)
             assert np.all(np.abs(exact - grid) <= 1.0 / M + 1e-12), (cfg, scheme)
             assert 0.0 < exact.mean() < 1.0
+
+
+def _controlled_partials(values, controls):
+    """One block's partial sums of a cond_ cell and its regression fit,
+    the way simulate forms them from per-trial values and control rows,
+    with control means claimed to be 0."""
+    part = mc._cv_moments(values, tuple(controls), None)
+    fit = mc._fit(controls.sum(axis=1).tolist(), (controls @ controls.T).tolist(),
+                  [0.0] * len(controls), values.size)
+    return part, fit
+
+
+def test_range_guard_falls_back_to_the_plain_estimate():
+    # a control-variate mean outside the family's range is replaced by the
+    # plain conditional estimate and CI, with fallback set; here the
+    # control's sample mean lies 3 below its (claimed) exact mean 0 and p
+    # rises with it, so p-bar - beta c-bar < 0
+    rng = np.random.default_rng(1)
+    n = 400
+    c = rng.normal(3.0, 1.0, n)
+    p = np.clip(1e-3 * (c - 2.5), 0.0, 1.0)
+    controls = np.stack([c, rng.normal(0.0, 1.0, n)])
+    part, fit = _controlled_partials(p, controls)
+    assert mc._controlled(list(part), fit, n)[0] < 0.0
+    est = mc._estimates([{"cond_outage_t": part}], n, "", {"cond_outage_t": fit})
+    est = est["cond_outage_t"]
+    assert est.fallback
+    assert est.mean == part[0] / n
+    var = (part[1] - part[0] ** 2 / n) / (n - 1)
+    assert est.ci95_halfwidth == pytest.approx(1.96 * math.sqrt(var / n), rel=1e-12)
+    # a throughput above R_r + R_t falls back the same way, one inside its
+    # range does not
+    for ceiling, fell_back in ((1.0, True), (3.0, False)):
+        q = 1.0 + np.clip(1e-3 * (3.5 - c), 0.0, 1.0)
+        part, fit = _controlled_partials(q, controls)
+        assert mc._controlled(list(part), fit, n)[0] > 1.0
+        est = mc._estimates([{"cond_throughput_limited": part}], n, "",
+                            {"cond_throughput_limited": fit}, ceiling)
+        assert est["cond_throughput_limited"].fallback is fell_back
+    # so does a cell whose controls cannot be fitted: here no more trials
+    # than two controls and a mean leave no residual degree of freedom
+    tiny = simulate(CFG, "astars_noma", dbm_to_watts(15.0), trials=3, seed=2,
+                    metrics=("cond_outage_r", "cond_outage_t"))
+    inner = [est for est in tiny.values() if 0.0 < est.mean < 1.0]
+    assert inner and all(est.fallback for est in inner)
+    # or that fit every trial to rounding: without amplified noise the
+    # pstars_noma pSIC outage is affine in S_r^2 wherever no trial clips
+    exact = simulate(CFG, "pstars_noma", budget_to_ps(dbm_to_watts(0.0), CFG, active=False),
+                     trials=20_000, seed=2, metrics=("cond_outage_r",))["cond_outage_r_psic"]
+    assert exact.fallback and 0.9 < exact.mean < 1.0 and exact.ci95_halfwidth > 0.0
+
+
+def test_throughput_cell_at_an_end_of_its_range_has_exact_bound():
+    # a cond_ throughput cell whose trials all succeed, or all fail, has a
+    # sample variance of 0; it keeps its plain mean and gets the exact
+    # bound (R_r + R_t)(1 - 0.025^(1/n)) instead
+    n = 20_000
+    bound = 1.0 - 0.025 ** (1.0 / n)
+    metrics = ("cond_throughput_limited",)
+    degenerate = replace(CFG, target_rate_t=2.0)  # a_t < gamma_t_hat a_r
+    sure = simulate(CFG, "astars_noma", dbm_to_watts(60.0), trials=n, metrics=metrics)
+    never = simulate(degenerate, "astars_noma", dbm_to_watts(30.0), trials=n, metrics=metrics)
+    oma = simulate(CFG, "astars_oma", dbm_to_watts(60.0), trials=n, metrics=metrics)
+    top, top_degenerate = 2.0, 3.0  # R_r + R_t
+    for est, mean, width in ((sure["cond_throughput_limited_psic"], top, top),
+                             (never["cond_throughput_limited_psic"], 0.0, top_degenerate),
+                             (never["cond_throughput_limited_ipsic"], 0.0, top_degenerate),
+                             (oma["cond_throughput_limited"], top, top)):
+        assert est.mean == mean
+        assert est.ci95_halfwidth == pytest.approx(width * bound, rel=1e-9)
+        assert not est.fallback
+    # the all-success sum of a rate that is not a binary fraction carries
+    # rounding; it still counts as the range's end
+    rate = 0.1 + 0.2
+    parts = [{"cond_throughput_limited": (math.fsum([rate] * 3), 3 * rate * rate)}] * 7
+    est = mc._estimates(parts, 21, "", None, rate)["cond_throughput_limited"]
+    assert est.ci95_halfwidth == pytest.approx(rate * (1.0 - 0.025 ** (1.0 / 21)))
 
 
 def test_conditional_families_skip_the_distance_draw(monkeypatch):
