@@ -45,10 +45,6 @@ __all__ = [
 CSV_HEADER = ["axis_name", "axis_value", "metric", "mode", "scheme",
               "analytic", "mc_mean", "mc_ci95", "trials", "flag"]
 
-# the metrics a sweep writes; each outage reader's cells come from its
-# conditional family
-METRICS = tuple(m for m in mc.METRICS if m not in mc.CONDITIONAL.values())
-
 _MODE_FREE_METRICS = frozenset({"outage_t", "rate_t"})
 
 # config key -> (dataclass field, parser)
@@ -91,9 +87,11 @@ def _parse_bool(s: str) -> bool:
 
 
 def parse_config(path: str | Path) -> NetworkConfig:
-    """Load a flat key = value config; absent keys keep their defaults."""
+    """Load a flat key = value config; absent keys keep their defaults, and
+    a key set twice is refused."""
     text = Path(path).read_text(encoding="utf-8")
     overrides = {}
+    first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -105,6 +103,9 @@ def parse_config(path: str | Path) -> NetworkConfig:
         value = value.strip()
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key: {key}")
+        if key in first_line:
+            raise ConfigError(f"{path}: key {key} set on lines {first_line[key]} and {lineno}")
+        first_line[key] = lineno
         field, parser = _CONFIG_KEYS[key]
         try:
             overrides[field] = parser(value)
@@ -149,11 +150,16 @@ class SweepSpec:
             if repeated:
                 raise ConfigError(f"sweep lists {name} {', '.join(repeated)} more than once")
         for m in self.metrics:
-            if m not in METRICS:
+            if m not in mc.METRICS:
                 raise ConfigError(f"unknown metric {m!r}")
         for s in self.schemes:
             if s not in mc.SCHEMES:
                 raise ConfigError(f"unknown scheme {s!r}")
+        if self.axis == "num_elements":
+            fractional = [v for v in self.values if not float(v).is_integer()]
+            if fractional:
+                raise ConfigError(f"num_elements takes whole numbers, got "
+                                  f"{', '.join(map(repr, fractional))}")
         if self.axis in ("num_elements", "amp_lambda", "beta_a_grid") and \
                 self.fixed_q_tot_dbm is None and self.fixed_ps_dbm is None:
             raise ConfigError(f"axis {self.axis} needs fixed_q_tot_dbm or fixed_ps_dbm")
@@ -218,10 +224,8 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
 
     Every row carries the analytic value (main scheme only; the baselines
     have no closed forms in scope) and the Monte Carlo estimate with its
-    confidence half-width: for the outage families and the delay-limited
-    throughput, the estimate conditional on the fades
-    (montecarlo.CONDITIONAL).  Infeasible budget points are kept as
-    flagged rows with empty value cells.
+    confidence half-width.  Infeasible budget points are kept as flagged
+    rows with empty value cells.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -243,9 +247,8 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
                 powers_by_group.setdefault((cfg_pt, scheme), []).append(ps)
             cells.append((value, cfg_pt, scheme, ps))
     points = [(*group, powers) for group, powers in powers_by_group.items()]
-    families = {metric: mc.CONDITIONAL.get(metric, metric) for metric in spec.metrics}
     sims = (mc.simulate(points, trials=trials, seed=seed, workers=workers,
-                        metrics=tuple(families.values()))
+                        metrics=spec.metrics)
             if points else [])
     # each group's estimates come back in the order its cells were listed
     sims_by_group = {group: iter(group_sims)
@@ -266,8 +269,7 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
                 if sims is not None:
                     if scheme == "astars_noma":
                         analytic_val = _ANALYTIC_FNS[metric](cfg_pt, mode, ps)
-                    family = families[metric]
-                    est = sims[family if mode_free else f"{family}_{mode.value.lower()}"]
+                    est = sims[metric if mode_free else f"{metric}_{mode.value.lower()}"]
                     mc_mean, mc_ci = est.mean, est.ci95_halfwidth
                     _check_cell(metric, analytic_val)
                     _check_cell(metric, mc_mean)
@@ -426,13 +428,13 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     ps_active = {q: mc.budget_to_ps(dbm_to_watts(q), cfg) for q in (*outage_dbms, *order_dbms)}
     ps_rates = {q: mc.budget_to_ps(dbm_to_watts(q), rates_cfg) for q in rate_dbms}
     ps_passive = {q: mc.budget_to_ps(dbm_to_watts(q), cfg, active=False) for q in order_dbms}
-    # each with the metric families its gates read; the outage and order
-    # gates read the estimates conditional on the fades
-    groups = ((cfg, "astars_noma", ps_active, tuple(mc.CONDITIONAL.values())),
+    # each with the metric families its gates read
+    groups = ((cfg, "astars_noma", ps_active,
+               ("outage_r", "outage_t", "outage_system", "throughput_limited")),
               (rates_cfg, "astars_noma", ps_rates, ("rate_r", "rate_t")),
               (cfg, "astars_oma", {q: ps_active[q] for q in order_dbms},
-               ("cond_throughput_limited",)),
-              (cfg, "pstars_noma", ps_passive, ("cond_outage_system",)))
+               ("throughput_limited",)),
+              (cfg, "pstars_noma", ps_passive, ("outage_system",)))
     sims = mc.simulate([(cfg_s, scheme, list(by_dbm.values()), families)
                         for cfg_s, scheme, by_dbm, families in groups],
                        trials=trials, seed=seed, workers=workers)
@@ -447,7 +449,7 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
                 ("outage_r_psic", an.outage_r(cfg, SicMode.PSIC, ps)),
                 ("outage_r_ipsic", an.outage_r(cfg, SicMode.IPSIC, ps)),
                 ("outage_t", an.outage_t(cfg, ps))):
-            est = sims[f"cond_{metric}"]
+            est = sims[metric]
             tol = max(0.02, 3.0 * est.ci95_halfwidth)
             diff = abs(value - est.mean)
             gate(f"agree/{metric}@{q_dbm:g}dBm", diff,
@@ -510,13 +512,13 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
 
     # 5. scheme orderings (CI-aware)
     for q_dbm in order_dbms:
-        t_n = noma[q_dbm]["cond_throughput_limited_psic"]
-        t_o = oma[q_dbm]["cond_throughput_limited"]
+        t_n = noma[q_dbm]["throughput_limited_psic"]
+        t_o = oma[q_dbm]["throughput_limited"]
         slack = 3.0 * (t_n.ci95_halfwidth + t_o.ci95_halfwidth)
         gate(f"order/throughput_noma_vs_oma@{q_dbm:g}dBm", t_n.mean - t_o.mean,
              f">= -3ci={-slack:.3g}", t_n.mean - t_o.mean >= -slack)
-        s_n = noma[q_dbm]["cond_outage_system_psic"]
-        s_p = pst[q_dbm]["cond_outage_system_psic"]
+        s_n = noma[q_dbm]["outage_system_psic"]
+        s_p = pst[q_dbm]["outage_system_psic"]
         slack = 3.0 * (s_n.ci95_halfwidth + s_p.ci95_halfwidth)
         gate(f"order/sysout_astars_vs_pstars@{q_dbm:g}dBm", s_p.mean - s_n.mean,
              f">= -3ci={-slack:.3g}", s_p.mean - s_n.mean >= -slack)

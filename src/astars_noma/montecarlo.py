@@ -24,39 +24,37 @@ surface-noise powers, residual power) are formed from the sums; the path
 loss d^-alpha is formed once per block for each (D, alpha) in the call
 and applied to the fades afterwards.
 
-Two estimators read the same fades.  The raw one applies the drawn
-distances and counts outage indicators or averages log2(1 + SINR); it is
-the ground truth, under the keys outage_r, rate_r, and so on.  The
-conditional one, under the cond_ keys, integrates the two user distances
-out exactly: every link SINR is a X / (b X + N + c d^alpha) in the fade
-terms X and N, so given the fades each decoding stage succeeds iff d lies
-inside a threshold distance, and the disk law gives P(outage | fades) in
-closed form.  Averaging that probability over trials (conditional Monte
-Carlo, a Rao-Blackwellization) keeps the mean and cannot widen the CI.
-It serves the outage families and the delay-limited throughput; a call
-that asks for neither a raw outage family nor a rate family does not draw
-the U stream.
+Each metric family has one estimator.  The rates and the delay-tolerant
+throughput apply the drawn distances and average log2(1 + SINR).  The
+outage families and the delay-limited throughput integrate the two user
+distances out exactly: every link SINR is a X / (b X + N + c d^alpha) in
+the fade terms X and N, so given the fades each decoding stage succeeds
+iff d lies inside a threshold distance, and the disk law gives
+P(outage | fades) in closed form.  Averaging that probability over trials
+(conditional Monte Carlo, a Rao-Blackwellization) keeps the mean of the
+outage indicator at drawn distances and cannot widen its CI.  A call
+that asks for no rate family does not draw the U stream.
 
-Each cond_ estimate then uses control variates.  The controls are the
-phase-aligned cascade amplitude S_u = sum_l |h_s,l| |h_u,l| and its square,
-whose means are exact: E S_u = L m and E S_u^2 = L v + (L m)^2, with (m, v)
-the per-element product's mean and variance (model.element_moments), so
-the Gamma fit does not enter.  A user's outage regresses on its own pair
-(at alpha = 2 it is a clipped affine function of S_u^2), the system
-outage and the delay-limited throughput on both users' pairs.  The
-estimate is p-bar - beta . (X-bar - mu) with beta fitted by least squares
-on the same trials, and its CI is 1.96 sqrt(s_res^2 / n), s_res^2 the
-residual variance over n - q - 1 for q controls.  An estimated beta
-biases the mean by O(1/n), far below the CI at the default 10^5 trials.
-An adjusted mean outside the family's range ([0, 1], or [0, R_r + R_t]
-for the throughput) falls back to the plain conditional estimate and CI,
-marked by Estimate.fallback; so does a cell whose controls cannot be
-fitted, or fit every trial to rounding (the trials then say nothing of
-the residual's spread).  A cell whose per-trial values all sit at one end
-of that range keeps its plain mean and the exact bound 1 - 0.025^(1/n),
-scaled to the range.  A block whose fades put a user's outage at exactly
-0 at some power, at every distance, is not evaluated there: its partial
-sums are the zeros that evaluating it gives.
+Each outage-type estimate then uses control variates.  The controls are
+the phase-aligned cascade amplitude S_u = sum_l |h_s,l| |h_u,l| and its
+square, whose means are exact: E S_u = L m and E S_u^2 = L v + (L m)^2,
+with (m, v) the per-element product's mean and variance
+(model.element_moments), so the Gamma fit does not enter.  A user's outage
+regresses on its own pair (at alpha = 2 it is a clipped affine function of
+S_u^2), the system outage and the delay-limited throughput on both users'
+pairs.  The estimate is p-bar - beta . (X-bar - mu) with beta fitted by
+least squares on the same trials, and its CI is 1.96 sqrt(s_res^2 / n),
+s_res^2 the residual variance over n - q - 1 for q controls.  An estimated
+beta biases the mean by O(1/n), far below the CI at the default 10^5
+trials.  An adjusted mean outside the family's range ([0, 1], or
+[0, R_r + R_t] for the throughput) falls back to the plain conditional
+estimate and CI, marked by Estimate.fallback; so does a cell whose
+controls cannot be fitted, or fit every trial to rounding (the trials then
+say nothing of the residual's spread).  A cell whose per-trial values all
+sit at one end of that range keeps its plain mean and the exact bound
+1 - 0.025^(1/n), scaled to the range.  A block whose fades put a user's
+outage at exactly 0 at some power, at every distance, is not evaluated
+there: its partial sums are the zeros that evaluating it gives.
 
 One ``simulate`` call evaluates a list of points (config, scheme, powers
 and, optionally, metric families) on one draw per block: element counts
@@ -65,10 +63,9 @@ is applied to the same sums, and every power to the same per-trial terms.
 The points of a call thus share common random numbers: differences
 between them come out tighter, and each point's own estimate is what a
 call with that point alone gives.  A point estimates only the metric
-families it names: at each power the outage indicators are formed only
-for the raw outage and delay-limited families, the log2(1 + SINR) arrays
-only for the rate and delay-tolerant ones, and the conditional outage
-probabilities only for the cond_ families.
+families it names: at each power the log2(1 + SINR) arrays are formed
+only for the rate families, and the conditional outage probabilities only
+for the outage-type ones.
 
 Determinism contract: per-block partials are reduced in block order with
 exact (fsum) accumulation, so results are bit-identical for a given
@@ -94,7 +91,6 @@ from .numerics import NumericIntegrityError
 
 __all__ = [
     "BLOCK_TRIALS",
-    "CONDITIONAL",
     "Estimate",
     "METRICS",
     "SCHEMES",
@@ -107,36 +103,25 @@ BLOCK_TRIALS = 8192
 
 SCHEMES = ("astars_noma", "astars_oma", "pstars_noma")
 
-# the metric families simulate can estimate.  The first seven read the
-# drawn user distances: the outage families and throughput_limited through
-# the outage indicators, the rates and throughput_tolerant through
-# log2(1 + gamma).  Each cond_ family is an outage reader's estimate
-# conditional on the fades, with the two distances integrated out exactly.
-# NOMA schemes key the reflection user's families by SIC mode
-# (outage_r_psic, cond_outage_r_psic, ...), OMA bare
+# the metric families simulate can estimate.  NOMA schemes key the
+# reflection user's families by SIC mode (outage_r_psic, ...), OMA bare
 METRICS = ("outage_r", "outage_t", "outage_system",
-           "rate_r", "rate_t", "throughput_limited", "throughput_tolerant",
-           "cond_outage_r", "cond_outage_t", "cond_outage_system", "cond_throughput_limited")
+           "rate_r", "rate_t", "throughput_limited", "throughput_tolerant")
 
-# each outage reader's conditional family
-CONDITIONAL = {m.removeprefix("cond_"): m for m in METRICS if m.startswith("cond_")}
-
-# the families read off the outage indicators, and off the log2(1 + gamma) arrays
-_OUTAGE_READERS = frozenset(CONDITIONAL)
+# the families read off the log2(1 + gamma) arrays at the drawn distances;
+# a call without them skips the U stream
 _RATE_READERS = frozenset({"rate_r", "rate_t", "throughput_tolerant"})
-# the families that read the drawn distances; a call without them skips the U stream
-_DISTANCE_READERS = _OUTAGE_READERS | _RATE_READERS
 
-# a user at or above its zero power by this factor is not evaluated (_cond_partials)
+# a user at or above its zero power by this factor is not evaluated (_conditional_partials)
 _ZERO_MARGIN = 1.0 + 1e-9
 # the partial sums of a row of zeros, by its number of controls, shared
 _ZERO_PARTIALS = {q: (0.0,) * (2 + q) for q in (2, 4)}
 
-# the users whose cascade amplitude S_u and its square each cond_ family
-# regresses on (see _controls): a user's outage on its own, the joint
-# families on both
-_CONTROL_USERS = {"cond_outage_r": ("r",), "cond_outage_t": ("t",),
-                  "cond_outage_system": ("r", "t"), "cond_throughput_limited": ("r", "t")}
+# the families estimated conditional on the fades, and the users whose
+# cascade amplitude S_u and its square each regresses on (see _controls):
+# a user's outage on its own, the joint families on both
+_CONTROL_USERS = {"outage_r": ("r",), "outage_t": ("t",),
+                  "outage_system": ("r", "t"), "throughput_limited": ("r", "t")}
 
 # a block's substreams; the index is the second word of each one's spawn key
 _PURPOSES = ("h_s", "h_r", "h_t", "n_s", "E", "U")
@@ -174,15 +159,14 @@ class _Terms(NamedTuple):
 @dataclass(frozen=True)
 class Estimate:
     """A simulated metric with its 95% confidence half-width.  fallback
-    marks a cond_ estimate that carries the plain conditional mean and CI
-    because its control-variate adjustment was not usable: the adjusted
-    mean left the family's range, the controls were collinear or had too
-    few trials to fit, or they fit every trial to rounding."""
+    marks an outage-type estimate that carries the plain conditional mean
+    and CI because its control-variate adjustment was not usable: the
+    adjusted mean left the family's range, the controls were collinear or
+    had too few trials to fit, or they fit every trial to rounding."""
 
     mean: float
     trials: int
     ci95_halfwidth: float
-    kind: str
     fallback: bool = False
 
 
@@ -237,8 +221,8 @@ def _element_sums(seed: int, block: int, size: int, kappas: Sequence[float],
 
 
 def _controls(fades: _Fades, family: str) -> tuple[np.ndarray, ...]:
-    """The control rows a cond_ family regresses on: S_u and S_u^2 for each
-    of its users (_CONTROL_USERS), in order."""
+    """The control rows an outage-type family regresses on: S_u and S_u^2
+    for each of its users (_CONTROL_USERS), in order."""
     rows = {"r": (fades.amp_r, fades.amp_sq_r), "t": (fades.amp_t, fades.amp_sq_t)}
     return tuple(row for user in _CONTROL_USERS[family] for row in rows[user])
 
@@ -362,55 +346,25 @@ def _moments(values: np.ndarray, work: np.ndarray | None = None) -> tuple[float,
 
 
 def _partials(cfg: NetworkConfig, scheme: str, terms: _Terms, ps: float,
-              metrics: frozenset[str]) -> dict[str, int | tuple[float, float]]:
-    """Raw partial sums of one block at one transmit power for the metric
-    families in metrics, keyed by the metric names of the estimates: event
-    counts for outages, (sum, sum of squares) for rates and throughputs.
-    The outage indicators are formed only when an outage family or
-    throughput_limited is asked for, the log2(1 + gamma) arrays only when a
-    rate family or throughput_tolerant is; each value is the one the full
-    set gives."""
-    outages = not metrics.isdisjoint(_OUTAGE_READERS)
-    rates = not metrics.isdisjoint(_RATE_READERS)
-    out_t = rate_t = None
+              metrics: frozenset[str]) -> dict[str, tuple[float, float]]:
+    """Partial sums (sum, sum of squares) of one block at one transmit
+    power for the rate families in metrics, keyed by the metric names of
+    the estimates, from the log2(1 + gamma) arrays."""
     if scheme == "astars_oma":
-        # dedicated slots: full power, doubled spectral-efficiency target,
-        # per-user rate halved by the slot structure
+        # dedicated slots: full power, per-user rate halved by the slot structure
         gamma_r, gamma_t = _sinrs(cfg, scheme, terms, ps)
-        if outages:
-            out_t = gamma_t <= target_sinr(2.0 * cfg.target_rate_t)
-        if rates:
-            rate_t = 0.5 * np.log2(1.0 + gamma_t)
-        by_mode = {"": (gamma_r <= target_sinr(2.0 * cfg.target_rate_r) if outages else None,
-                        0.5 * np.log2(1.0 + gamma_r) if rates else None)}
+        rate_t = 0.5 * np.log2(1.0 + gamma_t)
+        by_mode = {"": 0.5 * np.log2(1.0 + gamma_r)}
     else:
-        gamma_r_hat = target_sinr(cfg.target_rate_r)
-        gamma_t_hat = target_sinr(cfg.target_rate_t)
-        gamma_r_to_t, gamma_r_psic, gamma_r_ipsic, gamma_t = _sinrs(cfg, scheme, terms, ps)
-        if outages:
-            out_t = gamma_t <= gamma_t_hat
-            # the reflection user first decodes the transmission user's signal
-            out_r_to_t = gamma_r_to_t <= gamma_t_hat
-        if rates:
-            rate_t = np.log2(1.0 + gamma_t)
-        by_mode = {f"_{mode}": (out_r_to_t | (gamma <= gamma_r_hat) if outages else None,
-                                np.log2(1.0 + gamma) if rates else None)
-                   for mode, gamma in (("psic", gamma_r_psic), ("ipsic", gamma_r_ipsic))}
-    out: dict[str, int | tuple[float, float]] = {}
-    if "outage_t" in metrics:
-        out["outage_t"] = int(np.count_nonzero(out_t))
+        _, gamma_r_psic, gamma_r_ipsic, gamma_t = _sinrs(cfg, scheme, terms, ps)
+        rate_t = np.log2(1.0 + gamma_t)
+        by_mode = {"_psic": np.log2(1.0 + gamma_r_psic), "_ipsic": np.log2(1.0 + gamma_r_ipsic)}
+    out: dict[str, tuple[float, float]] = {}
     if "rate_t" in metrics:
         out["rate_t"] = _moments(rate_t)
-    for suffix, (out_r, rate_r) in by_mode.items():
-        if "outage_r" in metrics:
-            out[f"outage_r{suffix}"] = int(np.count_nonzero(out_r))
-        if "outage_system" in metrics:
-            out[f"outage_system{suffix}"] = int(np.count_nonzero(out_r | out_t))
+    for suffix, rate_r in by_mode.items():
         if "rate_r" in metrics:
             out[f"rate_r{suffix}"] = _moments(rate_r)
-        if "throughput_limited" in metrics:
-            out[f"throughput_limited{suffix}"] = _moments(
-                (1.0 - out_r) * cfg.target_rate_r + (1.0 - out_t) * cfg.target_rate_t)
         if "throughput_tolerant" in metrics:
             out[f"throughput_tolerant{suffix}"] = _moments(rate_r + rate_t)
     return out
@@ -545,13 +499,14 @@ def _cv_moments(values: np.ndarray | float, controls: tuple[np.ndarray, ...],
             *(float(np.einsum("n,n->", values, row)) for row in controls))
 
 
-def _cond_partials(cfg: NetworkConfig, stages: tuple[list[tuple], dict[str, list[tuple]]],
-                   zero_from: tuple[float, dict[str, float]], ps: float,
-                   metrics: frozenset[str], controls: dict[str, tuple],
-                   work: np.ndarray) -> dict[str, tuple[float, ...]]:
+def _conditional_partials(cfg: NetworkConfig,
+                          stages: tuple[list[tuple], dict[str, list[tuple]]],
+                          zero_from: tuple[float, dict[str, float]], ps: float,
+                          metrics: frozenset[str], controls: dict[str, tuple],
+                          work: np.ndarray) -> dict[str, tuple[float, ...]]:
     """Conditional partial sums of one block at one transmit power for the
-    cond_ families in metrics, keyed like the raw ones: the sum and sum of
-    squares of each trial's value given its fades, then its sums of
+    outage-type families in metrics, keyed by the metric names of the
+    estimates: the sum and sum of squares of each trial's value given its fades, then its sums of
     products with the family's control rows (``_controls``).  The two
     distances are independent given the fades, so the system outage is
     p_r + p_t - p_r p_t and the delay-limited throughput
@@ -572,22 +527,21 @@ def _cond_partials(cfg: NetworkConfig, stages: tuple[list[tuple], dict[str, list
     def moments(family, values):
         return _cv_moments(values, controls[family], work[2])
 
-    p_t = outage(stages_t, zero_t, 0) if metrics != {"cond_outage_r"} else None
+    p_t = outage(stages_t, zero_t, 0) if metrics != {"outage_r"} else None
     out: dict[str, tuple[float, ...]] = {}
-    if "cond_outage_t" in metrics:
-        out["cond_outage_t"] = moments("cond_outage_t", p_t)
-    if metrics == {"cond_outage_t"}:
+    if "outage_t" in metrics:
+        out["outage_t"] = moments("outage_t", p_t)
+    if metrics == {"outage_t"}:
         return out
     for suffix, stages_mode in stages_r.items():
         p_r = outage(stages_mode, zero_r[suffix], 1)
-        if "cond_outage_r" in metrics:
-            out[f"cond_outage_r{suffix}"] = moments("cond_outage_r", p_r)
-        if "cond_outage_system" in metrics:
-            out[f"cond_outage_system{suffix}"] = moments("cond_outage_system",
-                                                         p_r + p_t - p_r * p_t)
-        if "cond_throughput_limited" in metrics:
-            out[f"cond_throughput_limited{suffix}"] = moments(
-                "cond_throughput_limited",
+        if "outage_r" in metrics:
+            out[f"outage_r{suffix}"] = moments("outage_r", p_r)
+        if "outage_system" in metrics:
+            out[f"outage_system{suffix}"] = moments("outage_system", p_r + p_t - p_r * p_t)
+        if "throughput_limited" in metrics:
+            out[f"throughput_limited{suffix}"] = moments(
+                "throughput_limited",
                 (1.0 - p_r) * cfg.target_rate_r + (1.0 - p_t) * cfg.target_rate_t)
     return out
 
@@ -622,9 +576,9 @@ def _fit(sums: list[float], products: list[list[float]], means: list[float],
 
 
 def _controlled(cols: list[float], fit: tuple, trials: int) -> tuple[float, float] | None:
-    """The control-variate estimate (mean, ci95 half-width) of one cond_
-    cell from its column sums (sum p, sum p^2, sum p c) and its family's
-    fit (``_fit``): p-bar - beta . (c-bar - mu), with beta the
+    """The control-variate estimate (mean, ci95 half-width) of one
+    outage-type cell from its column sums (sum p, sum p^2, sum p c) and its
+    family's fit (``_fit``): p-bar - beta . (c-bar - mu), with beta the
     least-squares coefficient of p on the controls c and mu their exact
     means.  The CI is 1.96 sqrt(s_res^2 / n), with s_res^2 the residual
     sum of squares over n - q - 1 for q controls.  None when that sum is
@@ -650,52 +604,46 @@ def _controlled(cols: list[float], fit: tuple, trials: int) -> tuple[float, floa
     return mean, 1.96 * math.sqrt(rss / (trials - q - 1) / trials)
 
 
-def _estimates(partials: Sequence[dict], trials: int, tag: str,
+def _estimates(partials: Sequence[dict], trials: int,
                fits: dict[str, tuple | None] | None = None,
                ceiling: float = 1.0) -> dict[str, Estimate]:
     """Reduce one power's per-block partials, in block order, with exact
-    (fsum) sums: outage counts get the binomial (Wald) CI, (sum, sum of
-    squares) the sample-variance CI.  An outage cell with no events, or
-    with every trial an event, gets the exact one-sided Clopper-Pearson
-    bound 1 - 0.025^(1/n) (about 3.69/n) instead of the Wald width 0.
+    (fsum) sums; a cell's mean is its sum over trials.
 
-    A cond_ cell whose per-trial values all sit at one end of its family's
-    range ([0, 1] for outages, [0, ceiling] = [0, R_r + R_t] for the
-    delay-limited throughput), to summation rounding, keeps its plain mean
-    and gets that bound scaled to the range.  Any other cond_ cell, given
-    each family's regression set-up (``_fit``), carries its control-variate
-    estimate (``_controlled``); where there is none, or it leaves the
-    family's range, the plain conditional estimate and CI with
+    A rate cell gets the sample-variance CI.  An outage-type cell whose
+    per-trial values all sit at one end of its family's range ([0, 1] for
+    outages, [0, ceiling] = [0, R_r + R_t] for the delay-limited
+    throughput), to summation rounding, keeps its plain mean and gets the
+    exact one-sided bound 1 - 0.025^(1/n) (about 3.69/n) scaled to the
+    range.  Any other outage-type cell, given each family's regression
+    set-up (``_fit``), carries its control-variate estimate
+    (``_controlled``); where there is none, or it leaves the family's
+    range, the plain conditional estimate and sample-variance CI with
     ``fallback`` set."""
     bound = -math.expm1(math.log(0.025) / trials)
     estimates: dict[str, Estimate] = {}
-    for key, first in partials[0].items():
+    for key in partials[0]:
+        family = key.removesuffix("_psic").removesuffix("_ipsic")
+        cols = [math.fsum(col) for col in zip(*(p[key] for p in partials))]
+        total, total_sq = cols[:2]
+        mean = total / trials
+        var = (max(total_sq - total * total / trials, 0.0) / (trials - 1)
+               if trials > 1 else 0.0)
+        halfwidth = 1.96 * math.sqrt(var / trials)
         fallback = False
-        if isinstance(first, tuple):
-            cols = [math.fsum(col) for col in zip(*(p[key] for p in partials))]
-            total, total_sq = cols[:2]
-            mean = total / trials
-            var = (max(total_sq - total * total / trials, 0.0) / (trials - 1)
-                   if trials > 1 else 0.0)
-            halfwidth = 1.96 * math.sqrt(var / trials)
-            if key.startswith("cond_"):
-                top = ceiling if key.startswith("cond_throughput") else 1.0
-                if total == 0.0 or math.isclose(total, trials * top, rel_tol=1e-12):
-                    halfwidth = top * bound
-                elif fits is not None:
-                    fit = fits[next(f for f in _CONTROL_USERS if key.startswith(f))]
-                    adjusted = _controlled(cols, fit, trials) if fit else None
-                    if adjusted is not None and 0.0 <= adjusted[0] <= top:
-                        mean, halfwidth = adjusted
-                    else:
-                        fallback = True
-        else:
-            events = sum(p[key] for p in partials)
-            mean = events / trials
-            halfwidth = (bound if events in (0, trials)
-                         else 1.96 * math.sqrt(mean * (1.0 - mean) / trials))
-        estimates[key] = Estimate(mean=mean, trials=trials, kind=tag + key,
-                                  ci95_halfwidth=halfwidth, fallback=fallback)
+        if family in _CONTROL_USERS:
+            top = ceiling if family == "throughput_limited" else 1.0
+            if total == 0.0 or math.isclose(total, trials * top, rel_tol=1e-12):
+                halfwidth = top * bound
+            elif fits is not None:
+                fit = fits[family]
+                adjusted = _controlled(cols, fit, trials) if fit else None
+                if adjusted is not None and 0.0 <= adjusted[0] <= top:
+                    mean, halfwidth = adjusted
+                else:
+                    fallback = True
+        estimates[key] = Estimate(mean=mean, trials=trials, ci95_halfwidth=halfwidth,
+                                  fallback=fallback)
     return estimates
 
 
@@ -713,15 +661,15 @@ def _map_blocks(fn: Callable, blocks: Iterable, workers: int) -> list:
 
 def _point_partials(cfg: NetworkConfig, scheme: str, powers: list[float],
                     families: frozenset[str], fades: _Fades, loss: dict) -> list[dict]:
-    """One point's partial sums of one block, one dict per power: the raw
+    """One point's partial sums of one block, one dict per power: the rate
     families from its fades with the drawn path losses applied, the
-    conditional ones from its threshold coefficients and control rows."""
+    outage-type ones from its threshold coefficients and control rows."""
     parts: list[dict] = [{} for _ in powers]
-    raw, cond = families & _DISTANCE_READERS, families - _DISTANCE_READERS
-    if raw:
+    rates, cond = families & _RATE_READERS, families - _RATE_READERS
+    if rates:
         terms = _terms(cfg, scheme, fades, loss[cfg.radius_d, cfg.path_alpha])
         for part, ps in zip(parts, powers):
-            part.update(_partials(cfg, scheme, terms, ps, raw))
+            part.update(_partials(cfg, scheme, terms, ps, rates))
     if cond:
         stages = _thresholds(cfg, scheme, fades)
         work = np.empty((4, fades.h_re_sq.size))
@@ -730,7 +678,7 @@ def _point_partials(cfg: NetworkConfig, scheme: str, powers: list[float],
                      {suffix: _zero_power(user, top, work) for suffix, user in stages[1].items()})
         controls = {family: _controls(fades, family) for family in cond}
         for part, ps in zip(parts, powers):
-            part.update(_cond_partials(cfg, stages, zero_from, ps, cond, controls, work))
+            part.update(_conditional_partials(cfg, stages, zero_from, ps, cond, controls, work))
     return parts
 
 
@@ -768,9 +716,8 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
     dicts are keyed by metric: for NOMA schemes the reflection user's
     families carry the SIC mode (outage_r_psic, outage_r_ipsic,
     outage_system_{psic,ipsic}, rate_r_{psic,ipsic},
-    throughput_limited_{psic,ipsic}, throughput_tolerant_{psic,ipsic}, and
-    the same for the cond_ families) and outage_t, rate_t and
-    cond_outage_t are bare; astars_oma keys every family bare.  An unknown
+    throughput_limited_{psic,ipsic}, throughput_tolerant_{psic,ipsic}) and
+    outage_t and rate_t are bare; astars_oma keys every family bare.  An unknown
     family raises ConfigError, an empty set ValueError.
     """
     lone = isinstance(cfg, NetworkConfig)
@@ -796,17 +743,17 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
     sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
     kernels = [(c, s) for c, s, _, _ in runs]
     losses = [(c.radius_d, c.path_alpha) for c, _, _, families in runs
-              if not families.isdisjoint(_DISTANCE_READERS)]
+              if not families.isdisjoint(_RATE_READERS)]
 
     def run(block: int) -> tuple[list, dict]:
         loss = _path_losses(seed, block, sizes[block], losses)
         out: list = [None] * len(runs)
-        # the sums and products of the control rows each cond_ family reads,
-        # once per (kappa, L) and set of users
+        # the sums and products of the control rows each outage-type family
+        # reads, once per (kappa, L) and set of users
         controls: dict[tuple, tuple] = {}
         for i, fades in _block_fades(seed, block, sizes[block], kernels):
             cfg_i, _, _, families = runs[i]
-            for family in families - _DISTANCE_READERS:
+            for family in families - _RATE_READERS:
                 key = (cfg_i.rician_kappa, cfg_i.num_elements, _CONTROL_USERS[family])
                 if key not in controls:
                     rows = _controls(fades, family)
@@ -828,10 +775,10 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
         fits[key] = _fit(sums, products, _control_means(*key), trials)
 
     results = []
-    for i, ((c, s, powers, families), (_, _, ps_p, *_)) in enumerate(zip(runs, points)):
+    for i, ((c, _, powers, families), (_, _, ps_p, *_)) in enumerate(zip(runs, points)):
         own = {family: fits[c.rician_kappa, c.num_elements, users]
                for family, users in _CONTROL_USERS.items() if family in families}
-        per_power = [_estimates([blk[0][i][k] for blk in by_block], trials, f"{s}:", own,
+        per_power = [_estimates([blk[0][i][k] for blk in by_block], trials, own,
                                 c.target_rate_r + c.target_rate_t)
                      for k in range(len(powers))]
         results.append(per_power[0] if np.ndim(ps_p) == 0 else per_power)

@@ -71,6 +71,14 @@ def test_config_invariant_violation_names_constraint(tmp_path):
         parse_config(write_cfg(tmp_path, "a_r = 0.9\na_t = 0.1\n"))
 
 
+def test_config_repeated_key_names_both_lines(tmp_path, capsys):
+    cfg_file = write_cfg(tmp_path, "seed = 1\n# again\nseed = 2\n")
+    with pytest.raises(ConfigError, match="key seed set on lines 1 and 3"):
+        parse_config(cfg_file)
+    assert main(["--config", str(cfg_file), "show-config"]) == 1
+    assert "lines 1 and 3" in capsys.readouterr().err
+
+
 def test_config_bad_syntax_and_values(tmp_path):
     with pytest.raises(ConfigError, match="expected key = value"):
         parse_config(write_cfg(tmp_path, "just some words\n"))
@@ -179,22 +187,21 @@ def _count_block_draws(monkeypatch) -> list:
 
 def test_sweep_simulates_once_per_config_and_scheme(tmp_path, monkeypatch):
     # one call per sweep, with one point per (config, scheme), asking for
-    # the sweep's metric families only, each outage reader by its
-    # conditional family
+    # the sweep's metric families only
     calls = _count_simulate_calls(monkeypatch)
     cfg = NetworkConfig()
     # -45 dBm is infeasible for both schemes and is left out of the call
     power = SweepSpec(axis="q_tot_dbm", values=(-45.0, 10.0, 20.0, 30.0),
                       metrics=("outage_r",), schemes=("astars_noma", "pstars_noma"))
     run_sweep(cfg, power, tmp_path / "q", trials=TRIALS, plots=False)
-    assert calls == [[(10, "astars_noma", 3, ("cond_outage_r",)),
-                      (10, "pstars_noma", 3, ("cond_outage_r",))]]
+    assert calls == [[(10, "astars_noma", 3, ("outage_r",)),
+                      (10, "pstars_noma", 3, ("outage_r",))]]
     calls.clear()
     elements = SweepSpec(axis="num_elements", values=(4, 10),
                          metrics=("rate_t", "throughput_limited"), fixed_q_tot_dbm=20.0)
     run_sweep(cfg, elements, tmp_path / "L", trials=TRIALS, plots=False)
-    assert calls == [[(4, "astars_noma", 1, ("rate_t", "cond_throughput_limited")),
-                      (10, "astars_noma", 1, ("rate_t", "cond_throughput_limited"))]]
+    assert calls == [[(4, "astars_noma", 1, ("rate_t", "throughput_limited")),
+                      (10, "astars_noma", 1, ("rate_t", "throughput_limited"))]]
     calls.clear()
     infeasible = SweepSpec(axis="q_tot_dbm", values=(-45.0,), metrics=("outage_r",))
     run_sweep(cfg, infeasible, tmp_path / "none", trials=TRIALS, plots=False)
@@ -343,11 +350,10 @@ def test_validate_all_gates_pass_and_report_written(tmp_path, monkeypatch):
     # agreement and ordering budgets share one point; each block drawn once
     assert [[(scheme, n) for _, scheme, n, _ in call] for call in calls] == [[
         ("astars_noma", 5), ("astars_noma", 3), ("astars_oma", 4), ("pstars_noma", 4)]]
-    # each point asks for the families its own gates read: the outage and
-    # ordering gates the conditional estimates, the rate gates the rates
+    # each point asks for the families its own gates read
     assert [[set(families) for *_, families in call] for call in calls] == [[
-        {"cond_outage_r", "cond_outage_t", "cond_outage_system", "cond_throughput_limited"},
-        {"rate_r", "rate_t"}, {"cond_throughput_limited"}, {"cond_outage_system"}]]
+        {"outage_r", "outage_t", "outage_system", "throughput_limited"},
+        {"rate_r", "rate_t"}, {"throughput_limited"}, {"outage_system"}]]
     assert blocks == [0, 1, 2]
     report = tmp_path / "gates.csv"
     assert report.exists()
@@ -384,8 +390,8 @@ def test_every_validate_gate_can_fail(monkeypatch):
     monkeypatch.setattr(asy, "fit_order", lambda *args: replace(
         fit_order(*args), slope=fit_order(*args).slope + 10.0))
     monkeypatch.setattr(asy, "ergodic_bound_r_psic", shifted(asy.ergodic_bound_r_psic, -1.0))
-    broken = {"astars_oma": ("cond_throughput_limited", 10.0),
-              "pstars_noma": ("cond_outage_system_psic", -1.0)}
+    broken = {"astars_oma": ("throughput_limited", 10.0),
+              "pstars_noma": ("outage_system_psic", -1.0)}
     simulate = mc.simulate
 
     def broken_simulate(points, **kwargs):
@@ -620,6 +626,17 @@ def test_cli_sweep_empty_or_repeated_list_exits_1(tmp_path, capsys, lists):
     assert rc == 1
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_cli_sweep_fractional_element_count_exits_1(tmp_path, capsys):
+    # a whole-number grid passes; 2.5 elements is refused, not truncated to 2
+    args = ["--trials", "100", "--no-plots", "sweep", "--axis", "num_elements",
+            "--start", "2", "--stop", "3", "--fixed-q-tot-dbm", "20", "--metrics", "outage_t"]
+    assert main(["--out", str(tmp_path / "whole"), *args, "--step", "1"]) == 0
+    capsys.readouterr()
+    assert main(["--out", str(tmp_path / "half"), *args, "--step", "0.5"]) == 1
+    assert "num_elements takes whole numbers, got 2.5" in capsys.readouterr().err
+    assert not (tmp_path / "half").exists()
 
 
 def test_cli_unknown_sic_mode_exits_1(tmp_path, capsys):

@@ -5,6 +5,11 @@ sweep sharing, the power-budget model, and the baselines.
 The archived reference block pins the exact estimates produced at the
 default seed with 10^6 trials; any change to the draw order or reduction
 is a breaking change and must show up here.
+
+The raw indicator estimator of the outage families and the delay-limited
+throughput lives here, as the oracle of the simulator's conditional
+estimator (``raw_outages``): it counts each trial's outage events at its
+drawn distances, from the simulator's own fades, path losses and SINRs.
 """
 
 import math
@@ -17,14 +22,15 @@ import pytest
 from astars_noma import montecarlo as mc
 from astars_noma.analytic import NumericIntegrityError, SicMode, target_sinr
 from astars_noma.model import ConfigError, NetworkConfig, dbm_to_watts, noise_power_factor
-from astars_noma.montecarlo import (BLOCK_TRIALS, SCHEMES, Estimate, _block_fades,
-                                    _element_rows, _element_sums, _path_losses, _rician,
-                                    _sinrs, _stream, _terms, budget_to_ps, simulate,
-                                    surface_output_power)
+from astars_noma.montecarlo import (BLOCK_TRIALS, SCHEMES, _block_fades, _element_rows,
+                                    _element_sums, _path_losses, _rician, _sinrs, _stream,
+                                    _terms, budget_to_ps, simulate, surface_output_power)
 
 CFG = NetworkConfig()
 
-# frozen at seed=123456789, 10^6 trials, Q_tot = 30 dBm (active budget)
+# frozen at seed=123456789, 10^6 trials, Q_tot = 30 dBm (active budget);
+# the outage and throughput_limited entries are the raw indicator
+# estimates (raw_outages), the rest simulate's
 ARCHIVE_PS = 0.9997799994000122
 ARCHIVE = {
     "outage_r_ipsic": (7.7e-05, 1.7198268027728837e-05),
@@ -42,12 +48,72 @@ ARCHIVE = {
 }
 
 
+# simulate's own outage and throughput_limited estimates at the same point,
+# conditional on the fades and with control variates
+ARCHIVE_CONDITIONAL = {
+    "outage_r_ipsic": (7.093083104288822e-05, 8.790376431356877e-06),
+    "outage_r_psic": (1.1240502387827996e-07, 2.2241972951033203e-07),
+    "outage_system_ipsic": (7.387648159099852e-05, 8.932205262021556e-06),
+    "outage_system_psic": (3.1064392948790106e-06, 1.553418501334202e-06),
+    "outage_t": (2.9969263378286737e-06, 1.53743320532807e-06),
+    "throughput_limited_ipsic": (1.9999260810526867, 8.940629498755384e-06),
+    "throughput_limited_psic": (1.999996893560705, 1.5534185017781765e-06),
+}
+
+# the families the raw oracle estimates
+OUTAGE_FAMILIES = ("outage_r", "outage_t", "outage_system", "throughput_limited")
+
+
 def block_terms(cfg, scheme="astars_noma", size=64, seed=0, block=0):
     """The power-free terms of one block of one (cfg, scheme): its fades
     with the block's path losses applied."""
     [(_, fades)] = _block_fades(seed, block, size, [(cfg, scheme)])
     key = (cfg.radius_d, cfg.path_alpha)
     return _terms(cfg, scheme, fades, _path_losses(seed, block, size, [key])[key])
+
+
+def raw_indicators(cfg, scheme, terms, ps):
+    """Each trial's outage events at its drawn distances: the transmission
+    user's, and the reflection user's keyed by SIC-mode suffix."""
+    gammas = _sinrs(cfg, scheme, terms, ps)
+    if scheme == "astars_oma":
+        # dedicated slots: full power, doubled spectral-efficiency target
+        return (gammas[1] <= target_sinr(2.0 * cfg.target_rate_t),
+                {"": gammas[0] <= target_sinr(2.0 * cfg.target_rate_r)})
+    g_r_hat, g_t_hat = target_sinr(cfg.target_rate_r), target_sinr(cfg.target_rate_t)
+    # the reflection user first decodes the transmission user's signal
+    first = gammas[0] <= g_t_hat
+    return gammas[3] <= g_t_hat, {"_psic": first | (gammas[1] <= g_r_hat),
+                                  "_ipsic": first | (gammas[2] <= g_r_hat)}
+
+
+def raw_outages(cfg, scheme, ps, trials, seed):
+    """The raw estimates {key: (mean, ci95 half-width)} of the outage
+    families and the delay-limited throughput, on simulate's blocks: event
+    counts with the Wald CI (the exact bound 1 - 0.025^(1/n) at 0 or n
+    events), and the per-trial throughput (1 - 1_r) R_r + (1 - 1_t) R_t
+    with the sample-variance CI of its exact (fsum) block sums."""
+    counts, moments = {}, {}
+    for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
+        size = min(BLOCK_TRIALS, trials - start)
+        out_t, out_r = raw_indicators(cfg, scheme, block_terms(cfg, scheme, size, seed, block), ps)
+        events = {"outage_t": out_t}
+        for suffix, out in out_r.items():
+            events[f"outage_r{suffix}"] = out
+            events[f"outage_system{suffix}"] = out | out_t
+            moments.setdefault(f"throughput_limited{suffix}", []).append(mc._moments(
+                (1.0 - out) * cfg.target_rate_r + (1.0 - out_t) * cfg.target_rate_t))
+        for key, event in events.items():
+            counts[key] = counts.get(key, 0) + int(np.count_nonzero(event))
+    bound = -math.expm1(math.log(0.025) / trials)
+    raw = {key: (k / trials, bound if k in (0, trials)
+                 else 1.96 * math.sqrt(k / trials * (1.0 - k / trials) / trials))
+           for key, k in counts.items()}
+    for key, parts in moments.items():
+        total, total_sq = (math.fsum(col) for col in zip(*parts))
+        var = max(total_sq - total * total / trials, 0.0) / (trials - 1)
+        raw[key] = (total / trials, 1.96 * math.sqrt(var / trials))
+    return raw
 
 
 # ---------------------------------------------------------------------------
@@ -222,12 +288,19 @@ def test_mean_noise_mode_freezes_amplified_noise():
 # ---------------------------------------------------------------------------
 
 def test_archived_reference_block_bit_exact():
+    # the raw outage entries through the oracle, the rates through simulate,
+    # and simulate's outage estimates against their own archive
     sims = simulate(CFG, "astars_noma", ARCHIVE_PS, trials=1_000_000)
-    assert set(ARCHIVE) <= set(sims)
-    for key, (mean, hw) in ARCHIVE.items():
-        assert sims[key].mean == mean, key
-        assert sims[key].ci95_halfwidth == hw, key
-        assert sims[key].trials == 1_000_000
+    raw = raw_outages(CFG, "astars_noma", ARCHIVE_PS, 1_000_000, CFG.seed)
+    assert set(sims) == set(ARCHIVE)
+    assert set(raw) == set(ARCHIVE_CONDITIONAL)
+    for key, want in ARCHIVE.items():
+        got = raw[key] if key in raw else (sims[key].mean, sims[key].ci95_halfwidth)
+        assert got == want, key
+    for key, want in ARCHIVE_CONDITIONAL.items():
+        assert (sims[key].mean, sims[key].ci95_halfwidth) == want, key
+        assert not sims[key].fallback
+    assert all(est.trials == 1_000_000 for est in sims.values())
 
 
 # the schemes and the model switches that change the conditional kernel
@@ -287,11 +360,11 @@ def test_sweep_point_equals_its_lone_call(workers):
                (replace(CFG, radius_d=20.0, num_elements=7), "pstars_noma", powers[1]),
                # a point's own families replace the call's
                (replace(CFG, num_elements=3), "astars_noma", powers,
-                ("cond_outage_r", "cond_outage_t")),
+                ("outage_r", "outage_t")),
                (replace(CFG, a_r=0.2, a_t=0.8), "astars_noma", powers[0], ("rate_r",)),
                (replace(CFG, path_alpha=3.0, num_elements=4), "astars_oma", powers,
-                ("cond_throughput_limited", "outage_t")),
-               (replace(CFG, path_alpha=3.0), "pstars_noma", powers, ("cond_outage_system",))]
+                ("throughput_limited", "rate_t")),
+               (replace(CFG, path_alpha=3.0), "pstars_noma", powers, ("outage_system",))]
     swept = simulate(points, trials=trials, seed=41, workers=workers)
     assert len(swept) == len(points)
     for (cfg, scheme, ps, *own), got in zip(points, swept):
@@ -313,7 +386,7 @@ def test_point_list_defaults_and_rejections():
     with pytest.raises(ValueError):
         simulate([(CFG, "astars_noma", 1.0, ())], trials=10)
     with pytest.raises(ValueError):
-        simulate([(CFG, "astars_noma", 1.0, ("cond_outage_t",), None)], trials=10)
+        simulate([(CFG, "astars_noma", 1.0, ("outage_t",), None)], trials=10)
 
 
 @pytest.mark.parametrize("powers", [math.nan, math.inf, -math.inf, 0.0, -1.0,
@@ -337,59 +410,67 @@ def test_degenerate_allocation_sure_outage():
     assert sims["outage_t"].mean == 1.0
 
 
-def test_estimate_outage_compound_event_consistency():
-    sims = simulate(CFG, "astars_noma", dbm_to_watts(15.0), trials=50_000)
-    r, r_ipsic = sims["outage_r_psic"].mean, sims["outage_r_ipsic"].mean
-    t, system = sims["outage_t"].mean, sims["outage_system_psic"].mean
-    assert r_ipsic >= r
-    # system event contains each per-user event
-    assert system >= r
-    assert system >= t
-    # and is at most their sum
-    assert system <= r + t
+def test_estimate_outage_compound_event_consistency(monkeypatch):
+    # trial by trial, on the raw events and on the plain conditional
+    # probabilities (the control variates adjust each family by its own
+    # regression, so their means need not keep these orders)
+    ps = dbm_to_watts(15.0)
+    raw = raw_outages(CFG, "astars_noma", ps, 50_000, CFG.seed)
+    monkeypatch.setattr(mc, "_fit", lambda *args: None)
+    sims = simulate(CFG, "astars_noma", ps, trials=50_000)
+    plain = {key: est.mean for key, est in sims.items()}
+    for means in ({key: mean for key, (mean, _) in raw.items()}, plain):
+        r, r_ipsic = means["outage_r_psic"], means["outage_r_ipsic"]
+        t, system = means["outage_t"], means["outage_system_psic"]
+        assert 0.0 < t and 0.0 < r
+        assert r_ipsic >= r
+        # system event contains each per-user event
+        assert system >= r
+        assert system >= t
+        # and is at most their sum
+        assert system <= r + t
 
 
 def test_ci_definitions():
-    sims = simulate(CFG, "astars_noma", dbm_to_watts(15.0), trials=50_000)
+    ps = dbm_to_watts(15.0)
+    sims = simulate(CFG, "astars_noma", ps, trials=50_000)
+    # the control-variate CI of the outage, no wider than the raw count's
+    # Wald CI
+    _, wald = raw_outages(CFG, "astars_noma", ps, 50_000, CFG.seed)["outage_r_psic"]
     out = sims["outage_r_psic"]
-    assert out.ci95_halfwidth == pytest.approx(
-        1.96 * math.sqrt(out.mean * (1.0 - out.mean) / out.trials), rel=1e-12)
+    assert 0.0 < out.ci95_halfwidth <= wald and not out.fallback
     rate = sims["rate_r_psic"]
     assert rate.ci95_halfwidth > 0.0
     assert rate.trials == 50_000
 
 
 def test_zero_event_outage_cell_has_exact_bound():
-    # 0 events, or n of n, get the exact one-sided Clopper-Pearson bound
-    # 1 - 0.025^(1/n) (about 3.69/n), not the Wald width 0
+    # an outage cell whose per-trial probabilities are all 0 (no trial's
+    # fades admit an outage at any distance) or all 1 (none admits a
+    # success), the zero targets and the degenerate allocation exactly, gets
+    # the exact one-sided Clopper-Pearson bound 1 - 0.025^(1/n) (about
+    # 3.69/n), not the sample-variance width 0
     n = 20_000
     bound = 1.0 - 0.025 ** (1.0 / n)
     never = simulate(replace(CFG, target_rate_r=0.0, target_rate_t=0.0), "astars_noma",
                      dbm_to_watts(0.0), trials=n)
     sure = simulate(replace(CFG, target_rate_t=2.0), "astars_noma", dbm_to_watts(30.0),
                     trials=n)
-    cells = (never["outage_r_psic"], never["outage_t"], sure["outage_t"],
-             sure["outage_r_psic"])
-    assert [est.mean for est in cells] == [0.0, 0.0, 1.0, 1.0]
-    # so do conditional cells whose per-trial probabilities are all 0 (no
-    # trial's fades admit an outage at any distance) or all 1 (none admits
-    # a success), the zero targets and the degenerate allocation exactly
-    cells += tuple(never[k] for k in ("cond_outage_r_psic", "cond_outage_r_ipsic",
-                                      "cond_outage_t", "cond_outage_system_psic"))
-    cells += tuple(sure[k] for k in ("cond_outage_t", "cond_outage_r_psic",
-                                     "cond_outage_system_ipsic"))
-    assert [est.mean for est in cells[4:]] == [0.0] * 4 + [1.0] * 3
+    cells = tuple(never[k] for k in ("outage_r_psic", "outage_r_ipsic",
+                                     "outage_t", "outage_system_psic"))
+    cells += tuple(sure[k] for k in ("outage_t", "outage_r_psic", "outage_system_ipsic"))
+    assert [est.mean for est in cells] == [0.0] * 4 + [1.0] * 3
     for est in cells:
         assert est.ci95_halfwidth == pytest.approx(bound, rel=1e-9)
         assert est.ci95_halfwidth == pytest.approx(3.689 / n, rel=1e-3)
     # a throughput cell's bound is scaled to its range [0, R_r + R_t],
     # here [0, 0] (test_throughput_cell_at_an_end_of_its_range_has_exact_bound)
-    assert never["cond_throughput_limited_psic"].ci95_halfwidth == 0.0
+    assert never["throughput_limited_psic"].ci95_halfwidth == 0.0
     # the bound follows the per-trial probabilities: all 0, all 1, or mixed
     for partials, bounded in (([(0.0, 0.0), (0.0, 0.0)], True),
                               ([(5.0, 5.0), (3.0, 3.0)], True),
                               ([(0.5, 0.25), (0.0, 0.0)], False)):
-        est = mc._estimates([{"cond_outage_t": p} for p in partials], 8, "")["cond_outage_t"]
+        est = mc._estimates([{"outage_t": p} for p in partials], 8)["outage_t"]
         assert (est.ci95_halfwidth == pytest.approx(1.0 - 0.025 ** (1.0 / 8))) is bounded
 
 
@@ -446,33 +527,26 @@ def test_pstars_reduction_matches_unamplified_astars():
 def test_scheme_metric_keys():
     ps = dbm_to_watts(20.0)
     sims = {s: simulate(CFG, s, ps, trials=10_000) for s in SCHEMES}
-    raw = {"outage_r", "outage_t", "outage_system", "rate_r", "rate_t",
-           "throughput_limited", "throughput_tolerant"}
-    cond = {"cond_outage_r", "cond_outage_t", "cond_outage_system",
-            "cond_throughput_limited"}
-    assert set(sims["astars_oma"]) == set(mc.METRICS) == raw | cond
-    assert mc.CONDITIONAL == {m.removeprefix("cond_"): m for m in cond}
+    families = {"outage_r", "outage_t", "outage_system", "rate_r", "rate_t",
+                "throughput_limited", "throughput_tolerant"}
+    assert set(sims["astars_oma"]) == set(mc.METRICS) == families
+    # each family has one estimator: the rates read the drawn distances, the
+    # outage-type families are conditional on the fades
+    assert mc._RATE_READERS.isdisjoint(mc._CONTROL_USERS)
+    assert mc._RATE_READERS | set(mc._CONTROL_USERS) == set(mc.METRICS)
     noma_keys = {"outage_r_psic", "outage_r_ipsic", "outage_t",
                  "outage_system_psic", "outage_system_ipsic", "rate_r_psic",
                  "rate_r_ipsic", "rate_t", "throughput_limited_psic",
                  "throughput_limited_ipsic", "throughput_tolerant_psic",
-                 "throughput_tolerant_ipsic",
-                 "cond_outage_r_psic", "cond_outage_r_ipsic", "cond_outage_t",
-                 "cond_outage_system_psic", "cond_outage_system_ipsic",
-                 "cond_throughput_limited_psic", "cond_throughput_limited_ipsic"}
+                 "throughput_tolerant_ipsic"}
     assert set(sims["astars_noma"]) == set(sims["pstars_noma"]) == noma_keys
-    for scheme, estimates in sims.items():
-        for key, est in estimates.items():
-            assert est.kind == f"{scheme}:{key}"
     # a family subset gets exactly its families' keys, each estimate the
     # full call's bit for bit; the throughputs alone still read the
-    # outage indicators or the rate arrays they are built from
+    # outage probabilities or the rate arrays they are built from
     subsets = [("throughput_tolerant",), ("throughput_limited",), ("outage_system",),
                ("outage_r", "outage_t"), ("rate_r", "rate_t"),
-               ("outage_t", "rate_r", "throughput_limited"),
-               ("cond_outage_r", "cond_outage_t"), ("cond_outage_system",),
-               ("cond_throughput_limited",), ("cond_outage_t",),
-               ("outage_r", "cond_outage_r", "rate_t")]
+               ("outage_t", "rate_r", "throughput_limited"), ("outage_t",),
+               ("outage_r", "rate_t")]
     for scheme in SCHEMES:
         for families in subsets:
             for workers in (1, 2):
@@ -491,7 +565,10 @@ def test_scheme_metric_keys():
     assert type(empty.value) is ValueError
 
 
-def test_throughput_estimates_are_consistent_compositions():
+def test_throughput_estimates_are_consistent_compositions(monkeypatch):
+    # on the plain conditional means: each outage-type family's control
+    # variates are its own, so the adjusted means compose only to their CIs
+    monkeypatch.setattr(mc, "_fit", lambda *args: None)
     ps = dbm_to_watts(20.0)
     sims = simulate(CFG, "astars_noma", ps, trials=50_000, seed=3)
     lim = sims["throughput_limited_psic"]
@@ -510,32 +587,32 @@ def test_throughput_estimates_are_consistent_compositions():
 @pytest.mark.parametrize("cfg, scheme", COND_CELLS,
                          ids=["noma", "oma", "pstars", "mean_noise", "alpha3"])
 def test_conditional_estimates_agree_with_raw_and_are_tighter(cfg, scheme, monkeypatch):
-    # integrating the distances out cannot move the mean and cannot widen
-    # the CI (Rao-Blackwellization), and the control variates, whose means
-    # are exact, tighten it further; at the same seed all three estimates
-    # read the same fades; budgets where every raw cell sees events and
-    # misses, so no CI is a zero-event bound
+    # integrating the distances out of the raw indicator estimate cannot
+    # move the mean and cannot widen the CI (Rao-Blackwellization), and the
+    # control variates, whose means are exact, tighten it further; at the
+    # same seed all three estimates read the same fades; budgets where every
+    # raw cell sees events and misses, so no CI is a zero-event bound
     powers = [budget_to_ps(dbm_to_watts(q), cfg, active=scheme != "pstars_noma")
               for q in (12.5, 17.5, 22.5)]
     if cfg.path_alpha == 3.0:
         powers = [dbm_to_watts(q) for q in (35.0, 40.0, 45.0)]
-    controlled = simulate(cfg, scheme, powers, trials=60_000, seed=21)
+    controlled = simulate(cfg, scheme, powers, trials=60_000, seed=21, metrics=OUTAGE_FAMILIES)
     monkeypatch.setattr(mc, "_fit", lambda *args: None)
-    plain = simulate(cfg, scheme, powers, trials=60_000, seed=21)
+    plain = simulate(cfg, scheme, powers, trials=60_000, seed=21, metrics=OUTAGE_FAMILIES)
     checked = 0
-    for sims, plain_sims in zip(controlled, plain):
+    for ps, sims, plain_sims in zip(powers, controlled, plain):
+        raw = raw_outages(cfg, scheme, ps, 60_000, 21)
+        assert set(raw) == set(sims)
         for key, est in sims.items():
-            if not key.startswith("cond_"):
-                continue
-            raw, unadjusted = sims[key.removeprefix("cond_")], plain_sims[key]
+            (raw_mean, raw_hw), unadjusted = raw[key], plain_sims[key]
             assert unadjusted.fallback
             # without amplified noise a pSIC-type outage can be affine in the
             # controls at every trial; then the plain estimate stands
             assert not est.fallback or (scheme == "pstars_noma" and est == unadjusted)
-            sigma = math.hypot(est.ci95_halfwidth, raw.ci95_halfwidth) / 1.96
-            assert abs(est.mean - raw.mean) <= 4.0 * sigma, (key, est, raw)
+            sigma = math.hypot(est.ci95_halfwidth, raw_hw) / 1.96
+            assert abs(est.mean - raw_mean) <= 4.0 * sigma, (key, est, raw[key])
             assert est.ci95_halfwidth <= unadjusted.ci95_halfwidth, (key, est, unadjusted)
-            assert unadjusted.ci95_halfwidth <= raw.ci95_halfwidth, (key, unadjusted, raw)
+            assert unadjusted.ci95_halfwidth <= raw_hw, (key, unadjusted, raw[key])
             checked += 1
     assert checked == 3 * (4 if scheme == "astars_oma" else 7)
 
@@ -545,11 +622,11 @@ def test_a_wrong_control_mean_moves_the_estimate(monkeypatch):
     # moves a fig2a cell at 12.5 dBm by more than its own CI, so the test
     # above would see a wrong mean
     ps = budget_to_ps(dbm_to_watts(12.5), CFG)
-    key = "cond_outage_r_psic"
-    right = simulate(CFG, "astars_noma", ps, trials=50_000, seed=8, metrics=("cond_outage_r",))
+    key = "outage_r_psic"
+    right = simulate(CFG, "astars_noma", ps, trials=50_000, seed=8, metrics=("outage_r",))
     real = mc.element_moments
     monkeypatch.setattr(mc, "element_moments", lambda k: (1.01 * real(k)[0], real(k)[1]))
-    wrong = simulate(CFG, "astars_noma", ps, trials=50_000, seed=8, metrics=("cond_outage_r",))
+    wrong = simulate(CFG, "astars_noma", ps, trials=50_000, seed=8, metrics=("outage_r",))
     assert abs(wrong[key].mean - right[key].mean) > right[key].ci95_halfwidth
     assert not wrong[key].fallback and not right[key].fallback
 
@@ -562,7 +639,7 @@ def test_zero_power_skip_is_exact(cfg, scheme):
     # bit for bit, for every family; just below ps* some trial has an
     # outage, so ps* is the least such power, not merely a bound
     size = 512
-    families = frozenset(mc.CONDITIONAL.values())
+    families = frozenset(OUTAGE_FAMILIES)
     [(_, fades)] = _block_fades(5, 0, size, [(cfg, scheme)])
     stages = mc._thresholds(cfg, scheme, fades)
     users = [stages[0], *stages[1].values()]
@@ -587,8 +664,8 @@ def test_zero_power_skip_is_exact(cfg, scheme):
                 full = mc._outage(user, ps, exponent, np.empty(size), np.empty((2, size)))
                 assert not full.any()
                 skipped += 1
-            got = mc._cond_partials(cfg, stages, zero_from, ps, families, controls, work)
-            want = mc._cond_partials(cfg, stages, forced, ps, families, controls, work)
+            got = mc._conditional_partials(cfg, stages, zero_from, ps, families, controls, work)
+            want = mc._conditional_partials(cfg, stages, forced, ps, families, controls, work)
             assert got == want, (cfg, scheme, ps)
     assert skipped == 3 * sum(map(math.isfinite, stars)) > 0
 
@@ -605,15 +682,8 @@ def test_conditional_outage_is_the_disk_average_of_the_raw_indicator():
         every = fades._replace(**{name: np.repeat(value, M) for name, value
                                   in fades._asdict().items() if value is not None})
         loss = np.tile((cfg.radius_d * v) ** -cfg.path_alpha, size)
-        gammas = _sinrs(cfg, scheme, _terms(cfg, scheme, every, np.stack([loss, loss])), ps)
-        if scheme == "astars_oma":
-            out_t = gammas[1] <= target_sinr(2.0 * cfg.target_rate_t)
-            out_r = {"": gammas[0] <= target_sinr(2.0 * cfg.target_rate_r)}
-        else:
-            g_r_hat, g_t_hat = target_sinr(cfg.target_rate_r), target_sinr(cfg.target_rate_t)
-            out_t = gammas[3] <= g_t_hat
-            out_r = {"_psic": (gammas[0] <= g_t_hat) | (gammas[1] <= g_r_hat),
-                     "_ipsic": (gammas[0] <= g_t_hat) | (gammas[2] <= g_r_hat)}
+        out_t, out_r = raw_indicators(cfg, scheme, _terms(cfg, scheme, every,
+                                                          np.stack([loss, loss])), ps)
         for stages, out in ((stages_t, out_t), *((stages_r[k], out_r[k]) for k in out_r)):
             exact = mc._outage(stages, ps, 2.0 / cfg.path_alpha, np.empty(size),
                                np.empty((2, size)))
@@ -623,7 +693,7 @@ def test_conditional_outage_is_the_disk_average_of_the_raw_indicator():
 
 
 def _controlled_partials(values, controls):
-    """One block's partial sums of a cond_ cell and its regression fit,
+    """One block's partial sums of an outage-type cell and its regression fit,
     the way simulate forms them from per-trial values and control rows,
     with control means claimed to be 0."""
     part = mc._cv_moments(values, tuple(controls), None)
@@ -644,8 +714,7 @@ def test_range_guard_falls_back_to_the_plain_estimate():
     controls = np.stack([c, rng.normal(0.0, 1.0, n)])
     part, fit = _controlled_partials(p, controls)
     assert mc._controlled(list(part), fit, n)[0] < 0.0
-    est = mc._estimates([{"cond_outage_t": part}], n, "", {"cond_outage_t": fit})
-    est = est["cond_outage_t"]
+    est = mc._estimates([{"outage_t": part}], n, {"outage_t": fit})["outage_t"]
     assert est.fallback
     assert est.mean == part[0] / n
     var = (part[1] - part[0] ** 2 / n) / (n - 1)
@@ -656,46 +725,46 @@ def test_range_guard_falls_back_to_the_plain_estimate():
         q = 1.0 + np.clip(1e-3 * (3.5 - c), 0.0, 1.0)
         part, fit = _controlled_partials(q, controls)
         assert mc._controlled(list(part), fit, n)[0] > 1.0
-        est = mc._estimates([{"cond_throughput_limited": part}], n, "",
-                            {"cond_throughput_limited": fit}, ceiling)
-        assert est["cond_throughput_limited"].fallback is fell_back
+        est = mc._estimates([{"throughput_limited_psic": part}], n,
+                            {"throughput_limited": fit}, ceiling)
+        assert est["throughput_limited_psic"].fallback is fell_back
     # so does a cell whose controls cannot be fitted: here no more trials
     # than two controls and a mean leave no residual degree of freedom
     tiny = simulate(CFG, "astars_noma", dbm_to_watts(15.0), trials=3, seed=2,
-                    metrics=("cond_outage_r", "cond_outage_t"))
+                    metrics=("outage_r", "outage_t"))
     inner = [est for est in tiny.values() if 0.0 < est.mean < 1.0]
     assert inner and all(est.fallback for est in inner)
     # or that fit every trial to rounding: without amplified noise the
     # pstars_noma pSIC outage is affine in S_r^2 wherever no trial clips
     exact = simulate(CFG, "pstars_noma", budget_to_ps(dbm_to_watts(0.0), CFG, active=False),
-                     trials=20_000, seed=2, metrics=("cond_outage_r",))["cond_outage_r_psic"]
+                     trials=20_000, seed=2, metrics=("outage_r",))["outage_r_psic"]
     assert exact.fallback and 0.9 < exact.mean < 1.0 and exact.ci95_halfwidth > 0.0
 
 
 def test_throughput_cell_at_an_end_of_its_range_has_exact_bound():
-    # a cond_ throughput cell whose trials all succeed, or all fail, has a
+    # a delay-limited throughput cell whose trials all succeed, or all fail, has a
     # sample variance of 0; it keeps its plain mean and gets the exact
     # bound (R_r + R_t)(1 - 0.025^(1/n)) instead
     n = 20_000
     bound = 1.0 - 0.025 ** (1.0 / n)
-    metrics = ("cond_throughput_limited",)
+    metrics = ("throughput_limited",)
     degenerate = replace(CFG, target_rate_t=2.0)  # a_t < gamma_t_hat a_r
     sure = simulate(CFG, "astars_noma", dbm_to_watts(60.0), trials=n, metrics=metrics)
     never = simulate(degenerate, "astars_noma", dbm_to_watts(30.0), trials=n, metrics=metrics)
     oma = simulate(CFG, "astars_oma", dbm_to_watts(60.0), trials=n, metrics=metrics)
     top, top_degenerate = 2.0, 3.0  # R_r + R_t
-    for est, mean, width in ((sure["cond_throughput_limited_psic"], top, top),
-                             (never["cond_throughput_limited_psic"], 0.0, top_degenerate),
-                             (never["cond_throughput_limited_ipsic"], 0.0, top_degenerate),
-                             (oma["cond_throughput_limited"], top, top)):
+    for est, mean, width in ((sure["throughput_limited_psic"], top, top),
+                             (never["throughput_limited_psic"], 0.0, top_degenerate),
+                             (never["throughput_limited_ipsic"], 0.0, top_degenerate),
+                             (oma["throughput_limited"], top, top)):
         assert est.mean == mean
         assert est.ci95_halfwidth == pytest.approx(width * bound, rel=1e-9)
         assert not est.fallback
     # the all-success sum of a rate that is not a binary fraction carries
     # rounding; it still counts as the range's end
     rate = 0.1 + 0.2
-    parts = [{"cond_throughput_limited": (math.fsum([rate] * 3), 3 * rate * rate)}] * 7
-    est = mc._estimates(parts, 21, "", None, rate)["cond_throughput_limited"]
+    parts = [{"throughput_limited": (math.fsum([rate] * 3), 3 * rate * rate)}] * 7
+    est = mc._estimates(parts, 21, None, rate)["throughput_limited"]
     assert est.ci95_halfwidth == pytest.approx(rate * (1.0 - 0.025 ** (1.0 / 21)))
 
 
@@ -708,10 +777,10 @@ def test_conditional_families_skip_the_distance_draw(monkeypatch):
         return real(seed, block, purpose)
 
     monkeypatch.setattr(mc, "_stream", recording)
-    simulate(CFG, "astars_noma", 1.0, trials=100, metrics=tuple(mc.CONDITIONAL.values()))
+    simulate(CFG, "astars_noma", 1.0, trials=100, metrics=OUTAGE_FAMILIES)
     assert "U" not in purposes and "E" in purposes
     purposes.clear()
-    simulate(CFG, "astars_noma", 1.0, trials=100, metrics=("cond_outage_r", "rate_t"))
+    simulate(CFG, "astars_noma", 1.0, trials=100, metrics=("outage_r", "rate_t"))
     assert purposes.count("U") == 1
 
 
@@ -749,8 +818,3 @@ def test_infeasible_budgets_raise():
         budget_to_ps(CFG.num_elements * CFG.pc_watts, CFG, active=False)
     with pytest.raises(ConfigError):
         budget_to_ps(-1.0, CFG)
-
-
-def test_estimate_dataclass_tags():
-    est = Estimate(mean=0.5, trials=10, ci95_halfwidth=0.1, kind="outage_r")
-    assert est.kind == "outage_r"
