@@ -124,7 +124,8 @@ class SweepSpec:
     through the scheme's budget model), ps_dbm (direct transmit power),
     num_elements, amp_lambda, or beta_a_grid (values are (beta_r, a_r)
     pairs with beta_t = 1 - beta_r and a_t = 1 - a_r).  Non-power axes fix
-    the operating power via fixed_q_tot_dbm or fixed_ps_dbm.
+    the operating power via exactly one of fixed_q_tot_dbm and
+    fixed_ps_dbm; the power axes take neither.
     """
 
     axis: str
@@ -160,8 +161,13 @@ class SweepSpec:
             if fractional:
                 raise ConfigError(f"num_elements takes whole numbers, got "
                                   f"{', '.join(map(repr, fractional))}")
-        if self.axis in ("num_elements", "amp_lambda", "beta_a_grid") and \
-                self.fixed_q_tot_dbm is None and self.fixed_ps_dbm is None:
+        fixed = [name for name in ("fixed_q_tot_dbm", "fixed_ps_dbm")
+                 if getattr(self, name) is not None]
+        if self.axis in ("q_tot_dbm", "ps_dbm") and fixed:
+            raise ConfigError(f"axis {self.axis} sets the power; {fixed[0]} would be ignored")
+        if len(fixed) > 1:
+            raise ConfigError("set one of fixed_q_tot_dbm and fixed_ps_dbm, not both")
+        if self.axis in ("num_elements", "amp_lambda", "beta_a_grid") and not fixed:
             raise ConfigError(f"axis {self.axis} needs fixed_q_tot_dbm or fixed_ps_dbm")
 
 

@@ -3,36 +3,36 @@ signal model, plus the orthogonal-access and passive-surface baselines and
 the power-budget fairness mapping.
 
 This simulator is the ground truth the closed forms are validated against:
-it draws the actual Rician fades, the actual per-element thermal noise
-(phase-unaligned, unlike the analysis, which substitutes the mean power
-zeta sigma_s^2 - flip ``mean_noise_mode`` to isolate that approximation),
+it draws the actual Rician fades, the actual per-element thermal noise,
 the exponential residual-interference power, and the disk-law user
-distances.
+distances.  The noise keeps its random phases, so given the channels h_u
+its power has mean sigma_s^2 sum_l |h_u,l|^2 (L sigma_s^2 at unit-power
+gains); the analysis substitutes zeta sigma_s^2, zeta = E|sum_l h_u,l|^2
+the power of a coherent sum, which ``mean_noise_mode`` adopts here.
 
 Random-number stream: trials run in fixed-size blocks, and each block
 reads six SFC64 substreams keyed by SeedSequence spawn keys (seed, block,
 purpose): h_s, h_r, h_t, the surface noise n_s, the residual power E and
 the distance uniforms U.  No state is shared across blocks or purposes.
 Only the trial count shapes what is drawn; the config acts afterwards,
-through h = los + sc z, n_s = sqrt(sigma_s^2 / 2) z, y = sigma_re^2 E and
+through h = los + sc z, n_s = sqrt(sigma_s^2 / 2) z, sigma_re^2 E and
 d = D sqrt(U).  The element streams are drawn one element row at a time,
 in element order, and reduced to running sums as they go, so the
 L-element draw is exactly the first L rows of any larger draw (the prefix
 property), and a lone point's reduction is the same sequential loop
-stopped at its L.  Each point's fades (squared cascade amplitudes,
-surface-noise powers, residual power) are formed from the sums; the path
-loss d^-alpha is formed once per block for each (D, alpha) in the call
-and applied to the fades afterwards.
+stopped at its L.  Each point's per-user terms (``_Fades``) are formed from
+the sums, and (d/D)^alpha once per block for each alpha in the call.
 
-Each metric family has one estimator.  The rates and the delay-tolerant
-throughput apply the drawn distances and average log2(1 + SINR).  The
-outage families and the delay-limited throughput integrate the two user
-distances out exactly: every link SINR is a X / (b X + N + c d^alpha) in
-the fade terms X and N, so given the fades each decoding stage succeeds
-iff d lies inside a threshold distance, and the disk law gives
-P(outage | fades) in closed form.  Averaging that probability over trials
-(conditional Monte Carlo, a Rao-Blackwellization) keeps the mean of the
-outage indicator at drawn distances and cannot widen its CI.  A call
+One link kernel serves every estimator: in units of sigma_0^2 D^alpha each
+decoding stage's SINR is A ps x / (B ps x + y + (1 + ps w) v^alpha), v = d/D
+(``_sinr``), and each scheme's stages are one table (``_stages``).  The
+rates and the delay-tolerant throughput average log2(1 + SINR) of each
+user's last stage at the drawn distances.  The outage families and the
+delay-limited throughput integrate the two user distances out exactly:
+given the fades a stage succeeds iff v^alpha lies below a threshold, so
+the disk law gives P(outage | fades) in closed form.  Averaging that over
+trials (conditional Monte Carlo, a Rao-Blackwellization) keeps the mean of
+the outage indicator at drawn distances and cannot widen its CI.  A call
 that asks for no rate family does not draw the U stream.
 
 Each outage-type estimate then uses control variates.  The controls are
@@ -128,32 +128,22 @@ _PURPOSES = ("h_s", "h_r", "h_t", "n_s", "E", "U")
 
 
 class _Fades(NamedTuple):
-    """Per-trial terms of a block that depend on neither the transmit
-    power nor the user distances: the phase-aligned cascade amplitudes (the
-    running sums themselves, shared by every point at the block's
-    (kappa, L)) and their squares, the drawn surface-noise powers
-    1/2 sigma_s^2 |nsum|^2 at each user (None where the point reads no
-    drawn noise) and the residual-interference power."""
+    """Per-trial terms of a block at one (cfg, scheme), free of the transmit
+    power and the user distances, in units of sigma_0^2 D^alpha: the
+    cascade amplitudes S_u (the running sums themselves, shared by every
+    point at the block's (kappa, L)) and their squares, each user's signal
+    x per unit power and amplified noise y at d = D (a float where no noise
+    is drawn), and the residual power per unit power w (``_fades``)."""
 
     amp_r: np.ndarray
     amp_t: np.ndarray
     amp_sq_r: np.ndarray
     amp_sq_t: np.ndarray
-    noise_r: np.ndarray | None
-    noise_t: np.ndarray | None
-    h_re_sq: np.ndarray
-
-
-class _Terms(NamedTuple):
-    """Per-trial terms of a block that do not depend on the transmit power,
-    the drawn distances applied: the received-signal gains, the
-    amplified-noise powers and the residual-interference power."""
-
-    g_r: np.ndarray
-    g_t: np.ndarray
-    noise_r: np.ndarray
-    noise_t: np.ndarray
-    h_re_sq: np.ndarray
+    x_r: np.ndarray
+    x_t: np.ndarray
+    y_r: np.ndarray | float
+    y_t: np.ndarray | float
+    w: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -240,58 +230,40 @@ def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict,
            residual: np.ndarray) -> _Fades:
     """A block's fades at cfg, from the element sums at its K-factor and
     element count and the standard exponentials of the residual power.
-    The phase controller aligns the cascade, so its amplitude is the sum of
-    per-element products of envelopes; the thermal noise keeps its random
-    phases."""
-    drawn = scheme != "pstars_noma" and not cfg.mean_noise_mode
+    The phase controller aligns the cascade, so its amplitude S is the sum
+    of per-element products of envelopes: x = lambda beta eta0^2 d_s^-alpha
+    S^2 / (sigma_0^2 D^alpha).  The thermal noise keeps its random phases:
+    y = lambda beta eta0 N / (sigma_0^2 D^alpha), with N the drawn power
+    1/2 sigma_s^2 |nsum|^2, its analysis value zeta sigma_s^2 in mean-noise
+    mode, and 0 on the passive surface."""
+    unit = 1.0 / (cfg.noise_sigma_02 * cfg.radius_d ** cfg.path_alpha)
+    lam = 1.0 if scheme == "pstars_noma" else cfg.amp_lambda
+    bs_loss = cfg.path_eta0 ** 2 * cfg.dist_bs ** -cfg.path_alpha
+    amp_sq = {u: amp[u] ** 2 for u in ("h_r", "h_t")}
 
-    def noise(user):
-        return 0.5 * cfg.noise_sigma_s2 * np.abs(nsum[user]) ** 2 if drawn else None
-
-    return _Fades(amp["h_r"], amp["h_t"], amp["h_r"] ** 2, amp["h_t"] ** 2,
-                  noise("h_r"), noise("h_t"), cfg.noise_sigma_re2 * residual)
-
-
-def _terms(cfg: NetworkConfig, scheme: str, fades: _Fades, loss: np.ndarray) -> _Terms:
-    """A block's power-free per-trial terms at cfg: its fades with the two
-    users' surface-to-user path losses d^-alpha applied (row 0 the
-    reflection user, row 1 the transmission user).  The amplified noise
-    rides the same path loss as the gain.  In mean-noise mode the drawn
-    noise power is replaced by its analysis value zeta sigma_s^2."""
-    eta0 = cfg.path_eta0
-    bs_loss = eta0 ** 2 * cfg.dist_bs ** -cfg.path_alpha
-
-    def side(amp_sq, noise, row, beta):
-        pl = loss[row]
-        gain = bs_loss * pl * amp_sq
+    def user(u, beta):
+        x = (lam * beta * bs_loss * unit) * amp_sq[u]
         if scheme == "pstars_noma":
-            noise_amp = np.zeros(pl.shape)
-        elif cfg.mean_noise_mode:
+            return x, 0.0
+        amp_noise = cfg.amp_lambda * beta * cfg.path_eta0 * unit
+        if cfg.mean_noise_mode:
             zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
-            noise_amp = cfg.amp_lambda * beta * eta0 * zeta * cfg.noise_sigma_s2 * pl
-        else:
-            noise_amp = cfg.amp_lambda * beta * eta0 * pl * noise
-        return gain, noise_amp
+            return x, amp_noise * zeta * cfg.noise_sigma_s2
+        return x, amp_noise * (0.5 * cfg.noise_sigma_s2 * np.abs(nsum[u]) ** 2)
 
-    g_r, noise_r = side(fades.amp_sq_r, fades.noise_r, 0, cfg.beta_r)
-    g_t, noise_t = side(fades.amp_sq_t, fades.noise_t, 1, cfg.beta_t)
-    return _Terms(g_r, g_t, noise_r, noise_t, fades.h_re_sq)
+    (x_r, y_r), (x_t, y_t) = user("h_r", cfg.beta_r), user("h_t", cfg.beta_t)
+    return _Fades(amp["h_r"], amp["h_t"], amp_sq["h_r"], amp_sq["h_t"],
+                  x_r, x_t, y_r, y_t, cfg.noise_sigma_re2 * residual / cfg.noise_sigma_02)
 
 
-def _path_losses(seed: int, block: int, size: int,
-                 keys: Iterable[tuple[float, float]]) -> dict:
-    """One block's surface-to-user path losses d^-alpha, rows (reflection
-    user, transmission user), for each (radius_d, path_alpha) of keys, all
-    from one draw of the U stream; with no keys nothing is drawn.  Raises
-    NumericIntegrityError if a loss is not finite."""
-    keys = tuple(dict.fromkeys(keys))
-    if not keys:
+def _distance_powers(seed: int, block: int, size: int, alphas: set[float]) -> dict:
+    """One block's (d/D)^alpha, rows (reflection user, transmission user),
+    for each path-loss exponent in alphas, all from one draw of the U
+    stream; with no exponents nothing is drawn."""
+    if not alphas:
         return {}
     radial = sample_distance(_stream(seed, block, "U"), 1.0, (2, size))
-    loss = {key: (key[0] * radial) ** -key[1] for key in keys}
-    if not all(np.isfinite(pl).all() for pl in loss.values()):
-        raise NumericIntegrityError(f"non-finite path loss: block {block}")
-    return loss
+    return {alpha: radial ** alpha for alpha in alphas}
 
 
 def _block_fades(seed: int, block: int, size: int,
@@ -311,32 +283,43 @@ def _block_fades(seed: int, block: int, size: int,
         for i in by_length.get(L, ()):
             cfg, scheme = points[i]
             fades = _fades(cfg, scheme, *at_l[cfg.rician_kappa], residual)
-            if not all(np.isfinite(f).all() for f in fades if f is not None):
+            if not all(np.isfinite(f).all() for f in fades):
                 raise NumericIntegrityError(
                     f"non-finite fade term: {scheme} block {block} at L = {L}")
             yield i, fades
 
 
-def _sinrs(cfg: NetworkConfig, scheme: str, terms: _Terms,
-           ps: float) -> tuple[np.ndarray, ...]:
-    """The SINR kernel: every trial's link SINRs at transmit power ps.
-
-    NOMA schemes give four arrays: the reflection user decoding the
-    transmission user's signal, then its own signal under pSIC and ipSIC,
-    and the transmission user decoding its own signal.  astars_oma gives
-    the pair (gamma_r, gamma_t) of the dedicated full-power slots.
-    """
-    lam = 1.0 if scheme == "pstars_noma" else cfg.amp_lambda
-    sigma_02 = cfg.noise_sigma_02
-    s_r = lam * cfg.beta_r * ps * terms.g_r
-    s_t = lam * cfg.beta_t * ps * terms.g_t
+def _stages(cfg: NetworkConfig, scheme: str) -> tuple[list[tuple], dict[str, list[tuple]]]:
+    """The decoding-stage table of scheme at cfg: the transmission user's
+    stages, and the reflection user's keyed by SIC-mode suffix ("_psic"
+    and "_ipsic" for the NOMA schemes, "" for astars_oma).  A stage is
+    (A, B, gamma_hat, ipsic): the signal and interference shares of its
+    SINR (``_sinr``), its target, and whether the residual power enters.
+    A user decodes iff every stage meets its target; its rate is its last
+    stage's."""
     if scheme == "astars_oma":
-        return s_r / (terms.noise_r + sigma_02), s_t / (terms.noise_t + sigma_02)
-    den_r = terms.noise_r + sigma_02
-    return (cfg.a_t * s_r / (cfg.a_r * s_r + den_r),
-            cfg.a_r * s_r / den_r,
-            cfg.a_r * s_r / (den_r + terms.h_re_sq * ps),
-            cfg.a_t * s_t / (cfg.a_r * s_t + terms.noise_t + sigma_02))
+        # dedicated slots: full power, doubled spectral-efficiency target
+        return ([(1.0, 0.0, target_sinr(2.0 * cfg.target_rate_t), False)],
+                {"": [(1.0, 0.0, target_sinr(2.0 * cfg.target_rate_r), False)]})
+    # decoding the transmission user's signal, under the reflection user's
+    # own signal as interference; then the reflection user's own signal
+    first = (cfg.a_t, cfg.a_r, target_sinr(cfg.target_rate_t), False)
+    gamma_r_hat = target_sinr(cfg.target_rate_r)
+    return ([first], {"_psic": [first, (cfg.a_r, 0.0, gamma_r_hat, False)],
+                      "_ipsic": [first, (cfg.a_r, 0.0, gamma_r_hat, True)]})
+
+
+def _sinr(stage: tuple, x: np.ndarray, y: np.ndarray | float, w: np.ndarray,
+          v_alpha: np.ndarray, ps: float) -> np.ndarray:
+    """The link kernel: every trial's SINR at one decoding stage (A, B,
+    gamma_hat, ipsic) of ``_stages``, at transmit power ps and the user's
+    v^alpha = (d/D)^alpha, A ps x / (B ps x + y + (1 + ps w) v^alpha), with
+    w read on the ipSIC stage alone (``_Fades``)."""
+    a, b, _, ipsic = stage
+    den = (v_alpha * (1.0 + ps * w) if ipsic else v_alpha) + y
+    if b:
+        den += (b * ps) * x
+    return (a * ps) * x / den
 
 
 def _moments(values: np.ndarray, work: np.ndarray | None = None) -> tuple[float, float]:
@@ -345,24 +328,28 @@ def _moments(values: np.ndarray, work: np.ndarray | None = None) -> tuple[float,
             float(np.add.reduce(np.multiply(values, values, out=work))))
 
 
-def _partials(cfg: NetworkConfig, scheme: str, terms: _Terms, ps: float,
-              metrics: frozenset[str]) -> dict[str, tuple[float, float]]:
+def _partials(cfg: NetworkConfig, scheme: str, fades: _Fades, v_alpha: np.ndarray,
+              ps: float, metrics: frozenset[str]) -> dict[str, tuple[float, float]]:
     """Partial sums (sum, sum of squares) of one block at one transmit
     power for the rate families in metrics, keyed by the metric names of
-    the estimates, from the log2(1 + gamma) arrays."""
-    if scheme == "astars_oma":
-        # dedicated slots: full power, per-user rate halved by the slot structure
-        gamma_r, gamma_t = _sinrs(cfg, scheme, terms, ps)
-        rate_t = 0.5 * np.log2(1.0 + gamma_t)
-        by_mode = {"": 0.5 * np.log2(1.0 + gamma_r)}
-    else:
-        _, gamma_r_psic, gamma_r_ipsic, gamma_t = _sinrs(cfg, scheme, terms, ps)
-        rate_t = np.log2(1.0 + gamma_t)
-        by_mode = {"_psic": np.log2(1.0 + gamma_r_psic), "_ipsic": np.log2(1.0 + gamma_r_ipsic)}
+    the estimates: log2(1 + SINR) of each user's last decoding stage at
+    the drawn distances (rows of v_alpha: reflection user, transmission
+    user), halved for astars_oma's slots.  A user whose rate no family in
+    metrics reads is not evaluated."""
+    stages_t, stages_r = _stages(cfg, scheme)
+
+    def rate(stages, x, y, row):
+        values = np.log2(1.0 + _sinr(stages[-1], x, y, fades.w, v_alpha[row], ps))
+        return 0.5 * values if scheme == "astars_oma" else values
+
     out: dict[str, tuple[float, float]] = {}
+    rate_t = rate(stages_t, fades.x_t, fades.y_t, 1) if metrics != {"rate_r"} else None
     if "rate_t" in metrics:
         out["rate_t"] = _moments(rate_t)
-    for suffix, rate_r in by_mode.items():
+    if metrics == {"rate_t"}:
+        return out
+    for suffix, stages in stages_r.items():
+        rate_r = rate(stages, fades.x_r, fades.y_r, 0)
         if "rate_r" in metrics:
             out[f"rate_r{suffix}"] = _moments(rate_r)
         if "throughput_tolerant" in metrics:
@@ -373,56 +360,26 @@ def _partials(cfg: NetworkConfig, scheme: str, terms: _Terms, ps: float,
 def _thresholds(cfg: NetworkConfig, scheme: str,
                 fades: _Fades) -> tuple[list[tuple], dict[str, list[tuple]]]:
     """One block's threshold coefficients at cfg, free of power and
-    distance: the transmission user's decoding stages, and the reflection
-    user's keyed by SIC-mode suffix ("_psic" and "_ipsic" for the NOMA
-    schemes, "" for astars_oma).
+    distance, for the stages of ``_stages``, in its layout.
 
-    Every link SINR has the form A ps S pl / (B ps S pl + N pl + c) in the
-    user's path loss pl = d^-alpha, with S the signal and N the amplified
-    noise per unit path loss, so a decoding stage with target gamma_hat
-    succeeds iff (d/D)^alpha < t = (ps k x - y) / (1 + ps w), where
-    k = (A - B gamma_hat) / gamma_hat, x = S / (sigma_0^2 D^alpha),
-    y = N / (sigma_0^2 D^alpha), and w = sigma_re^2 E / sigma_0^2 on the
-    ipSIC own-signal stage and 0 elsewhere.  A stage is stored as
-    (k, x, 1 + y, w), with w None where it is 0.  A user decodes iff every
-    one of its stages succeeds; the pSIC stages share x and y and have no
-    w, so they merge into one with the smaller k.  A zero target makes k
+    A stage of ``_sinr``'s form with target gamma_hat succeeds iff
+    v^alpha < t = (ps k x - y) / (1 + ps w), k = (A - B gamma_hat) / gamma_hat,
+    with w = 0 off the ipSIC stage.  A stage is stored as (k, x, 1 + y, w),
+    with w None where it is 0.  A user's stages without w share x and y, so
+    they merge into one with the smallest k.  A zero target makes k
     infinite, a stage that never fails; a degenerate allocation makes it
     nonpositive, a stage that always does.
     """
-    unit = 1.0 / (cfg.noise_sigma_02 * cfg.radius_d ** cfg.path_alpha)
-    lam = 1.0 if scheme == "pstars_noma" else cfg.amp_lambda
-    bs_loss = cfg.path_eta0 ** 2 * cfg.dist_bs ** -cfg.path_alpha
+    stages_t, stages_r = _stages(cfg, scheme)
 
-    def user(amp_sq, noise, beta):
-        x = (lam * beta * bs_loss * unit) * amp_sq
-        if scheme == "pstars_noma":
-            return x, 1.0
-        amp_noise = cfg.amp_lambda * beta * cfg.path_eta0 * unit
-        if cfg.mean_noise_mode:
-            zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
-            return x, 1.0 + amp_noise * zeta * cfg.noise_sigma_s2
-        return x, 1.0 + amp_noise * noise
+    def user(stages, x, offset):
+        ks = [((a - b * g) / g if g > 0.0 else math.inf, ipsic) for a, b, g, ipsic in stages]
+        return [(min(k for k, ipsic in ks if not ipsic), x, offset, None)] + [
+            (k, x, offset, fades.w) for k, ipsic in ks if ipsic]
 
-    def ratio(a, gamma_hat):
-        return a / gamma_hat if gamma_hat > 0.0 else math.inf
-
-    user_r = user(fades.amp_sq_r, fades.noise_r, cfg.beta_r)
-    user_t = user(fades.amp_sq_t, fades.noise_t, cfg.beta_t)
-    if scheme == "astars_oma":
-        # dedicated slots: full power, doubled spectral-efficiency target
-        return ([(ratio(1.0, target_sinr(2.0 * cfg.target_rate_t)), *user_t, None)],
-                {"": [(ratio(1.0, target_sinr(2.0 * cfg.target_rate_r)), *user_r, None)]})
-    gamma_r_hat = target_sinr(cfg.target_rate_r)
-    gamma_t_hat = target_sinr(cfg.target_rate_t)
-    # decoding the transmission user's signal, under the reflection user's
-    # own signal as interference; then the reflection user's own signal
-    first = ratio(cfg.a_t - gamma_t_hat * cfg.a_r, gamma_t_hat)
-    own = ratio(cfg.a_r, gamma_r_hat)
-    w = fades.h_re_sq / cfg.noise_sigma_02
-    return ([(first, *user_t, None)],
-            {"_psic": [(min(first, own), *user_r, None)],
-             "_ipsic": [(first, *user_r, None), (own, *user_r, w)]})
+    offset_r = 1.0 + fades.y_r
+    return (user(stages_t, fades.x_t, 1.0 + fades.y_t),
+            {suffix: user(stages, fades.x_r, offset_r) for suffix, stages in stages_r.items()})
 
 
 def _outage(stages: list[tuple], ps: float, exponent: float, out: np.ndarray,
@@ -660,19 +617,21 @@ def _map_blocks(fn: Callable, blocks: Iterable, workers: int) -> list:
 
 
 def _point_partials(cfg: NetworkConfig, scheme: str, powers: list[float],
-                    families: frozenset[str], fades: _Fades, loss: dict) -> list[dict]:
+                    families: frozenset[str], fades: _Fades, v_alpha: dict) -> list[dict]:
     """One point's partial sums of one block, one dict per power: the rate
-    families from its fades with the drawn path losses applied, the
-    outage-type ones from its threshold coefficients and control rows."""
+    families from its fades at the drawn distances (v_alpha, by path-loss
+    exponent), the outage-type ones from its threshold coefficients and
+    control rows."""
     parts: list[dict] = [{} for _ in powers]
     rates, cond = families & _RATE_READERS, families - _RATE_READERS
     if rates:
-        terms = _terms(cfg, scheme, fades, loss[cfg.radius_d, cfg.path_alpha])
-        for part, ps in zip(parts, powers):
-            part.update(_partials(cfg, scheme, terms, ps, rates))
+        # d = 0 without amplified noise is an infinite SINR, refused by simulate
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for part, ps in zip(parts, powers):
+                part.update(_partials(cfg, scheme, fades, v_alpha[cfg.path_alpha], ps, rates))
     if cond:
         stages = _thresholds(cfg, scheme, fades)
-        work = np.empty((4, fades.h_re_sq.size))
+        work = np.empty((4, fades.w.size))
         top = max(powers)
         zero_from = (_zero_power(stages[0], top, work),
                      {suffix: _zero_power(user, top, work) for suffix, user in stages[1].items()})
@@ -742,11 +701,11 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
     seed = points[0][0].seed if seed is None else int(seed)
     sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
     kernels = [(c, s) for c, s, _, _ in runs]
-    losses = [(c.radius_d, c.path_alpha) for c, _, _, families in runs
-              if not families.isdisjoint(_RATE_READERS)]
+    alphas = {c.path_alpha for c, _, _, families in runs
+              if not families.isdisjoint(_RATE_READERS)}
 
     def run(block: int) -> tuple[list, dict]:
-        loss = _path_losses(seed, block, sizes[block], losses)
+        v_alpha = _distance_powers(seed, block, sizes[block], alphas)
         out: list = [None] * len(runs)
         # the sums and products of the control rows each outage-type family
         # reads, once per (kappa, L) and set of users
@@ -760,7 +719,9 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
                     controls[key] = ([float(np.add.reduce(a)) for a in rows],
                                      [[float(np.einsum("n,n->", a, b)) for b in rows[i:]]
                                       for i, a in enumerate(rows)])
-            out[i] = _point_partials(*runs[i], fades, loss)
+            out[i] = _point_partials(*runs[i], fades, v_alpha)
+            if not np.isfinite([v for p in out[i] for cell in p.values() for v in cell]).all():
+                raise NumericIntegrityError(f"non-finite partial sum: {runs[i][1]} block {block}")
         return out, controls
 
     by_block = _map_blocks(run, range(len(sizes)), workers)

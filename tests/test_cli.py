@@ -270,6 +270,13 @@ def test_sweep_spec_validation():
         SweepSpec(axis="q_tot_dbm", values=(1.0,), metrics=("nope",))
     with pytest.raises(ConfigError):
         SweepSpec(axis="num_elements", values=(2,), metrics=("outage_r",))
+    # the operating power is set once: by a power axis, or by one fixed value
+    for axis, fixed in (("num_elements", {"fixed_q_tot_dbm": 20.0, "fixed_ps_dbm": 20.0}),
+                        ("q_tot_dbm", {"fixed_ps_dbm": 30.0}),
+                        ("q_tot_dbm", {"fixed_q_tot_dbm": 30.0}),
+                        ("ps_dbm", {"fixed_ps_dbm": 30.0})):
+        with pytest.raises(ConfigError):
+            SweepSpec(axis=axis, values=(2,), metrics=("outage_r",), **fixed)
     # an empty or repeated mode or scheme list, or a repeated metric
     for lists in ({"modes": ()}, {"schemes": ()},
                   {"metrics": ("outage_r", "outage_t", "outage_r")},
@@ -623,6 +630,18 @@ def test_cli_nonpositive_trials_or_workers_exits_1(tmp_path, capsys, flag):
 def test_cli_sweep_empty_or_repeated_list_exits_1(tmp_path, capsys, lists):
     rc = main(["--out", str(tmp_path), "--trials", "100", "sweep", "--start", "10",
                "--stop", "12.5", *lists])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["--axis", "q_tot_dbm", "--fixed-ps-dbm", "30"],
+    ["--axis", "ps_dbm", "--fixed-q-tot-dbm", "30"],
+    ["--axis", "num_elements", "--fixed-q-tot-dbm", "20", "--fixed-ps-dbm", "20"]])
+def test_cli_sweep_conflicting_powers_exit_1(tmp_path, capsys, argv):
+    rc = main(["--out", str(tmp_path), "--trials", "100", "sweep", "--start", "10",
+               "--stop", "10", *argv])
     assert rc == 1
     assert "config error" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))

@@ -9,7 +9,9 @@ is a breaking change and must show up here.
 The raw indicator estimator of the outage families and the delay-limited
 throughput lives here, as the oracle of the simulator's conditional
 estimator (``raw_outages``): it counts each trial's outage events at its
-drawn distances, from the simulator's own fades, path losses and SINRs.
+drawn distances, from the simulator's own fades, distances and link
+kernel.  That kernel is anchored to the signal model separately, by
+rebuilding every stage's SINR in watts from the raw streams.
 """
 
 import math
@@ -22,9 +24,9 @@ import pytest
 from astars_noma import montecarlo as mc
 from astars_noma.analytic import NumericIntegrityError, SicMode, target_sinr
 from astars_noma.model import ConfigError, NetworkConfig, dbm_to_watts, noise_power_factor
-from astars_noma.montecarlo import (BLOCK_TRIALS, SCHEMES, _block_fades, _element_rows,
-                                    _element_sums, _path_losses, _rician, _sinrs, _stream,
-                                    _terms, budget_to_ps, simulate, surface_output_power)
+from astars_noma.montecarlo import (BLOCK_TRIALS, SCHEMES, _block_fades, _distance_powers,
+                                    _element_rows, _element_sums, _rician, _sinr, _stages,
+                                    _stream, budget_to_ps, simulate, surface_output_power)
 
 CFG = NetworkConfig()
 
@@ -38,12 +40,12 @@ ARCHIVE = {
     "outage_system_ipsic": (7.9e-05, 1.7420172920335778e-05),
     "outage_system_psic": (2e-06, 2.7718558103912984e-06),
     "outage_t": (2e-06, 2.7718558103912984e-06),
-    "rate_r_ipsic": (4.9829985802801495, 0.0031773247407327985),
-    "rate_r_psic": (5.796470891248828, 0.002987796501479051),
+    "rate_r_ipsic": (4.982998580280149, 0.0031773247407328007),
+    "rate_r_psic": (5.796470891248828, 0.0029877965014790463),
     "rate_t": (1.6751490899615826, 9.771629758639294e-05),
     "throughput_limited_ipsic": (1.999921, 1.7420181630451733e-05),
     "throughput_limited_psic": (1.999998, 2.7718571962991363e-06),
-    "throughput_tolerant_ipsic": (6.658147670241731, 0.0031899663300625834),
+    "throughput_tolerant_ipsic": (6.658147670241731, 0.003189966330062579),
     "throughput_tolerant_psic": (7.47161998121041, 0.003001576508036357),
 }
 
@@ -64,27 +66,38 @@ ARCHIVE_CONDITIONAL = {
 OUTAGE_FAMILIES = ("outage_r", "outage_t", "outage_system", "throughput_limited")
 
 
-def block_terms(cfg, scheme="astars_noma", size=64, seed=0, block=0):
-    """The power-free terms of one block of one (cfg, scheme): its fades
-    with the block's path losses applied."""
+def block_fades(cfg, scheme="astars_noma", size=64, seed=0, block=0):
+    """One block of one (cfg, scheme): its fades and its drawn (d/D)^alpha,
+    rows (reflection user, transmission user)."""
     [(_, fades)] = _block_fades(seed, block, size, [(cfg, scheme)])
-    key = (cfg.radius_d, cfg.path_alpha)
-    return _terms(cfg, scheme, fades, _path_losses(seed, block, size, [key])[key])
+    return fades, _distance_powers(seed, block, size, {cfg.path_alpha})[cfg.path_alpha]
 
 
-def raw_indicators(cfg, scheme, terms, ps):
+def stage_sinrs(cfg, scheme, fades, v_alpha, ps):
+    """Every decoding stage's SINR per trial, by the simulator's link
+    kernel: the transmission user's list, and the reflection user's keyed
+    by SIC-mode suffix."""
+    stages_t, stages_r = _stages(cfg, scheme)
+
+    def user(stages, x, y, row):
+        return [_sinr(stage, x, y, fades.w, v_alpha[row], ps) for stage in stages]
+
+    return (user(stages_t, fades.x_t, fades.y_t, 1),
+            {suffix: user(stages, fades.x_r, fades.y_r, 0) for suffix, stages in stages_r.items()})
+
+
+def raw_indicators(cfg, scheme, fades, v_alpha, ps):
     """Each trial's outage events at its drawn distances: the transmission
-    user's, and the reflection user's keyed by SIC-mode suffix."""
-    gammas = _sinrs(cfg, scheme, terms, ps)
-    if scheme == "astars_oma":
-        # dedicated slots: full power, doubled spectral-efficiency target
-        return (gammas[1] <= target_sinr(2.0 * cfg.target_rate_t),
-                {"": gammas[0] <= target_sinr(2.0 * cfg.target_rate_r)})
-    g_r_hat, g_t_hat = target_sinr(cfg.target_rate_r), target_sinr(cfg.target_rate_t)
-    # the reflection user first decodes the transmission user's signal
-    first = gammas[0] <= g_t_hat
-    return gammas[3] <= g_t_hat, {"_psic": first | (gammas[1] <= g_r_hat),
-                                  "_ipsic": first | (gammas[2] <= g_r_hat)}
+    user's, and the reflection user's keyed by SIC-mode suffix.  A user is
+    in outage when some stage of its decoding misses its target."""
+    stages_t, stages_r = _stages(cfg, scheme)
+    gammas_t, gammas_r = stage_sinrs(cfg, scheme, fades, v_alpha, ps)
+
+    def missed(stages, gammas):
+        return np.logical_or.reduce([g <= stage[2] for stage, g in zip(stages, gammas)])
+
+    return (missed(stages_t, gammas_t),
+            {suffix: missed(stages_r[suffix], gammas) for suffix, gammas in gammas_r.items()})
 
 
 def raw_outages(cfg, scheme, ps, trials, seed):
@@ -96,7 +109,7 @@ def raw_outages(cfg, scheme, ps, trials, seed):
     counts, moments = {}, {}
     for block, start in enumerate(range(0, trials, BLOCK_TRIALS)):
         size = min(BLOCK_TRIALS, trials - start)
-        out_t, out_r = raw_indicators(cfg, scheme, block_terms(cfg, scheme, size, seed, block), ps)
+        out_t, out_r = raw_indicators(cfg, scheme, *block_fades(cfg, scheme, size, seed, block), ps)
         events = {"outage_t": out_t}
         for suffix, out in out_r.items():
             events[f"outage_r{suffix}"] = out
@@ -124,13 +137,12 @@ def test_draw_trial_shapes_and_ranges():
     size = 64
     rows = list(islice(_element_rows(0, 0, size, "h_s"), CFG.num_elements))
     assert all(row.shape == (size,) and row.dtype == np.complex128 for row in rows)
-    terms = block_terms(CFG, size=size)
-    assert all(t.shape == (size,) for t in terms)
-    assert np.all(terms.h_re_sq >= 0.0)
-    assert np.all(terms.g_r > 0.0) and np.all(terms.g_t > 0.0)
-    assert np.all(terms.noise_r >= 0.0) and np.all(terms.noise_t >= 0.0)
-    radial = np.sqrt(_stream(0, 0, "U").random((2, size)))
-    assert np.all((0.0 < radial) & (radial <= 1.0))
+    fades, v_alpha = block_fades(CFG, size=size)
+    assert all(f.shape == (size,) for f in fades)
+    assert np.all(fades.w >= 0.0)
+    assert np.all(fades.x_r > 0.0) and np.all(fades.x_t > 0.0)
+    assert np.all(fades.y_r >= 0.0) and np.all(fades.y_t >= 0.0)
+    assert v_alpha.shape == (2, size) and np.all((0.0 < v_alpha) & (v_alpha <= 1.0))
 
 
 def test_pure_los_limit_gains_become_deterministic():
@@ -158,7 +170,7 @@ def test_random_phase_sum_power_matches_noise_factor():
 
 
 def test_residual_power_is_exponential_with_configured_mean():
-    draws = block_terms(CFG, size=20_000, seed=4).h_re_sq
+    draws = block_fades(CFG, size=20_000, seed=4)[0].w * CFG.noise_sigma_02
     se = draws.std(ddof=1) / math.sqrt(draws.size)
     assert abs(draws.mean() - CFG.noise_sigma_re2) < 3.0 * se
 
@@ -221,24 +233,137 @@ def test_non_finite_draw_raises_naming_scheme_block_and_length(monkeypatch):
 # SINR structure
 # ---------------------------------------------------------------------------
 
+# the schemes and model switches of the link kernel: drawn noise, the
+# passive surface, orthogonal slots, mean-noise mode, and alpha != 2 with
+# D != 35, where the units sigma_0^2 D^alpha do not cancel by accident
+KERNEL_CELLS = [(CFG, "astars_noma"), (CFG, "pstars_noma"), (CFG, "astars_oma"),
+                (replace(CFG, mean_noise_mode=True), "astars_noma"),
+                (replace(CFG, path_alpha=3.0, radius_d=20.0), "astars_noma")]
+
+
+def test_stage_sinrs_rebuilt_in_watts_from_the_raw_streams():
+    # every stage's SINR of the link kernel against the signal model written
+    # out in watts from the block's raw h_s, h_r, h_t, n_s, E and U streams:
+    # signal lambda beta ps eta0^2 d_s^-alpha d^-alpha S^2 with the aligned
+    # amplitude S = sum_l |h_s,l| |h_u,l|, amplified noise
+    # lambda beta eta0 d^-alpha N, receiver noise sigma_0^2, and the
+    # residual sigma_re^2 E ps on the ipSIC stage alone
+    size, seed = 400, 8
+    for cfg, scheme in KERNEL_CELLS:
+        L, kappa, alpha = cfg.num_elements, cfg.rician_kappa, cfg.path_alpha
+        rows = {p: [_rician(kappa, z) for z in islice(_element_rows(seed, 0, size, p), L)]
+                for p in ("h_s", "h_r", "h_t")}
+        z_n = list(islice(_element_rows(seed, 0, size, "n_s"), L))
+        residual = cfg.noise_sigma_re2 * _stream(seed, 0, "E").standard_exponential(size)
+        dist = cfg.radius_d * np.sqrt(_stream(seed, 0, "U").random((2, size)))
+        lam = 1.0 if scheme == "pstars_noma" else cfg.amp_lambda
+
+        def watts(u, beta, d, ps):
+            amp = sum(np.abs(h_s) * np.abs(h_u) for h_s, h_u in zip(rows["h_s"], rows[u]))
+            signal = (lam * beta * ps * cfg.path_eta0 ** 2 * cfg.dist_bs ** -alpha
+                      * d ** -alpha * amp ** 2)
+            if scheme == "pstars_noma":
+                power = 0.0
+            elif cfg.mean_noise_mode:
+                power = noise_power_factor(kappa, L) * cfg.noise_sigma_s2
+            else:
+                power = 0.5 * cfg.noise_sigma_s2 * np.abs(sum(
+                    z * h_u for z, h_u in zip(z_n, rows[u]))) ** 2
+            return signal, lam * beta * cfg.path_eta0 * d ** -alpha * power + cfg.noise_sigma_02
+
+        fades, v_alpha = block_fades(cfg, scheme, size, seed)
+        for ps in (0.1, 1.0, 10.0):
+            s_r, n_r = watts("h_r", cfg.beta_r, dist[0], ps)
+            s_t, n_t = watts("h_t", cfg.beta_t, dist[1], ps)
+            g_r, g_t = target_sinr(cfg.target_rate_r), target_sinr(cfg.target_rate_t)
+            if scheme == "astars_oma":
+                # dedicated slots: full power, doubled spectral-efficiency target
+                want = ([(s_t / n_t, target_sinr(2.0 * cfg.target_rate_t))],
+                        {"": [(s_r / n_r, target_sinr(2.0 * cfg.target_rate_r))]})
+            else:
+                first = (cfg.a_t * s_r / (cfg.a_r * s_r + n_r), g_t)
+                want = ([(cfg.a_t * s_t / (cfg.a_r * s_t + n_t), g_t)],
+                        {"_psic": [first, (cfg.a_r * s_r / n_r, g_r)],
+                         "_ipsic": [first, (cfg.a_r * s_r / (n_r + residual * ps), g_r)]})
+            got = stage_sinrs(cfg, scheme, fades, v_alpha, ps)
+            stages_t, stages_r = _stages(cfg, scheme)
+            assert set(stages_r) == set(want[1])
+            for gammas, stages, expect in ((got[0], stages_t, want[0]),
+                                           *((got[1][k], stages_r[k], want[1][k])
+                                             for k in want[1])):
+                assert [s[2] for s in stages] == [target for _, target in expect]
+                for gamma, (wanted, _) in zip(gammas, expect, strict=True):
+                    np.testing.assert_allclose(gamma, wanted, rtol=1e-12)
+                    assert np.all(gamma > 0.0)
+
+
+# the NOMA cells of the kernel, whose stages share the power split
+NOMA_KERNEL_CELLS = [(cfg, scheme) for cfg, scheme in KERNEL_CELLS if scheme != "astars_oma"]
+
+
 def test_sinr_set_positive_and_ordered():
-    gamma_r_to_t, gamma_r_psic, gamma_r_ipsic, gamma_t = _sinrs(
-        CFG, "astars_noma", block_terms(CFG, size=50, seed=5), 1.0)
-    for gamma in (gamma_r_to_t, gamma_r_psic, gamma_r_ipsic, gamma_t):
-        assert np.all(gamma > 0.0)
-    # residual interference can only hurt the post-SIC SINR
-    assert np.all(gamma_r_ipsic <= gamma_r_psic)
-    # interference-limited ceilings
-    assert np.all(gamma_r_to_t < CFG.a_t / CFG.a_r)
-    assert np.all(gamma_t < CFG.a_t / CFG.a_r)
+    for cfg, scheme in NOMA_KERNEL_CELLS:
+        (gamma_t,), gammas_r = stage_sinrs(cfg, scheme, *block_fades(cfg, scheme, 50, 5), 1.0)
+        first, psic = gammas_r["_psic"]
+        first_ipsic, ipsic = gammas_r["_ipsic"]
+        for gamma in (first, psic, ipsic, gamma_t):
+            assert np.all(gamma > 0.0)
+        # both SIC modes decode the transmission user's message alike
+        np.testing.assert_array_equal(first_ipsic, first)
+        # residual interference can only hurt the post-SIC SINR
+        assert np.all(ipsic <= psic)
+        # interference-limited ceilings
+        assert np.all(first < cfg.a_t / cfg.a_r)
+        assert np.all(gamma_t < cfg.a_t / cfg.a_r)
 
 
 def test_sinr_monotone_in_power():
-    terms = block_terms(CFG, size=50, seed=6)
-    lo = _sinrs(CFG, "astars_noma", terms, 0.1)
-    hi = _sinrs(CFG, "astars_noma", terms, 10.0)
-    assert np.all(hi[1] > lo[1])  # gamma_r_psic
-    assert np.all(hi[3] > lo[3])  # gamma_t
+    # every NOMA stage's SINR rises with the transmit power
+    for cfg, scheme in NOMA_KERNEL_CELLS:
+        fades, v_alpha = block_fades(cfg, scheme, 50, 6)
+        (lo_t,), lo_r = stage_sinrs(cfg, scheme, fades, v_alpha, 0.1)
+        (hi_t,), hi_r = stage_sinrs(cfg, scheme, fades, v_alpha, 10.0)
+        assert np.all(hi_t > lo_t)
+        for suffix in ("_psic", "_ipsic"):
+            assert all(np.all(hi > lo) for hi, lo in zip(hi_r[suffix], lo_r[suffix]))
+
+
+def test_mean_noise_mode_freezes_amplified_noise():
+    # reconstruct gamma_r_psic from the raw streams of the block:
+    # lambda beta_r eta0 d^-a sigma_s^2 zeta replaces the drawn noise
+    cfg = replace(CFG, mean_noise_mode=True)
+    size, L, kappa = 50, cfg.num_elements, cfg.rician_kappa
+    zeta = noise_power_factor(kappa, L)
+    _, gammas_r = stage_sinrs(cfg, "astars_noma", *block_fades(cfg, size=size, seed=8), 1.0)
+    gamma_r_psic = gammas_r["_psic"][-1]
+    amp = sum(np.abs(_rician(kappa, z_s)) * np.abs(_rician(kappa, z_r)) for z_s, z_r in
+              zip(islice(_element_rows(8, 0, size, "h_s"), L),
+                  islice(_element_rows(8, 0, size, "h_r"), L)))
+    d_r = cfg.radius_d * np.sqrt(_stream(8, 0, "U").random((2, size))[0])
+    gain = cfg.path_eta0 ** 2 * (cfg.dist_bs * d_r) ** -2.0 * amp ** 2
+    noise = (cfg.amp_lambda * cfg.beta_r * cfg.path_eta0 * d_r ** -2.0
+             * zeta * cfg.noise_sigma_s2 + cfg.noise_sigma_02)
+    expect = cfg.a_r * cfg.amp_lambda * cfg.beta_r * 1.0 * gain / noise
+    np.testing.assert_allclose(gamma_r_psic, expect, rtol=1e-12)
+
+
+def test_drawn_noise_mean_is_sigma_s2_times_the_channel_power():
+    # given the user's channels, the drawn surface noise 1/2 sigma_s^2
+    # |sum_l z_l h_u,l|^2 has mean sigma_s^2 sum_l |h_u,l|^2 (L sigma_s^2 at
+    # unit-power gains), not the analysis value zeta sigma_s^2 = E|sum_l
+    # h_u,l|^2 sigma_s^2 of a coherent sum; read off the simulator's own y
+    n, seed = 100_000, 9
+    cfg = CFG
+    fades, _ = block_fades(cfg, size=n, seed=seed)
+    unit = 1.0 / (cfg.noise_sigma_02 * cfg.radius_d ** cfg.path_alpha)
+    for y, beta, stream in ((fades.y_r, cfg.beta_r, "h_r"), (fades.y_t, cfg.beta_t, "h_t")):
+        drawn = y / (cfg.amp_lambda * beta * cfg.path_eta0 * unit)
+        power = sum(np.abs(_rician(cfg.rician_kappa, z)) ** 2
+                    for z in islice(_element_rows(seed, 0, n, stream), cfg.num_elements))
+        diff = drawn - cfg.noise_sigma_s2 * power
+        assert abs(diff.mean()) < 3.0 * diff.std(ddof=1) / math.sqrt(n)
+        zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
+        assert drawn.mean() < 0.5 * zeta * cfg.noise_sigma_s2
 
 
 def test_sinr_set_rejects_nonpositive_power():
@@ -263,24 +388,6 @@ def test_mean_noise_mode_isolates_the_analysis_noise_substitution():
     gap_matched = abs(analytic - matched["rate_r_psic"].mean)
     assert gap_matched < gap_exact
     assert gap_matched / analytic < 0.005
-
-
-def test_mean_noise_mode_freezes_amplified_noise():
-    # reconstruct gamma_r_psic from the raw streams of the block:
-    # lambda beta_r eta0 d^-a sigma_s^2 zeta replaces the drawn noise
-    cfg = replace(CFG, mean_noise_mode=True)
-    size, L, kappa = 50, cfg.num_elements, cfg.rician_kappa
-    zeta = noise_power_factor(kappa, L)
-    gamma_r_psic = _sinrs(cfg, "astars_noma", block_terms(cfg, size=size, seed=8), 1.0)[1]
-    amp = sum(np.abs(_rician(kappa, z_s)) * np.abs(_rician(kappa, z_r)) for z_s, z_r in
-              zip(islice(_element_rows(8, 0, size, "h_s"), L),
-                  islice(_element_rows(8, 0, size, "h_r"), L)))
-    d_r = cfg.radius_d * np.sqrt(_stream(8, 0, "U").random((2, size))[0])
-    gain = cfg.path_eta0 ** 2 * (cfg.dist_bs * d_r) ** -2.0 * amp ** 2
-    noise = (cfg.amp_lambda * cfg.beta_r * cfg.path_eta0 * d_r ** -2.0
-             * zeta * cfg.noise_sigma_s2 + cfg.noise_sigma_02)
-    expect = cfg.a_r * cfg.amp_lambda * cfg.beta_r * 1.0 * gain / noise
-    np.testing.assert_allclose(gamma_r_psic, expect, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -546,7 +653,7 @@ def test_scheme_metric_keys():
     subsets = [("throughput_tolerant",), ("throughput_limited",), ("outage_system",),
                ("outage_r", "outage_t"), ("rate_r", "rate_t"),
                ("outage_t", "rate_r", "throughput_limited"), ("outage_t",),
-               ("outage_r", "rate_t")]
+               ("outage_r", "rate_t"), ("rate_t",)]
     for scheme in SCHEMES:
         for families in subsets:
             for workers in (1, 2):
@@ -680,10 +787,9 @@ def test_conditional_outage_is_the_disk_average_of_the_raw_indicator():
         [(_, fades)] = _block_fades(3, 0, size, [(cfg, scheme)])
         stages_t, stages_r = mc._thresholds(cfg, scheme, fades)
         every = fades._replace(**{name: np.repeat(value, M) for name, value
-                                  in fades._asdict().items() if value is not None})
-        loss = np.tile((cfg.radius_d * v) ** -cfg.path_alpha, size)
-        out_t, out_r = raw_indicators(cfg, scheme, _terms(cfg, scheme, every,
-                                                          np.stack([loss, loss])), ps)
+                                  in fades._asdict().items() if isinstance(value, np.ndarray)})
+        v_alpha = np.tile(v ** cfg.path_alpha, size)
+        out_t, out_r = raw_indicators(cfg, scheme, every, np.stack([v_alpha, v_alpha]), ps)
         for stages, out in ((stages_t, out_t), *((stages_r[k], out_r[k]) for k in out_r)):
             exact = mc._outage(stages, ps, 2.0 / cfg.path_alpha, np.empty(size),
                                np.empty((2, size)))
@@ -782,6 +888,51 @@ def test_conditional_families_skip_the_distance_draw(monkeypatch):
     purposes.clear()
     simulate(CFG, "astars_noma", 1.0, trials=100, metrics=("outage_r", "rate_t"))
     assert purposes.count("U") == 1
+
+
+def test_rate_families_form_only_the_stages_they_read(monkeypatch):
+    # a rate reads each user's last stage alone: never the reflection
+    # user's first stage, and a user no requested family reads not at all
+    calls = []
+    real = mc._sinr
+
+    def recording(stage, *args):
+        calls.append(stage)
+        return real(stage, *args)
+
+    monkeypatch.setattr(mc, "_sinr", recording)
+    first, psic = _stages(CFG, "astars_noma")[1]["_psic"]
+    for families, want in ((("rate_t",), [first]), (("rate_r",), [psic, psic[:3] + (True,)]),
+                           (mc._RATE_READERS, [first, psic, psic[:3] + (True,)])):
+        calls.clear()
+        simulate(CFG, "astars_noma", 1.0, trials=100, metrics=families)
+        assert calls == want, families
+
+
+def test_non_finite_rate_raises_naming_scheme_and_block(monkeypatch):
+    # a user at d = 0 on the passive surface, which adds no noise, has an
+    # infinite own-signal SINR; with the surface's noise the SINR is finite
+    real = mc._stream
+
+    class ZeroAtBlock1:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def random(self, size):
+            u = self.rng.random(size)
+            u[0, 5] = 0.0
+            return u
+
+    def patched(seed, block, purpose):
+        rng = real(seed, block, purpose)
+        return ZeroAtBlock1(rng) if purpose == "U" and block == 1 else rng
+
+    monkeypatch.setattr(mc, "_stream", patched)
+    trials = 3 * BLOCK_TRIALS
+    with pytest.raises(NumericIntegrityError, match=r"pstars_noma block 1"):
+        simulate(CFG, "pstars_noma", 1.0, trials=trials, metrics=("rate_r",))
+    simulate(CFG, "astars_noma", 1.0, trials=trials, metrics=("rate_r",))
+    simulate(CFG, "pstars_noma", 1.0, trials=trials, metrics=("rate_t", "outage_r"))
 
 
 # ---------------------------------------------------------------------------
