@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import csv
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,7 +29,7 @@ from .analytic import SicMode
 from .model import (ConfigError, NetworkConfig, cascade_cdf, db_to_linear,
                     dbm_to_watts, gamma_fit)
 from .numerics import bessel_k, gauss_laguerre_rule, reg_lower_gamma
-from .svgplot import write_line_plot
+from .svgplot import write_line_plot, write_whole
 
 __all__ = [
     "CSV_HEADER",
@@ -292,35 +291,27 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
         _write_csv(path, CSV_HEADER, rows)
         written.append(path)
         if plots and spec.axis != "beta_a_grid":
-            written.append(_plot_metric_csv(path, metric, spec))
+            written.append(_plot_metric(path, metric, spec, rows))
     return written
 
 
 def _write_csv(path: Path, header, rows) -> None:
-    """Write a CSV whole or not at all: into a temporary file in the same
-    directory, renamed over path only once complete."""
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with tmp.open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Write a CSV whole or not at all (``write_whole``)."""
+    write_whole(path, lambda fh: csv.writer(fh, lineterminator="\n").writerows([header, *rows]))
 
 
-def _plot_metric_csv(csv_path: Path, metric: str, spec: SweepSpec) -> Path:
+def _plot_metric(csv_path: Path, metric: str, spec: SweepSpec, rows: list[list[str]]) -> Path:
+    """The SVG beside a metric's CSV, from the CSV's rows: one series per
+    (scheme, mode) and value column, over the rows that carry a value."""
     series: dict[str, tuple[list[float], list[float]]] = {}
-    with csv_path.open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            if row["flag"]:
-                continue
-            for col, tag in (("analytic", "analytic"), ("mc_mean", "mc")):
-                if row[col] == "":
-                    continue
-                label = f"{row['scheme']}/{row['mode']}/{tag}"
-                xs, ys = series.setdefault(label, ([], []))
-                xs.append(float(row["axis_value"]))
-                ys.append(float(row[col]))
+    for _, axis_value, _, mode, scheme, analytic, mc_mean, _, _, flag in rows:
+        if flag:
+            continue
+        for value, tag in ((analytic, "analytic"), (mc_mean, "mc")):
+            if value:
+                xs, ys = series.setdefault(f"{scheme}/{mode}/{tag}", ([], []))
+                xs.append(float(axis_value))
+                ys.append(float(value))
     logy = metric.startswith("outage")
     return write_line_plot(
         csv_path.with_suffix(".svg"), title=f"{metric} vs {spec.axis}",
@@ -333,7 +324,9 @@ def _plot_metric_csv(csv_path: Path, metric: str, spec: SweepSpec) -> Path:
 # Figure presets
 # ---------------------------------------------------------------------------
 
-def _budget_grid(start=0.0, stop=50.0, step=2.5) -> tuple[float, ...]:
+def _grid(start=0.0, stop=50.0, step=2.5) -> tuple[float, ...]:
+    """start, start + step, ... to the point nearest stop; empty when stop
+    lies below start by more than half a step."""
     n = int(round((stop - start) / step)) + 1
     return tuple(start + i * step for i in range(n))
 
@@ -342,14 +335,14 @@ def _figure_presets(cfg: NetworkConfig) -> dict[str, list[tuple[str, NetworkConf
     """Preset sweeps keyed by figure id.  Source axis ranges are not
     machine-readable, so the grids below are labeled approximations."""
     both = (SicMode.PSIC, SicMode.IPSIC)
-    budget = _budget_grid()
+    budget = _grid()
     rates_cfg = replace(cfg, a_r=0.2, a_t=0.8)
     presets: dict[str, list[tuple[str, NetworkConfig, SweepSpec]]] = {
         "fig2a": [("", cfg, SweepSpec(
             axis="q_tot_dbm", values=budget, metrics=("outage_r", "outage_t"),
             modes=both, schemes=("astars_noma", "astars_oma")))],
         "fig2b": [(f"L{L}", replace(cfg, num_elements=L), SweepSpec(
-            axis="ps_dbm", values=_budget_grid(0, 40, 2.5),
+            axis="ps_dbm", values=_grid(0, 40, 2.5),
             metrics=("outage_r", "outage_t"), modes=(SicMode.PSIC,)))
             for L in (3, 6, 9)],
         "fig3a": [("", replace(cfg, amp_lambda=10.0,
@@ -661,10 +654,9 @@ def _cmd_sweep(args, cfg: NetworkConfig, trials: int, plots: bool) -> int:
                 f"sweep --{option.replace('_', '-')} must be finite, got {value}")
     if args.step <= 0.0:
         raise ConfigError("sweep step must be positive")
-    n = int(round((args.stop - args.start) / args.step)) + 1
-    if n < 1:
+    values = _grid(args.start, args.stop, args.step)
+    if not values:
         raise ConfigError("empty sweep grid")
-    values = tuple(args.start + i * args.step for i in range(n))
     try:
         modes = tuple(SicMode(m.strip()) for m in args.modes.split(",") if m.strip())
     except ValueError as exc:

@@ -114,8 +114,6 @@ _RATE_READERS = frozenset({"rate_r", "rate_t", "throughput_tolerant"})
 
 # a user at or above its zero power by this factor is not evaluated (_conditional_partials)
 _ZERO_MARGIN = 1.0 + 1e-9
-# the partial sums of a row of zeros, by its number of controls, shared
-_ZERO_PARTIALS = {q: (0.0,) * (2 + q) for q in (2, 4)}
 
 # the families estimated conditional on the fades, and the users whose
 # cascade amplitude S_u and its square each regresses on (see _controls):
@@ -287,6 +285,7 @@ def _block_fades(seed: int, block: int, size: int,
                 raise NumericIntegrityError(
                     f"non-finite fade term: {scheme} block {block} at L = {L}")
             yield i, fades
+            del fades
 
 
 def _stages(cfg: NetworkConfig, scheme: str) -> tuple[list[tuple], dict[str, list[tuple]]]:
@@ -322,10 +321,9 @@ def _sinr(stage: tuple, x: np.ndarray, y: np.ndarray | float, w: np.ndarray,
     return (a * ps) * x / den
 
 
-def _moments(values: np.ndarray, work: np.ndarray | None = None) -> tuple[float, float]:
-    """(sum, sum of squares) of values; work, if given, takes the squares."""
-    return (float(np.add.reduce(values)),
-            float(np.add.reduce(np.multiply(values, values, out=work))))
+def _moments(values: np.ndarray) -> tuple[float, float]:
+    """(sum, sum of squares) of values."""
+    return float(np.add.reduce(values)), float(np.add.reduce(np.multiply(values, values)))
 
 
 def _partials(cfg: NetworkConfig, scheme: str, fades: _Fades, v_alpha: np.ndarray,
@@ -382,25 +380,22 @@ def _thresholds(cfg: NetworkConfig, scheme: str,
             {suffix: user(stages, fades.x_r, offset_r) for suffix, stages in stages_r.items()})
 
 
-def _outage(stages: list[tuple], ps: float, exponent: float, out: np.ndarray,
-            work: np.ndarray) -> np.ndarray:
+def _outage(stages: list[tuple], ps: float, exponent: float) -> np.ndarray:
     """Per trial, the probability over the user's disk-law distance that
     some stage of its decoding fails at transmit power ps:
     1 - P((d/D)^alpha < t) = 1 - clip(t, 0, 1)^(2/alpha) at the smallest
-    stage threshold t, with exponent = 2/alpha.  Written into out; work
-    holds two scratch rows."""
-    for n, (k, x, offset, w) in enumerate(stages):
-        fail = out if n == 0 else work[0]
+    stage threshold t, with exponent = 2/alpha."""
+    out = None
+    for k, x, offset, w in stages:
         # 1 - t = (1 + y + ps w - ps k x) / (1 + ps w)
-        np.multiply(x, -ps * k, out=fail)
+        fail = np.multiply(x, -ps * k)
         fail += offset
         if w is not None:
-            den = np.multiply(w, ps, out=work[1])
+            den = np.multiply(w, ps)
             fail += den
             den += 1.0
             fail /= den
-        if n:
-            np.maximum(out, fail, out=out)
+        out = fail if out is None else np.maximum(out, fail, out=out)
     np.maximum(out, 0.0, out=out)
     np.minimum(out, 1.0, out=out)
     if exponent != 1.0:
@@ -410,57 +405,49 @@ def _outage(stages: list[tuple], ps: float, exponent: float, out: np.ndarray,
     return out
 
 
-def _zero_power(stages: list[tuple], top: float, work: np.ndarray) -> float:
+def _zero_power(stages: list[tuple], top: float) -> float:
     """The transmit power from which a user's outage probability given the
     fades is exactly 0 at every trial of the block: the largest
     (1 + y)/(k x - w) over trials and stages, since a stage cannot fail
     once ps (k x - w) >= 1 + y; inf if some trial has k x <= w at some
     stage, which then fails at every power.  inf too when it lies above
-    top, the largest power asked for; the block's first trials, whose
-    bound is a lower one, often show that without a pass over the block.
-    work holds two scratch rows of the block's size."""
-    head = 0.0
-    for k, x, offset, w in stages:
-        offsets = offset[:4].tolist() if isinstance(offset, np.ndarray) else [offset] * 4
-        extra = w[:4].tolist() if w is not None else [0.0] * 4
-        for x_i, off_i, w_i in zip(x[:4].tolist(), offsets, extra):
-            den = k * x_i - w_i
-            if not den > 0.0:
+    top, the largest power asked for; the block's first four trials, whose
+    bound is a lower one, often show that without a pass over the block."""
+    for n in (4, None):
+        star = 0.0
+        for k, x, offset, w in stages:
+            den = np.multiply(x[:n], k)
+            if w is not None:
+                den -= w[:n]
+            if not den.min() > 0.0:
                 return math.inf
-            head = max(head, off_i / den)
-    if head * _ZERO_MARGIN > top:
-        return math.inf
-    star = 0.0
-    for k, x, offset, w in stages:
-        den = np.multiply(x, k, out=work[0])
-        if w is not None:
-            den -= w
-        if not den.min() > 0.0:
+            offsets = offset[:n] if isinstance(offset, np.ndarray) else offset
+            star = max(star, float(np.divide(offsets, den).max()))
+        if star * _ZERO_MARGIN > top:
             return math.inf
-        star = max(star, float(np.divide(offset, den, out=work[1]).max()))
-    return math.inf if star * _ZERO_MARGIN > top else star
+    return star
 
 
-def _cv_moments(values: np.ndarray | float, controls: tuple[np.ndarray, ...],
-                work: np.ndarray | None) -> tuple[float, ...]:
+def _cv_moments(values: np.ndarray | float,
+                controls: tuple[np.ndarray, ...]) -> tuple[float, ...]:
     """(sum, sum of squares, sums of products with each control row) of one
     cell's per-trial values; the products by einsum, whose summation order
     depends on neither the BLAS build nor its thread count.  A float stands
     for a row of that value, and a row of exact zeros gives zeros without a
-    pass.  work, if given, takes the squares."""
+    pass."""
     if isinstance(values, float):
         if values == 0.0:
-            return _ZERO_PARTIALS[len(controls)]
+            return (0.0,) * (2 + len(controls))
         values = np.full(controls[0].shape, values)
-    return (*_moments(values, work),
+    return (*_moments(values),
             *(float(np.einsum("n,n->", values, row)) for row in controls))
 
 
 def _conditional_partials(cfg: NetworkConfig,
                           stages: tuple[list[tuple], dict[str, list[tuple]]],
                           zero_from: tuple[float, dict[str, float]], ps: float,
-                          metrics: frozenset[str], controls: dict[str, tuple],
-                          work: np.ndarray) -> dict[str, tuple[float, ...]]:
+                          metrics: frozenset[str],
+                          controls: dict[str, tuple]) -> dict[str, tuple[float, ...]]:
     """Conditional partial sums of one block at one transmit power for the
     outage-type families in metrics, keyed by the metric names of the
     estimates: the sum and sum of squares of each trial's value given its fades, then its sums of
@@ -470,36 +457,31 @@ def _conditional_partials(cfg: NetworkConfig,
     (1 - p_r) R_r + (1 - p_t) R_t.  A user at or above its zero power
     (``_zero_power``; the 1e-9 relative margin keeps the float evaluation at
     exact 0 too) is not evaluated: its outage is the exact 0 that
-    evaluating it gives.  work holds four scratch rows of the block's
-    size."""
+    evaluating it gives."""
     exponent = 2.0 / cfg.path_alpha
     stages_t, stages_r = stages
     zero_t, zero_r = zero_from
 
-    def outage(user_stages, star, row):
-        if ps >= star * _ZERO_MARGIN:
-            return 0.0
-        return _outage(user_stages, ps, exponent, work[row], work[2:])
+    def outage(user_stages, star):
+        return 0.0 if ps >= star * _ZERO_MARGIN else _outage(user_stages, ps, exponent)
 
-    def moments(family, values):
-        return _cv_moments(values, controls[family], work[2])
-
-    p_t = outage(stages_t, zero_t, 0) if metrics != {"outage_r"} else None
+    p_t = outage(stages_t, zero_t) if metrics != {"outage_r"} else None
     out: dict[str, tuple[float, ...]] = {}
     if "outage_t" in metrics:
-        out["outage_t"] = moments("outage_t", p_t)
+        out["outage_t"] = _cv_moments(p_t, controls["outage_t"])
     if metrics == {"outage_t"}:
         return out
     for suffix, stages_mode in stages_r.items():
-        p_r = outage(stages_mode, zero_r[suffix], 1)
+        p_r = outage(stages_mode, zero_r[suffix])
         if "outage_r" in metrics:
-            out[f"outage_r{suffix}"] = moments("outage_r", p_r)
+            out[f"outage_r{suffix}"] = _cv_moments(p_r, controls["outage_r"])
         if "outage_system" in metrics:
-            out[f"outage_system{suffix}"] = moments("outage_system", p_r + p_t - p_r * p_t)
+            out[f"outage_system{suffix}"] = _cv_moments(p_r + p_t - p_r * p_t,
+                                                        controls["outage_system"])
         if "throughput_limited" in metrics:
-            out[f"throughput_limited{suffix}"] = moments(
-                "throughput_limited",
-                (1.0 - p_r) * cfg.target_rate_r + (1.0 - p_t) * cfg.target_rate_t)
+            out[f"throughput_limited{suffix}"] = _cv_moments(
+                (1.0 - p_r) * cfg.target_rate_r + (1.0 - p_t) * cfg.target_rate_t,
+                controls["throughput_limited"])
     return out
 
 
@@ -631,13 +613,12 @@ def _point_partials(cfg: NetworkConfig, scheme: str, powers: list[float],
                 part.update(_partials(cfg, scheme, fades, v_alpha[cfg.path_alpha], ps, rates))
     if cond:
         stages = _thresholds(cfg, scheme, fades)
-        work = np.empty((4, fades.w.size))
         top = max(powers)
-        zero_from = (_zero_power(stages[0], top, work),
-                     {suffix: _zero_power(user, top, work) for suffix, user in stages[1].items()})
+        zero_from = (_zero_power(stages[0], top),
+                     {suffix: _zero_power(user, top) for suffix, user in stages[1].items()})
         controls = {family: _controls(fades, family) for family in cond}
         for part, ps in zip(parts, powers):
-            part.update(_conditional_partials(cfg, stages, zero_from, ps, cond, controls, work))
+            part.update(_conditional_partials(cfg, stages, zero_from, ps, cond, controls))
     return parts
 
 
@@ -707,8 +688,9 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
     def run(block: int) -> tuple[list, dict]:
         v_alpha = _distance_powers(seed, block, sizes[block], alphas)
         out: list = [None] * len(runs)
-        # the sums and products of the control rows each outage-type family
-        # reads, once per (kappa, L) and set of users
+        # the sums and the full product matrix (einsum's is symmetric bit for
+        # bit) of the control rows each outage-type family reads, once per
+        # (kappa, L) and set of users
         controls: dict[tuple, tuple] = {}
         for i, fades in _block_fades(seed, block, sizes[block], kernels):
             cfg_i, _, _, families = runs[i]
@@ -717,9 +699,10 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
                 if key not in controls:
                     rows = _controls(fades, family)
                     controls[key] = ([float(np.add.reduce(a)) for a in rows],
-                                     [[float(np.einsum("n,n->", a, b)) for b in rows[i:]]
-                                      for i, a in enumerate(rows)])
+                                     [[float(np.einsum("n,n->", a, b)) for b in rows]
+                                      for a in rows])
             out[i] = _point_partials(*runs[i], fades, v_alpha)
+            del fades
             if not np.isfinite([v for p in out[i] for cell in p.values() for v in cell]).all():
                 raise NumericIntegrityError(f"non-finite partial sum: {runs[i][1]} block {block}")
         return out, controls
@@ -728,10 +711,7 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
     fits = {}
     for key in by_block[0][1]:
         sums = [math.fsum(col) for col in zip(*(blk[1][key][0] for blk in by_block))]
-        # the upper triangle of the products, mirrored
-        upper = [[math.fsum(col) for col in zip(*(blk[1][key][1][i] for blk in by_block))]
-                 for i in range(len(sums))]
-        products = [[upper[min(i, j)][abs(j - i)] for j in range(len(sums))]
+        products = [[math.fsum(col) for col in zip(*(blk[1][key][1][i] for blk in by_block))]
                     for i in range(len(sums))]
         fits[key] = _fit(sums, products, _control_means(*key), trials)
 

@@ -8,12 +8,27 @@ one polyline per series, auto-scaled ticks.
 from __future__ import annotations
 
 import math
+import os
+from collections.abc import Callable
 from pathlib import Path
+from typing import TextIO
 
 _WIDTH, _HEIGHT = 640, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 70, 20, 36, 50
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
            "#8c564b", "#e377c2", "#17becf", "#7f7f7f", "#bcbd22"]
+
+
+def write_whole(path: Path, write: Callable[[TextIO], object]) -> None:
+    """Write a UTF-8 text file whole or not at all: write fills a temporary
+    file in the same directory, renamed over path only once complete."""
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", newline="", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
@@ -37,7 +52,8 @@ def _ticks(lo: float, hi: float, count: int = 6) -> list[float]:
 def write_line_plot(path: str | Path, title: str, xlabel: str, ylabel: str,
                     series: list[tuple[str, list[float], list[float]]],
                     logy: bool = False) -> Path:
-    """Write one SVG with a polyline per (label, xs, ys) series.
+    """Write one SVG, whole or not at all, with a polyline per (label, xs,
+    ys) series.
 
     With logy, nonpositive y values are dropped from the plot (they cannot
     be placed on a log axis); a series with no positive values is skipped.
@@ -50,7 +66,7 @@ def write_line_plot(path: str | Path, title: str, xlabel: str, ylabel: str,
         if keep:
             pts.append((label, keep))
     if not pts:
-        path.write_text("<svg xmlns='http://www.w3.org/2000/svg'/>\n")
+        write_whole(path, lambda fh: fh.write("<svg xmlns='http://www.w3.org/2000/svg'/>\n"))
         return path
     all_x = [x for _, kp in pts for x, _ in kp]
     all_y = [y for _, kp in pts for _, y in kp]
@@ -113,5 +129,5 @@ def write_line_plot(path: str | Path, title: str, xlabel: str, ylabel: str,
                      f"y2='{ly-4}' stroke='{color}' stroke-width='1.6'/>")
         parts.append(f"<text x='{_MARGIN_L+34}' y='{ly}'>{label}</text>")
     parts.append("</svg>")
-    path.write_text("\n".join(parts) + "\n")
+    write_whole(path, lambda fh: fh.write("\n".join(parts) + "\n"))
     return path

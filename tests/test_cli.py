@@ -532,6 +532,38 @@ def test_csv_writes_leave_no_partial_file(tmp_path, monkeypatch):
     assert list((tmp_path / "new").iterdir()) == []
 
 
+def test_svg_writes_leave_no_partial_file(tmp_path, monkeypatch):
+    # a plot write that fails mid-file does what a CSV one does: no SVG
+    # where there was none, the previous bytes where there was one, and no
+    # temporary file behind
+    series = [("mc", [0.0, 2.5, 5.0], [0.5, 0.25, 0.125])]
+    (tmp_path / "new").mkdir()
+    (tmp_path / "old").mkdir()
+    earlier = cli.write_line_plot(tmp_path / "old" / "a.svg", "t", "x", "y", series)
+    before = earlier.read_bytes()
+    real_open = Path.open
+
+    def half_open(self, *args, **kwargs):
+        fh = real_open(self, *args, **kwargs)
+        write = fh.write
+
+        def half(text):
+            write(text[:len(text) // 2])
+            raise OSError("disk full")
+
+        fh.write = half
+        return fh
+
+    monkeypatch.setattr(Path, "open", half_open)
+    for out in (tmp_path / "new", tmp_path / "old"):
+        with pytest.raises(OSError, match="disk full"):
+            cli.write_line_plot(out / "a.svg", "t", "x", "y", series[::-1], logy=True)
+    monkeypatch.undo()
+    assert list((tmp_path / "new").iterdir()) == []
+    assert list((tmp_path / "old").iterdir()) == [earlier]
+    assert earlier.read_bytes() == before
+
+
 @pytest.mark.parametrize("metric", ["outage_r", "rate_r", "throughput_tolerant"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_check_cell_rejects_non_finite_values(metric, value):

@@ -15,6 +15,8 @@ rebuilding every stage's SINR in watts from the raw streams.
 """
 
 import math
+import weakref
+from collections import deque
 from dataclasses import replace
 from itertools import islice
 
@@ -750,31 +752,102 @@ def test_zero_power_skip_is_exact(cfg, scheme):
     [(_, fades)] = _block_fades(5, 0, size, [(cfg, scheme)])
     stages = mc._thresholds(cfg, scheme, fades)
     users = [stages[0], *stages[1].values()]
-    stars = [mc._zero_power(user, math.inf, np.empty((2, size))) for user in users]
+    stars = [mc._zero_power(user, math.inf) for user in users]
     zero_from = (stars[0], dict(zip(stages[1], stars[1:])))
     forced = (math.inf, {suffix: math.inf for suffix in stages[1]})
     controls = {family: mc._controls(fades, family) for family in families}
     exponent = 2.0 / cfg.path_alpha
-    work = np.empty((4, size))
     skipped = 0
     for user, star in zip(users, stars):
         if math.isinf(star):
             # some trial has k x <= w at some stage: an outage at any power
-            assert mc._outage(user, 1e9, exponent, np.empty(size), np.empty((2, size))).any()
+            assert mc._outage(user, 1e9, exponent).any()
             continue
-        below = mc._outage(user, star * (1.0 - 1e-6), exponent, np.empty(size),
-                           np.empty((2, size)))
+        below = mc._outage(user, star * (1.0 - 1e-6), exponent)
         assert below.max() > 0.0
         for ps in (star, star * mc._ZERO_MARGIN, star * mc._ZERO_MARGIN * (1.0 + 1e-12),
                    2.0 * star):
             if ps >= star * mc._ZERO_MARGIN:
-                full = mc._outage(user, ps, exponent, np.empty(size), np.empty((2, size)))
+                full = mc._outage(user, ps, exponent)
                 assert not full.any()
                 skipped += 1
-            got = mc._conditional_partials(cfg, stages, zero_from, ps, families, controls, work)
-            want = mc._conditional_partials(cfg, stages, forced, ps, families, controls, work)
+            got = mc._conditional_partials(cfg, stages, zero_from, ps, families, controls)
+            want = mc._conditional_partials(cfg, stages, forced, ps, families, controls)
             assert got == want, (cfg, scheme, ps)
     assert skipped == 3 * sum(map(math.isfinite, stars)) > 0
+
+
+@pytest.mark.parametrize("cfg, scheme", COND_CELLS,
+                         ids=["noma", "oma", "pstars", "mean_noise", "alpha3"])
+def test_zero_power_cut_off_is_the_zero_power(cfg, scheme):
+    # _zero_power gives ps* for any largest power from ps* (1 + 1e-9) up and
+    # inf below it: a top under the first four trials' bound is refused
+    # before the pass over the block, one between that bound and the
+    # threshold after it
+    [(_, fades)] = _block_fades(5, 0, 512, [(cfg, scheme)])
+    stages_t, stages_r = mc._thresholds(cfg, scheme, fades)
+    finite = 0
+    for user in (stages_t, *stages_r.values()):
+        star = mc._zero_power(user, math.inf)
+        if math.isinf(star):
+            continue
+        head = mc._zero_power([(k, x[:4], off[:4] if isinstance(off, np.ndarray) else off,
+                                None if w is None else w[:4]) for k, x, off, w in user],
+                              math.inf)
+        assert head < star
+        for top in (star * mc._ZERO_MARGIN, 2.0 * star, math.inf):
+            assert mc._zero_power(user, top) == star, (scheme, top)
+        cut = star * mc._ZERO_MARGIN
+        for top in (0.5 * head, head, 0.5 * (head + star), star, cut - math.ulp(cut)):
+            assert mc._zero_power(user, top) == math.inf, (scheme, top)
+        finite += 1
+    assert finite > 0
+
+
+def test_zero_power_skip_count_on_a_fig2a_call(monkeypatch):
+    # the blocks and powers at which the outage of a fig2a-shaped call is
+    # skipped are pinned by how often _outage runs: 3 blocks x 2 schemes,
+    # NOMA's three users and OMA's two at each of their feasible budgets
+    calls = []
+    real = mc._outage
+    monkeypatch.setattr(mc, "_outage", lambda *args: calls.append(args[1]) or real(*args))
+    points = []
+    for scheme in ("astars_noma", "astars_oma"):
+        powers = []
+        for q in np.arange(0.0, 50.1, 2.5):
+            try:
+                powers.append(budget_to_ps(dbm_to_watts(q), CFG))
+            except ConfigError:
+                pass
+        points.append((CFG, scheme, powers))
+    simulate(points, trials=3 * BLOCK_TRIALS, seed=CFG.seed, metrics=("outage_r", "outage_t"))
+    evaluations = 3 * sum(len(powers) * (3 if scheme == "astars_noma" else 2)
+                          for _, scheme, powers in points)
+    assert (len(calls), evaluations) == (185, 315)
+
+
+def test_one_point_fades_are_alive_at_a_time(monkeypatch):
+    # when the next point's fades are formed, nothing holds the previous
+    # point's any more, neither the block's generator nor simulate's loop
+    real = mc._fades
+    previous, alive = [], []
+
+    def spy(*args):
+        alive.extend(ref() is not None for ref in previous)
+        fades = real(*args)
+        previous[:] = [weakref.ref(fades.x_r)]
+        return fades
+
+    monkeypatch.setattr(mc, "_fades", spy)
+    points = [(replace(CFG, num_elements=L), scheme) for L in (2, 3, 5)
+              for scheme in ("astars_noma", "pstars_noma")]
+    deque(_block_fades(4, 0, 256, points), maxlen=0)
+    assert alive == [False] * (len(points) - 1)
+    alive.clear()
+    # two blocks; the first point of each finds the last one's fades dead
+    simulate([(cfg, scheme, [0.1, 1.0]) for cfg, scheme in points],
+             trials=BLOCK_TRIALS + 100, seed=4)
+    assert alive == [False] * (2 * len(points))
 
 
 def test_conditional_outage_is_the_disk_average_of_the_raw_indicator():
@@ -791,8 +864,7 @@ def test_conditional_outage_is_the_disk_average_of_the_raw_indicator():
         v_alpha = np.tile(v ** cfg.path_alpha, size)
         out_t, out_r = raw_indicators(cfg, scheme, every, np.stack([v_alpha, v_alpha]), ps)
         for stages, out in ((stages_t, out_t), *((stages_r[k], out_r[k]) for k in out_r)):
-            exact = mc._outage(stages, ps, 2.0 / cfg.path_alpha, np.empty(size),
-                               np.empty((2, size)))
+            exact = mc._outage(stages, ps, 2.0 / cfg.path_alpha)
             grid = out.reshape(size, M).mean(axis=1)
             assert np.all(np.abs(exact - grid) <= 1.0 / M + 1e-12), (cfg, scheme)
             assert 0.0 < exact.mean() < 1.0
@@ -802,7 +874,7 @@ def _controlled_partials(values, controls):
     """One block's partial sums of an outage-type cell and its regression fit,
     the way simulate forms them from per-trial values and control rows,
     with control means claimed to be 0."""
-    part = mc._cv_moments(values, tuple(controls), None)
+    part = mc._cv_moments(values, tuple(controls))
     fit = mc._fit(controls.sum(axis=1).tolist(), (controls @ controls.T).tolist(),
                   [0.0] * len(controls), values.size)
     return part, fit
