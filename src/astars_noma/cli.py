@@ -44,8 +44,6 @@ __all__ = [
 CSV_HEADER = ["axis_name", "axis_value", "metric", "mode", "scheme",
               "analytic", "mc_mean", "mc_ci95", "trials", "flag"]
 
-_MODE_FREE_METRICS = frozenset({"outage_t", "rate_t"})
-
 # config key -> (dataclass field, parser)
 _CONFIG_KEYS = {
     "kappa_db": ("rician_kappa", lambda s: db_to_linear(float(s))),
@@ -221,6 +219,12 @@ def _check_cell(metric: str, value: float | None):
         raise an.NumericIntegrityError(f"{metric} cell negative: {value}")
 
 
+def _estimate_key(metric: str, mode: SicMode) -> str:
+    """simulate's estimate key of a metric at a SIC mode (outage_r_psic);
+    the mode-free metrics' keys are their names."""
+    return metric if metric in mc.MODE_FREE_METRICS else f"{metric}_{mode.value.lower()}"
+
+
 def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
               trials: int | None = None, seed: int | None = None,
               plots: bool = True, workers: int = 1,
@@ -252,8 +256,11 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
                 powers_by_group.setdefault((cfg_pt, scheme), []).append(ps)
             cells.append((value, cfg_pt, scheme, ps))
     points = [(*group, powers) for group, powers in powers_by_group.items()]
-    sims = (mc.simulate(points, trials=trials, seed=seed, workers=workers,
-                        metrics=spec.metrics)
+    # the estimate keys the rows read: each metric at each of the sweep's
+    # SIC modes (astars_oma reads a key as its bare family)
+    keys = tuple(dict.fromkeys(_estimate_key(metric, mode) for metric in spec.metrics
+                               for mode in spec.modes))
+    sims = (mc.simulate(points, trials=trials, seed=seed, workers=workers, metrics=keys)
             if points else [])
     # each group's estimates come back in the order its cells were listed
     sims_by_group = {group: iter(group_sims)
@@ -266,7 +273,7 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
         sims = None if ps is None else next(sims_by_group[cfg_pt, scheme])
         for metric in spec.metrics:
             # the transmission user's metrics and OMA's have no SIC mode
-            mode_free = metric in _MODE_FREE_METRICS or scheme == "astars_oma"
+            mode_free = metric in mc.MODE_FREE_METRICS or scheme == "astars_oma"
             for mode in (SicMode.PSIC,) if mode_free else spec.modes:
                 mode_label = "-" if mode_free else mode.value
                 analytic_val = None
@@ -274,7 +281,7 @@ def run_sweep(cfg: NetworkConfig, spec: SweepSpec, out_dir: str | Path,
                 if sims is not None:
                     if scheme == "astars_noma":
                         analytic_val = _ANALYTIC_FNS[metric](cfg_pt, mode, ps)
-                    est = sims[metric if mode_free else f"{metric}_{mode.value.lower()}"]
+                    est = sims[metric if mode_free else _estimate_key(metric, mode)]
                     mc_mean, mc_ci = est.mean, est.ci95_halfwidth
                     _check_cell(metric, analytic_val)
                     _check_cell(metric, mc_mean)
@@ -427,13 +434,13 @@ def validate(cfg: NetworkConfig, out_dir: str | Path | None = None,
     ps_active = {q: mc.budget_to_ps(dbm_to_watts(q), cfg) for q in (*outage_dbms, *order_dbms)}
     ps_rates = {q: mc.budget_to_ps(dbm_to_watts(q), rates_cfg) for q in rate_dbms}
     ps_passive = {q: mc.budget_to_ps(dbm_to_watts(q), cfg, active=False) for q in order_dbms}
-    # each with the metric families its gates read
+    # each with the estimate keys its gates read
     groups = ((cfg, "astars_noma", ps_active,
-               ("outage_r", "outage_t", "outage_system", "throughput_limited")),
+               ("outage_r", "outage_t", "outage_system_psic", "throughput_limited_psic")),
               (rates_cfg, "astars_noma", ps_rates, ("rate_r", "rate_t")),
               (cfg, "astars_oma", {q: ps_active[q] for q in order_dbms},
                ("throughput_limited",)),
-              (cfg, "pstars_noma", ps_passive, ("outage_system",)))
+              (cfg, "pstars_noma", ps_passive, ("outage_system_psic",)))
     sims = mc.simulate([(cfg_s, scheme, list(by_dbm.values()), families)
                         for cfg_s, scheme, by_dbm, families in groups],
                        trials=trials, seed=seed, workers=workers)

@@ -35,6 +35,23 @@ trials (conditional Monte Carlo, a Rao-Blackwellization) keeps the mean of
 the outage indicator at drawn distances and cannot widen its CI.  A call
 that asks for no rate family does not draw the U stream.
 
+Where the amplified surface noise dominates, the per-user outages
+integrate it out too.  Given the channels, the drawn noise y is
+exponential with mean mu = lambda beta eta0 sigma_s^2 sum_l |h_u,l|^2 /
+(sigma_0^2 D^alpha), so at alpha = 2 a stage without the residual power
+has a closed-form outage given the channels alone
+(``_integrated_outage``).  A point does this from nu = lambda eta0
+sigma_s^2 L / (sigma_0^2 D^alpha) >= 1/4 on (``_edge_noise``), the noise's
+mean at the cell edge over the receiver noise; below that the extra
+passes cost more than the variance cut.  Integrated cells: outage_t, the
+pSIC (and OMA) outage_r, and both users' terms of throughput_limited but
+the ipSIC reflection user's.  The system outage, which needs the joint law
+of the two users' noise, every ipSIC stage, whose threshold holds the
+drawn residual w, the rates, mean-noise mode, the passive surface and
+alpha != 2 keep the drawn noise.  The n_s stream is drawn only when some
+cell of the call reads drawn noise, and the channel powers sum_l
+|h_u,l|^2 are summed only when some cell integrates it out.
+
 Each outage-type estimate then uses control variates.  The controls are
 the phase-aligned cascade amplitude S_u = sum_l |h_s,l| |h_u,l| and its
 square, whose means are exact: E S_u = L m and E S_u^2 = L v + (L m)^2,
@@ -63,9 +80,10 @@ is applied to the same sums, and every power to the same per-trial terms.
 The points of a call thus share common random numbers: differences
 between them come out tighter, and each point's own estimate is what a
 call with that point alone gives.  A point estimates only the metric
-families it names: at each power the log2(1 + SINR) arrays are formed
-only for the rate families, and the conditional outage probabilities only
-for the outage-type ones.
+families, or the SIC modes of a family, it names: at each power the
+log2(1 + SINR) arrays are formed only for the rate keys, and the
+conditional outage probabilities only for the users and SIC modes the
+outage-type keys read.
 
 Determinism contract: per-block partials are reduced in block order with
 exact (fsum) accumulation, so results are bit-identical for a given
@@ -93,6 +111,7 @@ __all__ = [
     "BLOCK_TRIALS",
     "Estimate",
     "METRICS",
+    "MODE_FREE_METRICS",
     "SCHEMES",
     "budget_to_ps",
     "simulate",
@@ -107,6 +126,8 @@ SCHEMES = ("astars_noma", "astars_oma", "pstars_noma")
 # reflection user's families by SIC mode (outage_r_psic, ...), OMA bare
 METRICS = ("outage_r", "outage_t", "outage_system",
            "rate_r", "rate_t", "throughput_limited", "throughput_tolerant")
+# the transmission user's families, which no scheme keys by SIC mode
+MODE_FREE_METRICS = frozenset({"outage_t", "rate_t"})
 
 # the families read off the log2(1 + gamma) arrays at the drawn distances;
 # a call without them skips the U stream
@@ -114,6 +135,14 @@ _RATE_READERS = frozenset({"rate_r", "rate_t", "throughput_tolerant"})
 
 # a user at or above its zero power by this factor is not evaluated (_conditional_partials)
 _ZERO_MARGIN = 1.0 + 1e-9
+
+# a point integrates its amplified surface noise out of the per-user
+# outages from this nu (_edge_noise) on: below it the integrated form's
+# extra passes cost more than its variance cut pays for (README)
+_INTEGRATE_FROM = 0.25
+# the integrated outage's exponential is exactly 0 from this argument
+# magnitude on: e^-37 < 2^-53, and no exp result is ever subnormal
+_EXP_CUT = 37.0
 
 # the families estimated conditional on the fades, and the users whose
 # cascade amplitude S_u and its square each regresses on (see _controls):
@@ -131,7 +160,10 @@ class _Fades(NamedTuple):
     cascade amplitudes S_u (the running sums themselves, shared by every
     point at the block's (kappa, L)) and their squares, each user's signal
     x per unit power and amplified noise y at d = D (a float where no noise
-    is drawn), and the residual power per unit power w (``_fades``)."""
+    is drawn, None where no cell of the point reads it drawn), the residual
+    power per unit power w, and the mean mu of each user's y given its
+    channels, where the point integrates y out (None elsewhere;
+    ``_fades``, ``_noise_reads``)."""
 
     amp_r: np.ndarray
     amp_t: np.ndarray
@@ -139,9 +171,11 @@ class _Fades(NamedTuple):
     amp_sq_t: np.ndarray
     x_r: np.ndarray
     x_t: np.ndarray
-    y_r: np.ndarray | float
-    y_t: np.ndarray | float
+    y_r: np.ndarray | float | None
+    y_t: np.ndarray | float | None
     w: np.ndarray
+    mu_r: np.ndarray | None
+    mu_t: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -182,27 +216,32 @@ def _rician(kappa: float, z: np.ndarray) -> np.ndarray:
 
 
 def _element_sums(seed: int, block: int, size: int, kappas: Sequence[float],
-                  users: Sequence[str], noise: bool) -> Iterator[dict]:
+                  users: Sequence[str], noise: bool, power: bool = False) -> Iterator[dict]:
     """Reduce one block's element rows as they are drawn, in element order.
 
-    After each element l = 1, 2, ... yields {kappa: (amp, nsum)} where, for
-    each user stream u in users, amp[u] = sum_{i<=l} |h_s,i| |h_u,i| is the
-    phase-aligned cascade amplitude and nsum[u] = sum_{i<=l} z_n,i h_u,i the
-    surface-noise sum in units of sqrt(sigma_s^2 / 2) (left empty without
-    noise).  The sums are rebound, never updated in place, so an array
-    taken from a yield keeps its value.
+    After each element l = 1, 2, ... yields {kappa: (amp, nsum, psum)}
+    where, for each user stream u in users, amp[u] = sum_{i<=l} |h_s,i|
+    |h_u,i| is the phase-aligned cascade amplitude, nsum[u] = sum_{i<=l}
+    z_n,i h_u,i the surface-noise sum in units of sqrt(sigma_s^2 / 2) (left
+    empty without noise, and the n_s stream not drawn), and psum[u] =
+    sum_{i<=l} |h_u,i|^2 the channel power (left empty without power).  The
+    sums are rebound, never updated in place, so an array taken from a
+    yield keeps its value.
     """
     streams = {p: _element_rows(seed, block, size, p)
                for p in ("h_s", *users, *(("n_s",) if noise else ()))}
-    sums = {kappa: ({u: 0.0 for u in users}, {u: 0.0 for u in users} if noise else {})
+    sums = {kappa: tuple({u: 0.0 for u in users} if on else {} for on in (True, noise, power))
             for kappa in kappas}
     while True:
         z = {p: next(rows) for p, rows in streams.items()}
-        for kappa, (amp, nsum) in sums.items():
+        for kappa, (amp, nsum, psum) in sums.items():
             env_s = np.abs(_rician(kappa, z["h_s"]))
             for u in users:
                 h_u = _rician(kappa, z[u])
-                amp[u] = amp[u] + env_s * np.abs(h_u)
+                env_u = np.abs(h_u)
+                amp[u] = amp[u] + env_s * env_u
+                if power:
+                    psum[u] = psum[u] + env_u * env_u
                 if noise:
                     nsum[u] = nsum[u] + z["n_s"] * h_u
         yield sums
@@ -224,8 +263,8 @@ def _control_means(kappa: float, num_elements: int, users: tuple[str, ...]) -> l
     return [mean, num_elements * v + mean * mean] * len(users)
 
 
-def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict,
-           residual: np.ndarray) -> _Fades:
+def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict, psum: dict,
+           residual: np.ndarray, reads: tuple[bool, bool]) -> _Fades:
     """A block's fades at cfg, from the element sums at its K-factor and
     element count and the standard exponentials of the residual power.
     The phase controller aligns the cascade, so its amplitude S is the sum
@@ -233,25 +272,31 @@ def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict,
     S^2 / (sigma_0^2 D^alpha).  The thermal noise keeps its random phases:
     y = lambda beta eta0 N / (sigma_0^2 D^alpha), with N the drawn power
     1/2 sigma_s^2 |nsum|^2, its analysis value zeta sigma_s^2 in mean-noise
-    mode, and 0 on the passive surface."""
+    mode, and 0 on the passive surface.  Given the channels, y is
+    exponential with mean mu = lambda beta eta0 sigma_s^2 sum_l |h_u,l|^2 /
+    (sigma_0^2 D^alpha).  reads = (integrated, drawn) says which of mu and
+    the drawn y the point's cells read (``_noise_reads``)."""
     unit = 1.0 / (cfg.noise_sigma_02 * cfg.radius_d ** cfg.path_alpha)
     lam = 1.0 if scheme == "pstars_noma" else cfg.amp_lambda
     bs_loss = cfg.path_eta0 ** 2 * cfg.dist_bs ** -cfg.path_alpha
     amp_sq = {u: amp[u] ** 2 for u in ("h_r", "h_t")}
+    integrated, drawn = reads
 
     def user(u, beta):
         x = (lam * beta * bs_loss * unit) * amp_sq[u]
         if scheme == "pstars_noma":
-            return x, 0.0
+            return x, 0.0, None
         amp_noise = cfg.amp_lambda * beta * cfg.path_eta0 * unit
         if cfg.mean_noise_mode:
             zeta = noise_power_factor(cfg.rician_kappa, cfg.num_elements)
-            return x, amp_noise * zeta * cfg.noise_sigma_s2
-        return x, amp_noise * (0.5 * cfg.noise_sigma_s2 * np.abs(nsum[u]) ** 2)
+            return x, amp_noise * zeta * cfg.noise_sigma_s2, None
+        y = amp_noise * (0.5 * cfg.noise_sigma_s2 * np.abs(nsum[u]) ** 2) if drawn else None
+        return x, y, (amp_noise * cfg.noise_sigma_s2) * psum[u] if integrated else None
 
-    (x_r, y_r), (x_t, y_t) = user("h_r", cfg.beta_r), user("h_t", cfg.beta_t)
+    (x_r, y_r, mu_r), (x_t, y_t, mu_t) = user("h_r", cfg.beta_r), user("h_t", cfg.beta_t)
     return _Fades(amp["h_r"], amp["h_t"], amp_sq["h_r"], amp_sq["h_t"],
-                  x_r, x_t, y_r, y_t, cfg.noise_sigma_re2 * residual / cfg.noise_sigma_02)
+                  x_r, x_t, y_r, y_t, cfg.noise_sigma_re2 * residual / cfg.noise_sigma_02,
+                  mu_r, mu_t)
 
 
 def _distance_powers(seed: int, block: int, size: int, alphas: set[float]) -> dict:
@@ -265,23 +310,27 @@ def _distance_powers(seed: int, block: int, size: int, alphas: set[float]) -> di
 
 
 def _block_fades(seed: int, block: int, size: int,
-                 points: Sequence[tuple[NetworkConfig, str]]) -> Iterator[tuple[int, _Fades]]:
-    """Draw one block's fades once and yield (index, fades) for every
-    (cfg, scheme) of points, in order of element count.  Raises
+                 points: Sequence[tuple]) -> Iterator[tuple[int, _Fades]]:
+    """Draw one block's fades once and yield (index, fades) for every point
+    (cfg, scheme, keys) of points, in order of element count, keys the
+    point's estimate keys (``_keys``).  The n_s stream is drawn only if some
+    cell reads drawn noise, and the channel powers are summed only if some
+    cell integrates it out (``_noise_reads``).  Raises
     NumericIntegrityError if any fade term is not finite."""
     residual = _stream(seed, block, "E").standard_exponential(size)
     by_length: dict[int, list[int]] = {}
-    for i, (cfg, _) in enumerate(points):
+    for i, (cfg, _, _) in enumerate(points):
         by_length.setdefault(cfg.num_elements, []).append(i)
-    kappas = tuple(dict.fromkeys(cfg.rician_kappa for cfg, _ in points))
-    noise = any(scheme != "pstars_noma" and not cfg.mean_noise_mode
-                for cfg, scheme in points)
-    sums = _element_sums(seed, block, size, kappas, ("h_r", "h_t"), noise)
+    kappas = tuple(dict.fromkeys(cfg.rician_kappa for cfg, _, _ in points))
+    reads = [_noise_reads(*point) for point in points]
+    sums = _element_sums(seed, block, size, kappas, ("h_r", "h_t"),
+                         noise=any(drawn for _, drawn in reads),
+                         power=any(integrated for integrated, _ in reads))
     for L, at_l in zip(range(1, max(by_length) + 1), sums):
         for i in by_length.get(L, ()):
-            cfg, scheme = points[i]
-            fades = _fades(cfg, scheme, *at_l[cfg.rician_kappa], residual)
-            if not all(np.isfinite(f).all() for f in fades):
+            cfg, scheme, _ = points[i]
+            fades = _fades(cfg, scheme, *at_l[cfg.rician_kappa], residual, reads[i])
+            if not all(np.isfinite(f).all() for f in fades if f is not None):
                 raise NumericIntegrityError(
                     f"non-finite fade term: {scheme} block {block} at L = {L}")
             yield i, fades
@@ -327,13 +376,12 @@ def _moments(values: np.ndarray) -> tuple[float, float]:
 
 
 def _partials(cfg: NetworkConfig, scheme: str, fades: _Fades, v_alpha: np.ndarray,
-              ps: float, metrics: frozenset[str]) -> dict[str, tuple[float, float]]:
+              ps: float, keys: frozenset[str]) -> dict[str, tuple[float, float]]:
     """Partial sums (sum, sum of squares) of one block at one transmit
-    power for the rate families in metrics, keyed by the metric names of
-    the estimates: log2(1 + SINR) of each user's last decoding stage at
-    the drawn distances (rows of v_alpha: reflection user, transmission
-    user), halved for astars_oma's slots.  A user whose rate no family in
-    metrics reads is not evaluated."""
+    power for the rate keys of keys: log2(1 + SINR) of each user's last
+    decoding stage at the drawn distances (rows of v_alpha: reflection
+    user, transmission user), halved for astars_oma's slots.  A user, or a
+    SIC mode of the reflection user, that no key reads is not evaluated."""
     stages_t, stages_r = _stages(cfg, scheme)
 
     def rate(stages, x, y, row):
@@ -341,43 +389,86 @@ def _partials(cfg: NetworkConfig, scheme: str, fades: _Fades, v_alpha: np.ndarra
         return 0.5 * values if scheme == "astars_oma" else values
 
     out: dict[str, tuple[float, float]] = {}
-    rate_t = rate(stages_t, fades.x_t, fades.y_t, 1) if metrics != {"rate_r"} else None
-    if "rate_t" in metrics:
+    tolerant = any(key.startswith("throughput_tolerant") for key in keys)
+    rate_t = rate(stages_t, fades.x_t, fades.y_t, 1) if tolerant or "rate_t" in keys else None
+    if "rate_t" in keys:
         out["rate_t"] = _moments(rate_t)
-    if metrics == {"rate_t"}:
-        return out
     for suffix, stages in stages_r.items():
+        if not {f"rate_r{suffix}", f"throughput_tolerant{suffix}"} & keys:
+            continue
         rate_r = rate(stages, fades.x_r, fades.y_r, 0)
-        if "rate_r" in metrics:
+        if f"rate_r{suffix}" in keys:
             out[f"rate_r{suffix}"] = _moments(rate_r)
-        if "throughput_tolerant" in metrics:
+        if f"throughput_tolerant{suffix}" in keys:
             out[f"throughput_tolerant{suffix}"] = _moments(rate_r + rate_t)
     return out
 
 
-def _thresholds(cfg: NetworkConfig, scheme: str,
-                fades: _Fades) -> tuple[list[tuple], dict[str, list[tuple]]]:
-    """One block's threshold coefficients at cfg, free of power and
-    distance, for the stages of ``_stages``, in its layout.
+def _readers(keys: Iterable[str]) -> tuple[set[str], set[str]]:
+    """The users whose outage given the fades the outage-type keys read, by
+    name: "t" for the transmission user, the SIC-mode suffix of
+    ``_stages`` for the reflection user.  Marginal users are read one at a
+    time (outage_t, outage_r, throughput_limited, which is linear in the
+    two), joint ones together with the other user (outage_system)."""
+    marginal: set[str] = set()
+    joint: set[str] = set()
+    for key in keys:
+        family = _family(key)
+        suffix = key[len(family):]
+        if family in ("outage_t", "throughput_limited"):
+            marginal.add("t")
+        if family in ("outage_r", "throughput_limited"):
+            marginal.add(suffix)
+        if family == "outage_system":
+            joint |= {"t", suffix}
+    return marginal, joint
+
+
+def _thresholds(cfg: NetworkConfig, scheme: str, fades: _Fades,
+                keys: frozenset[str]) -> dict[str, tuple[list[tuple], tuple | None]]:
+    """One block's outage evaluators at cfg for the outage-type keys, free
+    of power and distance: {user name (``_readers``): (stages, law)}.
 
     A stage of ``_sinr``'s form with target gamma_hat succeeds iff
     v^alpha < t = (ps k x - y) / (1 + ps w), k = (A - B gamma_hat) / gamma_hat,
     with w = 0 off the ipSIC stage.  A stage is stored as (k, x, 1 + y, w),
-    with w None where it is 0.  A user's stages without w share x and y, so
-    they merge into one with the smallest k.  A zero target makes k
-    infinite, a stage that never fails; a degenerate allocation makes it
-    nonpositive, a stage that always does.
+    with w None where it is 0, and law None.  A user's stages without w
+    share x and y, so they merge into one with the smallest k.  A zero
+    target makes k infinite, a stage that never fails; a degenerate
+    allocation makes it nonpositive, a stage that always does.
+
+    Where the fades carry the noise mean mu, a user without an ipSIC stage
+    is read with y integrated out (``_integrated_outage``): its one stage is
+    stored as (k, x, 1 + C mu, None), C = 37, the offset from which its
+    outage is exactly 0 (``_zero_power``), with the law (mu, 1/mu,
+    -mu expm1(-1/mu)).  The system outage needs both users' drawn noise:
+    such a user's drawn twin, if a joint key reads it, is named with a
+    trailing "~".
     """
     stages_t, stages_r = _stages(cfg, scheme)
-
-    def user(stages, x, offset):
+    table = {"t": ("t", stages_t),
+             **{suffix: ("r", stages) for suffix, stages in stages_r.items()}}
+    terms = {"t": (fades.x_t, fades.y_t, fades.mu_t), "r": (fades.x_r, fades.y_r, fades.mu_r)}
+    offsets: dict[str, np.ndarray | float] = {}
+    marginal, joint = _readers(keys)
+    users = {}
+    for name in sorted(marginal | joint):
+        user, stages = table[name]
+        x, y, mu = terms[user]
         ks = [((a - b * g) / g if g > 0.0 else math.inf, ipsic) for a, b, g, ipsic in stages]
-        return [(min(k for k, ipsic in ks if not ipsic), x, offset, None)] + [
-            (k, x, offset, fades.w) for k, ipsic in ks if ipsic]
-
-    offset_r = 1.0 + fades.y_r
-    return (user(stages_t, fades.x_t, 1.0 + fades.y_t),
-            {suffix: user(stages, fades.x_r, offset_r) for suffix, stages in stages_r.items()})
+        k = min(k for k, ipsic in ks if not ipsic)
+        if mu is not None and not any(ipsic for _, ipsic in ks):
+            if name in marginal:
+                users[name] = ([(k, x, 1.0 + _EXP_CUT * mu, None)], _noise_law(mu))
+            if name not in joint:
+                continue
+            name += "~"
+        if user not in offsets:
+            offsets[user] = 1.0 + y
+        offset = offsets[user]
+        users[name] = ([(k, x, offset, None)]
+                       + [(k_i, x, offset, fades.w) for k_i, ipsic in ks if ipsic], None)
+    return users
 
 
 def _outage(stages: list[tuple], ps: float, exponent: float) -> np.ndarray:
@@ -405,14 +496,64 @@ def _outage(stages: list[tuple], ps: float, exponent: float) -> np.ndarray:
     return out
 
 
+def _noise_law(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The law of ``_integrated_outage`` for noise means mu: (mu, 1/mu,
+    -mu expm1(-1/mu)), the last the outage at T = 1."""
+    inv = np.divide(1.0, mu)
+    tail = np.expm1(-inv)
+    tail *= -mu
+    return mu, inv, tail
+
+
+def _integrated_outage(stage: tuple, law: tuple, ps: float) -> np.ndarray:
+    """Per trial, the outage probability of a one-stage user at alpha = 2
+    over its disk-law distance and its drawn noise y ~ Exp(mu) given the
+    channels, at transmit power ps: E_y[1 - clip(T - y, 0, 1)] with
+    T = ps k x, which is
+
+        mu e^(-(T - 1)/mu) (1 - e^(-1/mu))  for T >= 1,
+        1 - T + mu (1 - e^(-T/mu))          for 0 <= T < 1,
+        1                                   for T <= 0,
+
+    from the stage (k, x, offset, None) and the law (mu, 1/mu,
+    -mu expm1(-1/mu)) of ``_thresholds``.  One exp per trial, of
+    -(T - [T >= 1])/mu, taken as exactly 0 from magnitude C = 37 on: that
+    moves the first branch by at most 8.5e-17 and the second (where
+    mu <= T/C < 1/C) by less than its rounding, and no exp result is
+    subnormal."""
+    k, x, _, _ = stage
+    mu, inv_mu, tail = law
+    t = np.multiply(x, ps * k)
+    np.maximum(t, 0.0, out=t)
+    high = t >= 1.0
+    arg = np.subtract(high, t)
+    arg *= inv_mu
+    np.maximum(arg, -_EXP_CUT, out=arg)
+    e = np.exp(arg)
+    e[arg == -_EXP_CUT] = 0.0
+    low = np.subtract(1.0, e)
+    low *= mu
+    low += 1.0 - t
+    return np.where(high, np.multiply(tail, e, out=e), low)
+
+
+def _user_outage(user: tuple, ps: float, exponent: float) -> np.ndarray:
+    """Per trial, the outage probability of a user (stages, law) of
+    ``_thresholds`` at transmit power ps, exponent = 2/alpha."""
+    stages, law = user
+    return _outage(stages, ps, exponent) if law is None else _integrated_outage(stages[0], law, ps)
+
+
 def _zero_power(stages: list[tuple], top: float) -> float:
     """The transmit power from which a user's outage probability given the
     fades is exactly 0 at every trial of the block: the largest
-    (1 + y)/(k x - w) over trials and stages, since a stage cannot fail
-    once ps (k x - w) >= 1 + y; inf if some trial has k x <= w at some
-    stage, which then fails at every power.  inf too when it lies above
-    top, the largest power asked for; the block's first four trials, whose
-    bound is a lower one, often show that without a pass over the block."""
+    offset/(k x - w) over trials and stages (the offsets of
+    ``_thresholds``), since a stage cannot fail once ps (k x - w) >= 1 + y,
+    and an integrated user's exponential is cut to 0 once
+    ps k x >= 1 + C mu; inf if some trial has k x <= w at some stage, which
+    then fails at every power.  inf too when it lies above top, the largest
+    power asked for; the block's first four trials, whose bound is a lower
+    one, often show that without a pass over the block."""
     for n in (4, None):
         star = 0.0
         for k, x, offset, w in stages:
@@ -443,42 +584,43 @@ def _cv_moments(values: np.ndarray | float,
             *(float(np.einsum("n,n->", values, row)) for row in controls))
 
 
-def _conditional_partials(cfg: NetworkConfig,
-                          stages: tuple[list[tuple], dict[str, list[tuple]]],
-                          zero_from: tuple[float, dict[str, float]], ps: float,
-                          metrics: frozenset[str],
+def _conditional_partials(cfg: NetworkConfig, users: dict[str, tuple],
+                          zero_from: dict[str, float], ps: float, keys: frozenset[str],
                           controls: dict[str, tuple]) -> dict[str, tuple[float, ...]]:
     """Conditional partial sums of one block at one transmit power for the
-    outage-type families in metrics, keyed by the metric names of the
-    estimates: the sum and sum of squares of each trial's value given its fades, then its sums of
+    outage-type keys, from the users of ``_thresholds``: the sum and sum
+    of squares of each trial's value given its fades, then its sums of
     products with the family's control rows (``_controls``).  The two
     distances are independent given the fades, so the system outage is
-    p_r + p_t - p_r p_t and the delay-limited throughput
-    (1 - p_r) R_r + (1 - p_t) R_t.  A user at or above its zero power
-    (``_zero_power``; the 1e-9 relative margin keeps the float evaluation at
-    exact 0 too) is not evaluated: its outage is the exact 0 that
-    evaluating it gives."""
+    p_r + p_t - p_r p_t, at the drawn noise, and the delay-limited
+    throughput, linear in the two, (1 - p_r) R_r + (1 - p_t) R_t.  A user at
+    or above its zero power (``_zero_power``; the 1e-9 relative margin
+    keeps the float evaluation at exact 0 too) is not evaluated: its
+    outage is the exact 0 that evaluating it gives."""
     exponent = 2.0 / cfg.path_alpha
-    stages_t, stages_r = stages
-    zero_t, zero_r = zero_from
+    probs: dict[str, np.ndarray | float] = {}
 
-    def outage(user_stages, star):
-        return 0.0 if ps >= star * _ZERO_MARGIN else _outage(user_stages, ps, exponent)
+    def outage(name):
+        if name not in probs:
+            probs[name] = (0.0 if ps >= zero_from[name] * _ZERO_MARGIN
+                           else _user_outage(users[name], ps, exponent))
+        return probs[name]
 
-    p_t = outage(stages_t, zero_t) if metrics != {"outage_r"} else None
+    def drawn(name):
+        return outage(name + "~" if name + "~" in users else name)
+
     out: dict[str, tuple[float, ...]] = {}
-    if "outage_t" in metrics:
-        out["outage_t"] = _cv_moments(p_t, controls["outage_t"])
-    if metrics == {"outage_t"}:
-        return out
-    for suffix, stages_mode in stages_r.items():
-        p_r = outage(stages_mode, zero_r[suffix])
-        if "outage_r" in metrics:
-            out[f"outage_r{suffix}"] = _cv_moments(p_r, controls["outage_r"])
-        if "outage_system" in metrics:
+    if "outage_t" in keys:
+        out["outage_t"] = _cv_moments(outage("t"), controls["outage_t"])
+    for suffix in ("", "_psic", "_ipsic"):
+        if f"outage_r{suffix}" in keys:
+            out[f"outage_r{suffix}"] = _cv_moments(outage(suffix), controls["outage_r"])
+        if f"outage_system{suffix}" in keys:
+            p_r, p_t = drawn(suffix), drawn("t")
             out[f"outage_system{suffix}"] = _cv_moments(p_r + p_t - p_r * p_t,
                                                         controls["outage_system"])
-        if "throughput_limited" in metrics:
+        if f"throughput_limited{suffix}" in keys:
+            p_r, p_t = outage(suffix), outage("t")
             out[f"throughput_limited{suffix}"] = _cv_moments(
                 (1.0 - p_r) * cfg.target_rate_r + (1.0 - p_t) * cfg.target_rate_t,
                 controls["throughput_limited"])
@@ -562,7 +704,7 @@ def _estimates(partials: Sequence[dict], trials: int,
     bound = -math.expm1(math.log(0.025) / trials)
     estimates: dict[str, Estimate] = {}
     for key in partials[0]:
-        family = key.removesuffix("_psic").removesuffix("_ipsic")
+        family = _family(key)
         cols = [math.fsum(col) for col in zip(*(p[key] for p in partials))]
         total, total_sq = cols[:2]
         mean = total / trials
@@ -599,38 +741,84 @@ def _map_blocks(fn: Callable, blocks: Iterable, workers: int) -> list:
 
 
 def _point_partials(cfg: NetworkConfig, scheme: str, powers: list[float],
-                    families: frozenset[str], fades: _Fades, v_alpha: dict) -> list[dict]:
+                    keys: frozenset[str], fades: _Fades, v_alpha: dict) -> list[dict]:
     """One point's partial sums of one block, one dict per power: the rate
-    families from its fades at the drawn distances (v_alpha, by path-loss
-    exponent), the outage-type ones from its threshold coefficients and
-    control rows."""
+    keys from its fades at the drawn distances (v_alpha, by path-loss
+    exponent), the outage-type ones from its users' threshold coefficients
+    and its control rows."""
     parts: list[dict] = [{} for _ in powers]
-    rates, cond = families & _RATE_READERS, families - _RATE_READERS
+    rates = frozenset(key for key in keys if _family(key) in _RATE_READERS)
+    cond = keys - rates
     if rates:
         # d = 0 without amplified noise is an infinite SINR, refused by simulate
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for part, ps in zip(parts, powers):
                 part.update(_partials(cfg, scheme, fades, v_alpha[cfg.path_alpha], ps, rates))
     if cond:
-        stages = _thresholds(cfg, scheme, fades)
+        users = _thresholds(cfg, scheme, fades, cond)
         top = max(powers)
-        zero_from = (_zero_power(stages[0], top),
-                     {suffix: _zero_power(user, top) for suffix, user in stages[1].items()})
-        controls = {family: _controls(fades, family) for family in cond}
+        zero_from = {name: _zero_power(stages, top) for name, (stages, _) in users.items()}
+        controls = {family: _controls(fades, family) for family in map(_family, cond)}
         for part, ps in zip(parts, powers):
-            part.update(_conditional_partials(cfg, stages, zero_from, ps, cond, controls))
+            part.update(_conditional_partials(cfg, users, zero_from, ps, cond, controls))
     return parts
 
 
-def _families(metrics: Iterable[str] | None) -> frozenset[str]:
-    """The checked set of metric families; None is every family."""
-    families = frozenset(METRICS if metrics is None else metrics)
-    if not families:
+def _family(key: str) -> str:
+    """The metric family of an estimate key: the key without its SIC mode."""
+    return key.removesuffix("_psic").removesuffix("_ipsic")
+
+
+def _keys(metrics: Iterable[str] | None, scheme: str) -> frozenset[str]:
+    """The checked estimate keys that metrics name at scheme; None is every
+    family.  A name is a family of METRICS, which for the NOMA schemes
+    means each of its SIC modes, or one mode's estimate key of a family
+    keyed by SIC mode (outage_r_psic); astars_oma keys every family bare
+    and reads a key as its family.  An unknown name, or a family named
+    together with one of its keys, raises ConfigError; an empty set
+    ValueError."""
+    names = frozenset(METRICS if metrics is None else metrics)
+    if not names:
         raise ValueError("at least one metric family required")
-    if not families <= set(METRICS):
-        raise ConfigError(f"unknown metric families {sorted(families - set(METRICS))}; "
-                          f"expected some of {METRICS}")
-    return families
+    keyed = {name for name in names if _family(name) != name}
+    unknown = sorted(name for name in names if _family(name) not in METRICS
+                     or name in keyed and _family(name) in MODE_FREE_METRICS)
+    if unknown:
+        raise ConfigError(f"unknown metric families {unknown}; expected some of {METRICS}, "
+                          f"those keyed by SIC mode optionally with _psic or _ipsic")
+    doubled = sorted(name for name in keyed if _family(name) in names)
+    if doubled:
+        raise ConfigError(f"{doubled} name a SIC mode of a family also named whole")
+    if scheme == "astars_oma":
+        return frozenset(map(_family, names))
+    return frozenset(key for name in names
+                     for key in ((name,) if name in keyed or name in MODE_FREE_METRICS
+                                 else (name + "_psic", name + "_ipsic")))
+
+
+def _edge_noise(cfg: NetworkConfig) -> float:
+    """nu = lambda eta0 sigma_s^2 L / (sigma_0^2 D^alpha): the mean
+    amplified surface noise of a user at the cell edge, over the receiver
+    noise, before the beta split (unit-power gains)."""
+    return (cfg.amp_lambda * cfg.path_eta0 * cfg.noise_sigma_s2 * cfg.num_elements
+            / (cfg.noise_sigma_02 * cfg.radius_d ** cfg.path_alpha))
+
+
+def _noise_reads(cfg: NetworkConfig, scheme: str, keys: frozenset[str]) -> tuple[bool, bool]:
+    """(integrated, drawn): whether some cell of keys at (cfg, scheme)
+    reads a user's amplified noise integrated out given the channels, and
+    whether some cell reads it drawn.  Neither on the passive surface or in
+    mean-noise mode.  The noise is integrated out of the marginal users
+    without an ipSIC stage (``_readers``) at alpha = 2 where nu
+    (``_edge_noise``) is at least 1/4; the system outage, the ipSIC stages
+    and the rates read it drawn."""
+    if scheme == "pstars_noma" or cfg.mean_noise_mode:
+        return False, False
+    if cfg.path_alpha != 2.0 or _edge_noise(cfg) < _INTEGRATE_FROM:
+        return False, True
+    marginal, joint = _readers(keys)
+    rates = any(_family(key) in _RATE_READERS for key in keys)
+    return bool(marginal - {"_ipsic"}), bool(joint or "_ipsic" in marginal or rates)
 
 
 def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
@@ -657,8 +845,15 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
     families carry the SIC mode (outage_r_psic, outage_r_ipsic,
     outage_system_{psic,ipsic}, rate_r_{psic,ipsic},
     throughput_limited_{psic,ipsic}, throughput_tolerant_{psic,ipsic}) and
-    outage_t and rate_t are bare; astars_oma keys every family bare.  An unknown
-    family raises ConfigError, an empty set ValueError.
+    outage_t and rate_t are bare; astars_oma keys every family bare.
+    metrics may also name such a key: a point then evaluates and returns
+    that SIC mode of the family alone, and astars_oma reads the key as its
+    family.  An unknown name, or a family named with one of its own keys,
+    raises ConfigError, an empty set ValueError.
+
+    Whether a point integrates the amplified surface noise out of its
+    per-user outages is fixed by its config alone (the module notes), so
+    it never depends on what shares its call.
     """
     lone = isinstance(cfg, NetworkConfig)
     points = [(cfg, scheme, ps)] if lone else list(cfg)
@@ -675,15 +870,15 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
             raise ValueError("at least one transmit power required")
         for p in powers:
             _check_power(p)
-        runs.append((cfg_p, scheme_p, powers, _families(own[0] if own else metrics)))
+        runs.append((cfg_p, scheme_p, powers, _keys(own[0] if own else metrics, scheme_p)))
     trials = points[0][0].mc_trials if trials is None else int(trials)
     if trials < 1:
         raise ValueError("at least one trial required")
     seed = points[0][0].seed if seed is None else int(seed)
     sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
-    kernels = [(c, s) for c, s, _, _ in runs]
-    alphas = {c.path_alpha for c, _, _, families in runs
-              if not families.isdisjoint(_RATE_READERS)}
+    kernels = [(c, s, keys) for c, s, _, keys in runs]
+    alphas = {c.path_alpha for c, _, _, keys in runs
+              if any(_family(key) in _RATE_READERS for key in keys)}
 
     def run(block: int) -> tuple[list, dict]:
         v_alpha = _distance_powers(seed, block, sizes[block], alphas)
@@ -693,8 +888,8 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
         # (kappa, L) and set of users
         controls: dict[tuple, tuple] = {}
         for i, fades in _block_fades(seed, block, sizes[block], kernels):
-            cfg_i, _, _, families = runs[i]
-            for family in families - _RATE_READERS:
+            cfg_i, _, _, keys = runs[i]
+            for family in set(map(_family, keys)) - _RATE_READERS:
                 key = (cfg_i.rician_kappa, cfg_i.num_elements, _CONTROL_USERS[family])
                 if key not in controls:
                     rows = _controls(fades, family)
@@ -716,7 +911,8 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
         fits[key] = _fit(sums, products, _control_means(*key), trials)
 
     results = []
-    for i, ((c, _, powers, families), (_, _, ps_p, *_)) in enumerate(zip(runs, points)):
+    for i, ((c, _, powers, keys), (_, _, ps_p, *_)) in enumerate(zip(runs, points)):
+        families = set(map(_family, keys))
         own = {family: fits[c.rician_kappa, c.num_elements, users]
                for family, users in _CONTROL_USERS.items() if family in families}
         per_power = [_estimates([blk[0][i][k] for blk in by_block], trials, own,

@@ -157,8 +157,8 @@ def test_sweep_matches_golden_csv(tmp_path, workers):
 
 def _count_simulate_calls(monkeypatch) -> list:
     """Record each simulate call as its list of (L, scheme, power count,
-    metric families) points, with the call's families for a point that
-    names none."""
+    metrics) points, with the call's metrics for a point that names
+    none."""
     calls = []
     real = mc.simulate
 
@@ -187,21 +187,21 @@ def _count_block_draws(monkeypatch) -> list:
 
 def test_sweep_simulates_once_per_config_and_scheme(tmp_path, monkeypatch):
     # one call per sweep, with one point per (config, scheme), asking for
-    # the sweep's metric families only
+    # the estimate keys of the sweep's metrics at its SIC modes only
     calls = _count_simulate_calls(monkeypatch)
     cfg = NetworkConfig()
     # -45 dBm is infeasible for both schemes and is left out of the call
     power = SweepSpec(axis="q_tot_dbm", values=(-45.0, 10.0, 20.0, 30.0),
                       metrics=("outage_r",), schemes=("astars_noma", "pstars_noma"))
     run_sweep(cfg, power, tmp_path / "q", trials=TRIALS, plots=False)
-    assert calls == [[(10, "astars_noma", 3, ("outage_r",)),
-                      (10, "pstars_noma", 3, ("outage_r",))]]
+    assert calls == [[(10, "astars_noma", 3, ("outage_r_psic",)),
+                      (10, "pstars_noma", 3, ("outage_r_psic",))]]
     calls.clear()
     elements = SweepSpec(axis="num_elements", values=(4, 10),
                          metrics=("rate_t", "throughput_limited"), fixed_q_tot_dbm=20.0)
     run_sweep(cfg, elements, tmp_path / "L", trials=TRIALS, plots=False)
-    assert calls == [[(4, "astars_noma", 1, ("rate_t", "throughput_limited")),
-                      (10, "astars_noma", 1, ("rate_t", "throughput_limited"))]]
+    assert calls == [[(4, "astars_noma", 1, ("rate_t", "throughput_limited_psic")),
+                      (10, "astars_noma", 1, ("rate_t", "throughput_limited_psic"))]]
     calls.clear()
     infeasible = SweepSpec(axis="q_tot_dbm", values=(-45.0,), metrics=("outage_r",))
     run_sweep(cfg, infeasible, tmp_path / "none", trials=TRIALS, plots=False)
@@ -309,21 +309,21 @@ def test_figure_smoke_run(tmp_path, capsys):
     assert {"astars_noma", "astars_oma"} <= schemes
 
 
-FIG2A_REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference" / "fig2a_budget"
+REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference"
 
 
-def test_fig2a_cells_agree_with_the_frozen_reference_within_their_cis(tmp_path, capsys):
-    # every fig2a Monte Carlo cell at the default 10^5 trials, a
-    # control-variate estimate, against the benchmark's frozen 10^6-trial
-    # raw cell (made at another seed), within 4 sigma of the two CIs
-    # combined; unlike a count test, it reads each cell's own CI
+def _cells_checked_against_reference(tmp_path, figure: str, workload: str) -> int:
+    """Run the figure at the default 10^5 trials and check each Monte Carlo
+    cell against the benchmark's frozen 10^6-trial raw cell (made at
+    another seed) within 4 sigma of the two CIs combined; the number of
+    cells checked.  Unlike a count test, it reads each cell's own CI."""
     rc = main(["--out", str(tmp_path), "--trials", "100000", "--seed", "987654",
-               "--no-plots", "figure", "fig2a"])
+               "--no-plots", "figure", figure])
     assert rc == 0
     checked = 0
-    for frozen in sorted(FIG2A_REFERENCE.glob("*.csv")):
+    for frozen in sorted((REFERENCE / workload).glob("*.csv")):
         got = {(r["axis_value"], r["mode"], r["scheme"]): r
-               for r in _read(tmp_path / "fig2a" / frozen.name)}
+               for r in _read(tmp_path / figure / frozen.name)}
         for ref in _read(frozen):
             if ref["flag"]:
                 continue
@@ -333,7 +333,19 @@ def test_fig2a_cells_agree_with_the_frozen_reference_within_their_cis(tmp_path, 
             diff = abs(float(cell["mc_mean"]) - float(ref["mc_mean"]))
             assert diff <= 4.0 * sigma, (frozen.name, ref, cell)
             checked += 1
-    assert checked == 105
+    return checked
+
+
+def test_fig2a_cells_agree_with_the_frozen_reference_within_their_cis(tmp_path, capsys):
+    # control-variate estimates with the distances integrated out
+    assert _cells_checked_against_reference(tmp_path, "fig2a", "fig2a_budget") == 105
+
+
+def test_fig3a_cells_agree_with_the_frozen_reference_within_their_cis(tmp_path, capsys):
+    # the amplified surface noise integrated out too: CIs some 15x narrower
+    # than fig2a-style estimates at this config, so a bias of a few of them
+    # shows here
+    assert _cells_checked_against_reference(tmp_path, "fig3a", "fig3a_elements") == 40
 
 
 def test_figure_unknown_id(tmp_path, capsys):
@@ -357,10 +369,12 @@ def test_validate_all_gates_pass_and_report_written(tmp_path, monkeypatch):
     # agreement and ordering budgets share one point; each block drawn once
     assert [[(scheme, n) for _, scheme, n, _ in call] for call in calls] == [[
         ("astars_noma", 5), ("astars_noma", 3), ("astars_oma", 4), ("pstars_noma", 4)]]
-    # each point asks for the families its own gates read
-    assert [[set(families) for *_, families in call] for call in calls] == [[
-        {"outage_r", "outage_t", "outage_system", "throughput_limited"},
-        {"rate_r", "rate_t"}, {"throughput_limited"}, {"outage_system"}]]
+    # each point asks for the estimate keys its own gates read: no ipSIC
+    # system outage or throughput, and the passive surface's pSIC system
+    # outage alone
+    assert [[set(keys) for *_, keys in call] for call in calls] == [[
+        {"outage_r", "outage_t", "outage_system_psic", "throughput_limited_psic"},
+        {"rate_r", "rate_t"}, {"throughput_limited"}, {"outage_system_psic"}]]
     assert blocks == [0, 1, 2]
     report = tmp_path / "gates.csv"
     assert report.exists()

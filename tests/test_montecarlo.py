@@ -20,6 +20,7 @@ from collections import deque
 from dataclasses import replace
 from itertools import islice
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -71,7 +72,7 @@ OUTAGE_FAMILIES = ("outage_r", "outage_t", "outage_system", "throughput_limited"
 def block_fades(cfg, scheme="astars_noma", size=64, seed=0, block=0):
     """One block of one (cfg, scheme): its fades and its drawn (d/D)^alpha,
     rows (reflection user, transmission user)."""
-    [(_, fades)] = _block_fades(seed, block, size, [(cfg, scheme)])
+    [(_, fades)] = _block_fades(seed, block, size, [(cfg, scheme, mc._keys(None, scheme))])
     return fades, _distance_powers(seed, block, size, {cfg.path_alpha})[cfg.path_alpha]
 
 
@@ -140,7 +141,9 @@ def test_draw_trial_shapes_and_ranges():
     rows = list(islice(_element_rows(0, 0, size, "h_s"), CFG.num_elements))
     assert all(row.shape == (size,) and row.dtype == np.complex128 for row in rows)
     fades, v_alpha = block_fades(CFG, size=size)
-    assert all(f.shape == (size,) for f in fades)
+    # the noise means mu are formed only where a point integrates the noise out
+    assert fades.mu_r is None and fades.mu_t is None
+    assert all(f.shape == (size,) for f in fades if f is not None)
     assert np.all(fades.w >= 0.0)
     assert np.all(fades.x_r > 0.0) and np.all(fades.x_t > 0.0)
     assert np.all(fades.y_r >= 0.0) and np.all(fades.y_t >= 0.0)
@@ -416,6 +419,13 @@ def test_archived_reference_block_bit_exact():
 COND_CELLS = [(CFG, "astars_noma"), (CFG, "astars_oma"), (CFG, "pstars_noma"),
               (replace(CFG, mean_noise_mode=True), "astars_noma"),
               (replace(CFG, path_alpha=3.0), "astars_noma")]
+
+# fig3a's config at L = 10, where the amplified surface noise decides the
+# outage (nu = 82): its marginal users integrate the noise out, its system
+# outage and ipSIC stage read it drawn
+FIG3A_CFG = replace(CFG, amp_lambda=10.0, noise_sigma_s2=dbm_to_watts(-30.0))
+FIG3A_COND_CELLS = COND_CELLS + [(FIG3A_CFG, "astars_noma"), (FIG3A_CFG, "astars_oma")]
+FIG3A_COND_IDS = ["noma", "oma", "pstars", "mean_noise", "alpha3", "fig3a", "fig3a_oma"]
 
 
 def test_worker_count_leaves_estimates_bit_identical():
@@ -693,14 +703,14 @@ def test_throughput_estimates_are_consistent_compositions(monkeypatch):
 # the estimator conditional on the fades
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("cfg, scheme", COND_CELLS,
-                         ids=["noma", "oma", "pstars", "mean_noise", "alpha3"])
+@pytest.mark.parametrize("cfg, scheme", FIG3A_COND_CELLS, ids=FIG3A_COND_IDS)
 def test_conditional_estimates_agree_with_raw_and_are_tighter(cfg, scheme, monkeypatch):
-    # integrating the distances out of the raw indicator estimate cannot
-    # move the mean and cannot widen the CI (Rao-Blackwellization), and the
-    # control variates, whose means are exact, tighten it further; at the
-    # same seed all three estimates read the same fades; budgets where every
-    # raw cell sees events and misses, so no CI is a zero-event bound
+    # integrating the distances out of the raw indicator estimate, and at
+    # fig3a's config the amplified noise too, cannot move the mean and cannot
+    # widen the CI (Rao-Blackwellization), and the control variates, whose
+    # means are exact, tighten it further; at the same seed all three
+    # estimates read the same fades; budgets where every raw cell sees
+    # events and misses, so no CI is a zero-event bound
     powers = [budget_to_ps(dbm_to_watts(q), cfg, active=scheme != "pstars_noma")
               for q in (12.5, 17.5, 22.5)]
     if cfg.path_alpha == 3.0:
@@ -740,66 +750,70 @@ def test_a_wrong_control_mean_moves_the_estimate(monkeypatch):
     assert not wrong[key].fallback and not right[key].fallback
 
 
-@pytest.mark.parametrize("cfg, scheme", COND_CELLS,
-                         ids=["noma", "oma", "pstars", "mean_noise", "alpha3"])
+def outage_users(cfg, scheme, size, seed):
+    """One block's outage users of every outage-type key at (cfg, scheme),
+    with the keys and the fades they read."""
+    keys = mc._keys(OUTAGE_FAMILIES, scheme)
+    [(_, fades)] = _block_fades(seed, 0, size, [(cfg, scheme, keys)])
+    users = mc._thresholds(cfg, scheme, fades, keys)
+    integrated = any(law is not None for _, law in users.values())
+    assert integrated == (cfg is FIG3A_CFG)
+    return keys, fades, users
+
+
+@pytest.mark.parametrize("cfg, scheme", FIG3A_COND_CELLS, ids=FIG3A_COND_IDS)
 def test_zero_power_skip_is_exact(cfg, scheme):
     # from a user's zero power ps* on (the 1e-9 margin included) the block's
     # partial sums are the ones a forced evaluation of every user gives,
     # bit for bit, for every family; just below ps* some trial has an
-    # outage, so ps* is the least such power, not merely a bound
-    size = 512
-    families = frozenset(OUTAGE_FAMILIES)
-    [(_, fades)] = _block_fades(5, 0, size, [(cfg, scheme)])
-    stages = mc._thresholds(cfg, scheme, fades)
-    users = [stages[0], *stages[1].values()]
-    stars = [mc._zero_power(user, math.inf) for user in users]
-    zero_from = (stars[0], dict(zip(stages[1], stars[1:])))
-    forced = (math.inf, {suffix: math.inf for suffix in stages[1]})
-    controls = {family: mc._controls(fades, family) for family in families}
+    # outage, so ps* is the least such power, not merely a bound; for a user
+    # with the noise integrated out ps* is where its exponential is cut to 0
+    keys, fades, users = outage_users(cfg, scheme, 512, 5)
+    stars = {name: mc._zero_power(stages, math.inf) for name, (stages, _) in users.items()}
+    forced = dict.fromkeys(users, math.inf)
+    controls = {family: mc._controls(fades, family) for family in OUTAGE_FAMILIES}
     exponent = 2.0 / cfg.path_alpha
     skipped = 0
-    for user, star in zip(users, stars):
+    for name, star in stars.items():
         if math.isinf(star):
             # some trial has k x <= w at some stage: an outage at any power
-            assert mc._outage(user, 1e9, exponent).any()
+            assert mc._user_outage(users[name], 1e9, exponent).any()
             continue
-        below = mc._outage(user, star * (1.0 - 1e-6), exponent)
+        below = mc._user_outage(users[name], star * (1.0 - 1e-6), exponent)
         assert below.max() > 0.0
         for ps in (star, star * mc._ZERO_MARGIN, star * mc._ZERO_MARGIN * (1.0 + 1e-12),
                    2.0 * star):
             if ps >= star * mc._ZERO_MARGIN:
-                full = mc._outage(user, ps, exponent)
+                full = mc._user_outage(users[name], ps, exponent)
                 assert not full.any()
                 skipped += 1
-            got = mc._conditional_partials(cfg, stages, zero_from, ps, families, controls)
-            want = mc._conditional_partials(cfg, stages, forced, ps, families, controls)
+            got = mc._conditional_partials(cfg, users, stars, ps, keys, controls)
+            want = mc._conditional_partials(cfg, users, forced, ps, keys, controls)
             assert got == want, (cfg, scheme, ps)
-    assert skipped == 3 * sum(map(math.isfinite, stars)) > 0
+    assert skipped == 3 * sum(map(math.isfinite, stars.values())) > 0
 
 
-@pytest.mark.parametrize("cfg, scheme", COND_CELLS,
-                         ids=["noma", "oma", "pstars", "mean_noise", "alpha3"])
+@pytest.mark.parametrize("cfg, scheme", FIG3A_COND_CELLS, ids=FIG3A_COND_IDS)
 def test_zero_power_cut_off_is_the_zero_power(cfg, scheme):
     # _zero_power gives ps* for any largest power from ps* (1 + 1e-9) up and
     # inf below it: a top under the first four trials' bound is refused
     # before the pass over the block, one between that bound and the
     # threshold after it
-    [(_, fades)] = _block_fades(5, 0, 512, [(cfg, scheme)])
-    stages_t, stages_r = mc._thresholds(cfg, scheme, fades)
+    _, _, users = outage_users(cfg, scheme, 512, 5)
     finite = 0
-    for user in (stages_t, *stages_r.values()):
-        star = mc._zero_power(user, math.inf)
+    for stages, _ in users.values():
+        star = mc._zero_power(stages, math.inf)
         if math.isinf(star):
             continue
         head = mc._zero_power([(k, x[:4], off[:4] if isinstance(off, np.ndarray) else off,
-                                None if w is None else w[:4]) for k, x, off, w in user],
+                                None if w is None else w[:4]) for k, x, off, w in stages],
                               math.inf)
         assert head < star
         for top in (star * mc._ZERO_MARGIN, 2.0 * star, math.inf):
-            assert mc._zero_power(user, top) == star, (scheme, top)
+            assert mc._zero_power(stages, top) == star, (scheme, top)
         cut = star * mc._ZERO_MARGIN
         for top in (0.5 * head, head, 0.5 * (head + star), star, cut - math.ulp(cut)):
-            assert mc._zero_power(user, top) == math.inf, (scheme, top)
+            assert mc._zero_power(stages, top) == math.inf, (scheme, top)
         finite += 1
     assert finite > 0
 
@@ -841,7 +855,8 @@ def test_one_point_fades_are_alive_at_a_time(monkeypatch):
     monkeypatch.setattr(mc, "_fades", spy)
     points = [(replace(CFG, num_elements=L), scheme) for L in (2, 3, 5)
               for scheme in ("astars_noma", "pstars_noma")]
-    deque(_block_fades(4, 0, 256, points), maxlen=0)
+    deque(_block_fades(4, 0, 256, [(*point, mc._keys(None, point[1])) for point in points]),
+          maxlen=0)
     assert alive == [False] * (len(points) - 1)
     alive.clear()
     # two blocks; the first point of each finds the last one's fades dead
@@ -857,17 +872,105 @@ def test_conditional_outage_is_the_disk_average_of_the_raw_indicator():
     v = np.sqrt((np.arange(M) + 0.5) / M)
     ps = dbm_to_watts(15.0)
     for cfg, scheme in COND_CELLS:
-        [(_, fades)] = _block_fades(3, 0, size, [(cfg, scheme)])
-        stages_t, stages_r = mc._thresholds(cfg, scheme, fades)
+        keys = mc._keys(("outage_r", "outage_t"), scheme)
+        [(_, fades)] = _block_fades(3, 0, size, [(cfg, scheme, keys)])
+        users = mc._thresholds(cfg, scheme, fades, keys)
         every = fades._replace(**{name: np.repeat(value, M) for name, value
                                   in fades._asdict().items() if isinstance(value, np.ndarray)})
         v_alpha = np.tile(v ** cfg.path_alpha, size)
         out_t, out_r = raw_indicators(cfg, scheme, every, np.stack([v_alpha, v_alpha]), ps)
-        for stages, out in ((stages_t, out_t), *((stages_r[k], out_r[k]) for k in out_r)):
-            exact = mc._outage(stages, ps, 2.0 / cfg.path_alpha)
+        assert set(users) == {"t", *out_r}
+        for name, out in (("t", out_t), *out_r.items()):
+            exact = mc._user_outage(users[name], ps, 2.0 / cfg.path_alpha)
             grid = out.reshape(size, M).mean(axis=1)
             assert np.all(np.abs(exact - grid) <= 1.0 / M + 1e-12), (cfg, scheme)
             assert 0.0 < exact.mean() < 1.0
+
+
+# thresholds T = ps k x of the integrated kernel on both sides of its
+# branches, and noise means mu from far below to far above the receiver noise
+KERNEL_T = (-2.0, -1e-3, 0.0, 0.05, 0.3, 0.7, 0.999, 1.0, 1.001, 1.2, 2.0, 4.0)
+KERNEL_MU = (1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0, 10.0, 1e2)
+
+
+def integrated(t, mu, ps=1.0):
+    """_integrated_outage at thresholds t and noise means mu (k = 1)."""
+    mu = np.asarray(mu, dtype=float)
+    return mc._integrated_outage((1.0, np.asarray(t, dtype=float), None, None),
+                                 mc._noise_law(mu), ps)
+
+
+def test_integrated_outage_is_the_noise_average_of_the_drawn_outage():
+    # per trial, the outage with y ~ Exp(mu) integrated out is the mean of
+    # the drawn-noise outage 1 - clip(T - y, 0, 1) over draws of y, within
+    # 4 standard errors; where every draw gives one value (T <= 0, or mu
+    # far below T - 1) within the 97.5% zero-event bound 3.69/n of it
+    n = 20_000
+    rng = np.random.default_rng(2024)
+    t, mu = (np.array(grid).ravel() for grid in np.meshgrid(KERNEL_T, KERNEL_MU))
+    exact = integrated(t, mu)
+    for t_i, mu_i, p in zip(t, mu, exact):
+        drawn = 1.0 - np.clip(t_i - rng.exponential(mu_i, n), 0.0, 1.0)
+        se = drawn.std(ddof=1) / math.sqrt(n)
+        tol = 4.0 * se if se > 0.0 else -math.log(0.025) / n
+        assert abs(p - drawn.mean()) <= tol, (t_i, mu_i, p, drawn.mean(), se)
+        assert 0.0 <= p <= 1.0
+    assert np.all(exact[t <= 0.0] == 1.0)
+
+
+def test_integrated_outage_branches_meet_and_the_cut_is_below_rounding():
+    mu = np.array(KERNEL_MU)
+    # both branches give the outage at T = 1, mu (1 - e^(-1/mu))
+    below = integrated(np.full(mu.size, np.nextafter(1.0, 0.0)), mu)
+    at = integrated(np.ones(mu.size), mu)
+    tail = -mu * np.expm1(-1.0 / mu)
+    np.testing.assert_allclose(at, tail, rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(below, tail, rtol=0.0, atol=1e-13)
+    # against the exact outage in 50-digit arithmetic: the exponential is
+    # cut to 0 from argument magnitude 37 on, an error of at most
+    # e^-37 < 8.5e-17 on the T >= 1 branch and below rounding on the other
+    def exact(t, m):
+        with mpmath.workdps(50):
+            t, m = mpmath.mpf(t), mpmath.mpf(m)
+            if t >= 1:
+                return float(m * mpmath.exp(-(t - 1) / m) * (1 - mpmath.exp(-1 / m)))
+            return float(1 - t + m * (1 - mpmath.exp(-t / m)))
+
+    # (T - 1)/mu on both sides of the cut; exactly 37 is not representable
+    # as 1 + 37 mu for every mu, so it is left out
+    for m in KERNEL_MU:
+        for scale in (30.0, 36.999, 37.001, 50.0, 1e3):
+            t_high = 1.0 + scale * m
+            got = float(integrated([t_high], [m])[0])
+            assert (got == 0.0) == (scale >= 37.0), (m, scale, got)
+            assert abs(got - exact(t_high, m)) <= 8.5e-17, (m, scale)
+            if scale < 37.0:
+                assert got == pytest.approx(exact(t_high, m), rel=1e-12)
+            t_low = scale * m
+            if t_low < 1.0:
+                got = float(integrated([t_low], [m])[0])
+                assert abs(got - exact(t_low, m)) <= math.ulp(got), (m, scale)
+    # no exp result is subnormal: the cut leaves nothing below e^-37
+    t = np.linspace(1.0, 50.0, 10_001)
+    arg = np.maximum((1.0 - t) / 1e-2, -mc._EXP_CUT)
+    assert np.exp(arg).min() >= math.exp(-mc._EXP_CUT) > np.finfo(float).tiny
+
+
+def test_integrated_outage_at_the_kernel_extremes():
+    # a stage that never fails (zero target, k = inf) and one that always
+    # does (k <= 0), at the smallest and largest noise means, without a
+    # warning (RuntimeWarnings fail the suite)
+    mu = np.array(KERNEL_MU)
+    x = np.full(mu.size, 3.0)
+    for k, want in ((math.inf, 0.0), (0.0, 1.0), (-2.0, 1.0)):
+        got = mc._integrated_outage((k, x, None, None), mc._noise_law(mu), 1.0)
+        assert np.all(got == want), k
+    # outage falls with the threshold and rises with the noise mean
+    t = np.linspace(-1.0, 5.0, 601)
+    for m in KERNEL_MU:
+        assert np.all(np.diff(integrated(t, np.full(t.size, m))) <= 1e-15), m
+    for t_i in (0.5, 1.5, 3.0):
+        assert np.all(np.diff(integrated(np.full(mu.size, t_i), mu)) >= -1e-15), t_i
 
 
 def _controlled_partials(values, controls):
@@ -960,6 +1063,109 @@ def test_conditional_families_skip_the_distance_draw(monkeypatch):
     purposes.clear()
     simulate(CFG, "astars_noma", 1.0, trials=100, metrics=("outage_r", "rate_t"))
     assert purposes.count("U") == 1
+
+
+def test_noise_is_integrated_out_by_the_nu_rule():
+    # per point, from its config: nu = lambda eta0 sigma_s^2 L / (sigma_0^2
+    # D^alpha) >= 1/4 at alpha = 2 with drawn noise on the active surface
+    keys = mc._keys(("outage_r_psic", "outage_t"), "astars_noma")
+    assert mc._edge_noise(CFG) == pytest.approx(4.08e-3, rel=1e-3)
+    assert mc._edge_noise(replace(FIG3A_CFG, num_elements=2)) == pytest.approx(16.3, rel=1e-2)
+    at_quarter = replace(CFG, num_elements=1, noise_sigma_s2=0.25 / mc._edge_noise(
+        replace(CFG, num_elements=1, noise_sigma_s2=1.0)))
+    assert mc._edge_noise(at_quarter) == pytest.approx(0.25, rel=1e-12)
+    below = replace(at_quarter, noise_sigma_s2=0.99 * at_quarter.noise_sigma_s2)
+    above = replace(at_quarter, noise_sigma_s2=1.01 * at_quarter.noise_sigma_s2)
+    for cfg, scheme, want in ((CFG, "astars_noma", (False, True)),
+                              (below, "astars_noma", (False, True)),
+                              (above, "astars_noma", (True, False)),
+                              (FIG3A_CFG, "astars_oma", (True, False)),
+                              (FIG3A_CFG, "pstars_noma", (False, False)),
+                              (replace(FIG3A_CFG, mean_noise_mode=True), "astars_noma",
+                               (False, False)),
+                              (replace(FIG3A_CFG, path_alpha=3.0), "astars_noma", (False, True))):
+        assert mc._noise_reads(cfg, scheme, keys) == want, (cfg, scheme)
+    # the system outage, the ipSIC stage and the rates read the noise drawn
+    for names, want in ((("outage_system_psic",), (False, True)),
+                        (("outage_r_ipsic",), (False, True)),
+                        (("throughput_limited_ipsic",), (True, True)),
+                        (("throughput_limited_psic",), (True, False)),
+                        (("rate_t", "outage_t"), (True, True)),
+                        (("outage_r",), (True, True))):
+        assert mc._noise_reads(FIG3A_CFG, "astars_noma", mc._keys(names, "astars_noma")) == want
+
+
+def test_a_fig3a_shaped_call_draws_no_surface_noise(monkeypatch):
+    # fig3a's sweep asks for pSIC outage_r and outage_t alone: every cell
+    # integrates the noise out, so the n_s stream is never opened and no
+    # drawn-noise outage, the ipSIC stage's least of all, is evaluated
+    purposes, drawn = [], []
+    real_stream, real_outage = mc._stream, mc._outage
+
+    def stream(seed, block, purpose):
+        purposes.append(purpose)
+        return real_stream(seed, block, purpose)
+
+    def outage(stages, *args):
+        drawn.append(any(w is not None for *_, w in stages))
+        return real_outage(stages, *args)
+
+    monkeypatch.setattr(mc, "_stream", stream)
+    monkeypatch.setattr(mc, "_outage", outage)
+    ps = budget_to_ps(dbm_to_watts(20.0), FIG3A_CFG)
+    points = [(replace(FIG3A_CFG, num_elements=L), "astars_noma", ps) for L in (2, 10, 40)]
+    sims = simulate(points, trials=2 * BLOCK_TRIALS + 5, seed=3,
+                    metrics=("outage_r_psic", "outage_t"))
+    assert all(set(point) == {"outage_r_psic", "outage_t"} for point in sims)
+    assert "n_s" not in purposes and purposes.count("h_s") == 3
+    assert drawn == []
+    # the same call with the ipSIC outage draws n_s for that stage alone
+    purposes.clear()
+    simulate(points, trials=2 * BLOCK_TRIALS + 5, seed=3, metrics=("outage_r", "outage_t"))
+    assert purposes.count("n_s") == 3 and drawn and all(drawn)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_integrating_and_drawn_points_share_a_call_bit_for_bit(workers):
+    # points that integrate the noise out and points that read it drawn, in
+    # one call, each get its lone call's estimates; the fig3a points draw
+    # n_s here for the others, and the default points sum the channel powers
+    trials = 2 * BLOCK_TRIALS + 17
+    powers = [dbm_to_watts(d) for d in (10.0, 20.0, 30.0)]
+    points = [(replace(FIG3A_CFG, num_elements=4), "astars_noma", powers,
+               ("outage_r_psic", "outage_t")),
+              (CFG, "astars_noma", powers),
+              (replace(FIG3A_CFG, num_elements=4), "astars_oma", powers),
+              (FIG3A_CFG, "astars_noma", powers, ("throughput_limited", "outage_system")),
+              (replace(CFG, num_elements=4), "astars_noma", powers[1], ("outage_t",)),
+              (replace(FIG3A_CFG, path_alpha=3.0), "astars_noma", powers, ("outage_t",))]
+    swept = simulate(points, trials=trials, seed=17, workers=workers)
+    for (cfg, scheme, ps, *own), got in zip(points, swept):
+        lone = simulate(cfg, scheme, ps, trials=trials, seed=17, metrics=own[0] if own else None)
+        assert got == lone, (cfg, scheme, own)
+
+
+def test_estimate_keys_name_one_sic_mode(monkeypatch):
+    ps = dbm_to_watts(20.0)
+    full = {scheme: simulate(CFG, scheme, ps, trials=10_000) for scheme in SCHEMES}
+    for names in (("outage_r_psic",), ("outage_system_ipsic", "rate_r_psic"),
+                  ("throughput_limited_psic", "throughput_tolerant_ipsic", "outage_t")):
+        for scheme in ("astars_noma", "pstars_noma"):
+            got = simulate(CFG, scheme, ps, trials=10_000, metrics=names)
+            assert got == {key: full[scheme][key] for key in names}, (scheme, names)
+        # astars_oma has no SIC modes and reads a key as its family
+        got = simulate(CFG, "astars_oma", ps, trials=10_000, metrics=names)
+        assert got == {key: full["astars_oma"][key] for key in map(mc._family, names)}
+    # one mode's key evaluates that mode's stages alone
+    stages = []
+    real = mc._outage
+    monkeypatch.setattr(mc, "_outage", lambda *args: stages.append(args[0]) or real(*args))
+    simulate(CFG, "astars_noma", ps, trials=100, metrics=("outage_r_psic",))
+    assert len(stages) == 1 and all(w is None for *_, w in stages[0])
+    for names in (("outage_t_psic",), ("rate_t_ipsic",), ("outage_r_xsic",),
+                  ("outage_r_psic_ipsic",), ("outage_system", "outage_system_ipsic")):
+        with pytest.raises(ConfigError):
+            simulate(CFG, "astars_noma", ps, trials=10, metrics=names)
 
 
 def test_rate_families_form_only_the_stages_they_read(monkeypatch):
