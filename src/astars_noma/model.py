@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .numerics import laguerre_half, reg_lower_gamma
+from .numerics import _bessel_i01e, laguerre_half, reg_lower_gamma
 
 __all__ = [
     "ConfigError",
@@ -27,6 +27,7 @@ __all__ = [
     "dbm_to_watts",
     "distance_pdf",
     "element_moments",
+    "envelope_moments",
     "gamma_fit",
     "noise_power_factor",
     "sample_distance",
@@ -171,6 +172,26 @@ def element_moments(kappa: float) -> tuple[float, float]:
     mean = math.pi / (4.0 * (kappa + 1.0)) * lg * lg
     variance = 1.0 - (math.pi ** 2) / (16.0 * (kappa + 1.0) ** 2) * lg ** 4
     return mean, variance
+
+
+def envelope_moments(kappa: float) -> tuple[float, float, float]:
+    """E|h|, E|h|^3 and E|h|^4 of a unit-power Rician envelope |h|.
+
+    E|h|^k = Gamma(1 + k/2) (kappa+1)^(-k/2) L_{k/2}(-kappa).  The
+    Laguerre recurrence gives L_{3/2}(-kappa) = (2/3) [(2 + kappa)
+    L_{1/2}(-kappa) - 1/2 e^(-kappa/2) I0(kappa/2)], with the Bessel factor
+    scaled so that no kappa overflows, and L_2 is a polynomial:
+    E|h|^4 = (kappa^2 + 4 kappa + 2)/(kappa + 1)^2.  E|h|^2 = 1.
+    """
+    if kappa < 0.0:
+        raise ConfigError("kappa >= 0 violated")
+    lg = laguerre_half(-kappa)
+    i0e, _ = _bessel_i01e(0.5 * kappa)
+    m1 = 0.5 * math.sqrt(math.pi / (kappa + 1.0)) * lg
+    lg32 = (2.0 / 3.0) * ((2.0 + kappa) * lg - 0.5 * i0e)
+    m3 = 0.75 * math.sqrt(math.pi) * (kappa + 1.0) ** -1.5 * lg32
+    m4 = (kappa * kappa + 4.0 * kappa + 2.0) / (kappa + 1.0) ** 2
+    return m1, m3, m4
 
 
 def gamma_fit(kappa: float, num_elements: int) -> GammaApprox:

@@ -59,7 +59,15 @@ with (m, v) the per-element product's mean and variance
 (model.element_moments), so the Gamma fit does not enter.  A user's outage
 regresses on its own pair (at alpha = 2 it is a clipped affine function of
 S_u^2), the system outage and the delay-limited throughput on both users'
-pairs.  The estimate is p-bar - beta . (X-bar - mu) with beta fitted by
+pairs.  At a point that integrates its noise out, a user's outage is a
+smooth function of S_u^2 and of its noise mean, which is proportional to
+the channel power P_u = sum_l |h_u,l|^2, so there outage_r and outage_t
+regress on the full quadratic (S_u, S_u^2, P_u, P_u^2, S_u P_u) instead,
+with E P_u = L, E P_u^2 = L M4 + L (L - 1) and E S_u P_u = L M1 M3 +
+L (L - 1) m, M_k = E|h|^k of a unit-power envelope
+(model.envelope_moments); on fig3a's cells that cuts the CI^2 of the pair
+alone by 5x at L = 2 to 1180x at L = 40.  The estimate is
+p-bar - beta . (X-bar - mu) with beta fitted by
 least squares on the same trials, and its CI is 1.96 sqrt(s_res^2 / n),
 s_res^2 the residual variance over n - q - 1 for q controls.  An estimated
 beta biases the mean by O(1/n), far below the CI at the default 10^5
@@ -103,8 +111,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .analytic import _check_power, target_sinr
-from .model import (ConfigError, NetworkConfig, element_moments, noise_power_factor,
-                    sample_distance)
+from .model import (ConfigError, NetworkConfig, element_moments, envelope_moments,
+                    noise_power_factor, sample_distance)
 from .numerics import NumericIntegrityError
 
 __all__ = [
@@ -145,10 +153,15 @@ _INTEGRATE_FROM = 0.25
 _EXP_CUT = 37.0
 
 # the families estimated conditional on the fades, and the users whose
-# cascade amplitude S_u and its square each regresses on (see _controls):
-# a user's outage on its own, the joint families on both
+# control rows each regresses on (see _controls): a user's outage on its
+# own, the joint families on both
 _CONTROL_USERS = {"outage_r": ("r",), "outage_t": ("t",),
                   "outage_system": ("r", "t"), "throughput_limited": ("r", "t")}
+# the families that, at a point integrating its noise out (_integrates),
+# regress on the full quadratic in (S_u, P_u), P_u = sum_l |h_u,l|^2, the
+# channel power that the noise mean is proportional to (module notes);
+# every other family and point keeps (S_u, S_u^2)
+_POWER_CONTROLLED = frozenset({"outage_r", "outage_t"})
 
 # a block's substreams; the index is the second word of each one's spawn key
 _PURPOSES = ("h_s", "h_r", "h_t", "n_s", "E", "U")
@@ -156,19 +169,20 @@ _PURPOSES = ("h_s", "h_r", "h_t", "n_s", "E", "U")
 
 class _Fades(NamedTuple):
     """Per-trial terms of a block at one (cfg, scheme), free of the transmit
-    power and the user distances, in units of sigma_0^2 D^alpha: the
-    cascade amplitudes S_u (the running sums themselves, shared by every
-    point at the block's (kappa, L)) and their squares, each user's signal
-    x per unit power and amplified noise y at d = D (a float where no noise
-    is drawn, None where no cell of the point reads it drawn), the residual
-    power per unit power w, and the mean mu of each user's y given its
-    channels, where the point integrates y out (None elsewhere;
-    ``_fades``, ``_noise_reads``)."""
+    power and the user distances, in units of sigma_0^2 D^alpha: each
+    user's control rows S_u and S_u^2 (the cascade amplitude, a running sum
+    shared by every point at the block's (kappa, L), and its square) and,
+    where the point's marginal outages regress on the channel power
+    P_u = sum_l |h_u,l|^2 (``_power_controlled``), P_u, P_u^2 and S_u P_u,
+    the power set (S_u^2, P_u^2 and S_u P_u then in the block's buffers,
+    ``_block_fades``); each user's signal x per unit power and amplified
+    noise y at d = D (a float where no noise is drawn, None where no cell
+    of the point reads it drawn), the residual power per unit power w, and
+    the mean mu of each user's y given its channels, where the point
+    integrates y out (None elsewhere; ``_fades``, ``_noise_reads``)."""
 
-    amp_r: np.ndarray
-    amp_t: np.ndarray
-    amp_sq_r: np.ndarray
-    amp_sq_t: np.ndarray
+    rows_r: tuple[np.ndarray, ...]
+    rows_t: tuple[np.ndarray, ...]
     x_r: np.ndarray
     x_t: np.ndarray
     y_r: np.ndarray | float | None
@@ -211,8 +225,9 @@ def _element_rows(seed: int, block: int, size: int, purpose: str) -> Iterator[np
 
 def _rician(kappa: float, z: np.ndarray) -> np.ndarray:
     """Unit-power Rician gains los + sc z with K-factor kappa."""
-    return (math.sqrt(kappa / (kappa + 1.0))
-            + math.sqrt(1.0 / (2.0 * (kappa + 1.0))) * z)
+    h = np.multiply(math.sqrt(1.0 / (2.0 * (kappa + 1.0))), z)
+    h += math.sqrt(kappa / (kappa + 1.0))
+    return h
 
 
 def _element_sums(seed: int, block: int, size: int, kappas: Sequence[float],
@@ -239,32 +254,83 @@ def _element_sums(seed: int, block: int, size: int, kappas: Sequence[float],
             for u in users:
                 h_u = _rician(kappa, z[u])
                 env_u = np.abs(h_u)
-                amp[u] = amp[u] + env_s * env_u
+                term = env_s * env_u
+                amp[u] = np.add(amp[u], term, out=term)
                 if power:
-                    psum[u] = psum[u] + env_u * env_u
+                    np.multiply(env_u, env_u, out=env_u)
+                    psum[u] = np.add(psum[u], env_u, out=env_u)
                 if noise:
                     nsum[u] = nsum[u] + z["n_s"] * h_u
         yield sums
 
 
 def _controls(fades: _Fades, family: str) -> tuple[np.ndarray, ...]:
-    """The control rows an outage-type family regresses on: S_u and S_u^2
-    for each of its users (_CONTROL_USERS), in order."""
-    rows = {"r": (fades.amp_r, fades.amp_sq_r), "t": (fades.amp_t, fades.amp_sq_t)}
-    return tuple(row for user in _CONTROL_USERS[family] for row in rows[user])
+    """The control rows an outage-type family regresses on, for each of its
+    users (_CONTROL_USERS) in order: all of the user's rows for a marginal
+    family (``_Fades``), the first two, S_u and S_u^2, for a joint one."""
+    rows = {"r": fades.rows_r, "t": fades.rows_t}
+    return tuple(row for user in _CONTROL_USERS[family]
+                 for row in (rows[user] if family in _POWER_CONTROLLED else rows[user][:2]))
 
 
-def _control_means(kappa: float, num_elements: int, users: tuple[str, ...]) -> list[float]:
-    """The exact means of the control rows of users: E S_u = L m and
-    E S_u^2 = L v + (L m)^2, with (m, v) the per-element product's mean and
-    variance (model.element_moments).  The Gamma fit plays no part."""
+def _control_key(cfg: NetworkConfig, scheme: str, family: str) -> tuple:
+    """The key (kappa, L, users, power) of an outage-type family's control
+    fit at (cfg, scheme): the rows depend on the config through kappa and L
+    alone, and power says whether they include the channel power's three
+    rows (``_controls``)."""
+    return (cfg.rician_kappa, cfg.num_elements, _CONTROL_USERS[family],
+            family in _POWER_CONTROLLED and _integrates(cfg, scheme))
+
+
+def _control_means(kappa: float, num_elements: int, users: tuple[str, ...],
+                   power: bool) -> list[float]:
+    """The exact means of the control rows of ``_control_key``, in row
+    order: E S_u = L m and E S_u^2 = L v + (L m)^2, with (m, v) the
+    per-element product's mean and variance (model.element_moments), and
+    with power E P_u = L, E P_u^2 = L M4 + L (L - 1) and
+    E S_u P_u = L M1 M3 + L (L - 1) m, with M_k = E|h|^k of a unit-power
+    envelope (model.envelope_moments).  The Gamma fit plays no part."""
     m, v = element_moments(kappa)
     mean = num_elements * m
-    return [mean, num_elements * v + mean * mean] * len(users)
+    means = [mean, num_elements * v + mean * mean]
+    if power:
+        m1, m3, m4 = envelope_moments(kappa)
+        pairs = num_elements * (num_elements - 1)
+        means += [float(num_elements), num_elements * m4 + pairs,
+                  num_elements * m1 * m3 + pairs * m]
+    return means * len(users)
+
+
+# the exponents (a, b) of the monomials S_u^a P_u^b that a power set's rows
+# (S_u, S_u^2, P_u, P_u^2, S_u P_u) are, in row order (``_fades``)
+_POWER_ROWS = ((1, 0), (2, 0), (0, 1), (0, 2), (1, 1))
+
+
+def _gram(rows: tuple[np.ndarray, ...],
+          power: bool) -> tuple[list[float], list[list[float]]]:
+    """The sums of a control set's rows and their full product matrix, in
+    Python floats, by einsum: the lower triangle, mirrored (einsum's matrix
+    is symmetric bit for bit).  A power set's products are monomial sums
+    sum_n S^a P^b (_POWER_ROWS): those of degree 2 are its rows' own sums,
+    and each of the 9 of degree 3 and 4 takes one pass."""
+    sums = [float(np.add.reduce(a)) for a in rows]
+    if power:
+        moment = dict(zip(_POWER_ROWS, sums))
+        for i, (a, b) in enumerate(_POWER_ROWS):
+            for j, (c, d) in enumerate(_POWER_ROWS[:i + 1]):
+                if (a + c, b + d) not in moment:
+                    moment[a + c, b + d] = float(np.einsum("n,n->", rows[i], rows[j]))
+        return sums, [[moment[a + c, b + d] for c, d in _POWER_ROWS] for a, b in _POWER_ROWS]
+    q = len(rows)
+    products = [[0.0] * q for _ in range(q)]
+    for i in range(q):
+        for j in range(i + 1):
+            products[i][j] = products[j][i] = float(np.einsum("n,n->", rows[i], rows[j]))
+    return sums, products
 
 
 def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict, psum: dict,
-           residual: np.ndarray, reads: tuple[bool, bool]) -> _Fades:
+           residual: np.ndarray, reads: tuple[bool, bool], buffers: dict | None) -> _Fades:
     """A block's fades at cfg, from the element sums at its K-factor and
     element count and the standard exponentials of the residual power.
     The phase controller aligns the cascade, so its amplitude S is the sum
@@ -275,15 +341,27 @@ def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict, psum: dict,
     mode, and 0 on the passive surface.  Given the channels, y is
     exponential with mean mu = lambda beta eta0 sigma_s^2 sum_l |h_u,l|^2 /
     (sigma_0^2 D^alpha).  reads = (integrated, drawn) says which of mu and
-    the drawn y the point's cells read (``_noise_reads``)."""
+    the drawn y the point's cells read (``_noise_reads``).  buffers holds
+    each user's three row buffers where the control rows include the
+    channel power's (``_power_controlled``), and is None elsewhere."""
     unit = 1.0 / (cfg.noise_sigma_02 * cfg.radius_d ** cfg.path_alpha)
     lam = 1.0 if scheme == "pstars_noma" else cfg.amp_lambda
     bs_loss = cfg.path_eta0 ** 2 * cfg.dist_bs ** -cfg.path_alpha
-    amp_sq = {u: amp[u] ** 2 for u in ("h_r", "h_t")}
     integrated, drawn = reads
 
+    def control_rows(u):
+        s = amp[u]
+        if buffers is None:
+            return s, s * s
+        p = psum[u]
+        s2, p2, sp = buffers[u]
+        return (s, np.multiply(s, s, out=s2), p, np.multiply(p, p, out=p2),
+                np.multiply(s, p, out=sp))
+
+    rows = {u: control_rows(u) for u in ("h_r", "h_t")}
+
     def user(u, beta):
-        x = (lam * beta * bs_loss * unit) * amp_sq[u]
+        x = (lam * beta * bs_loss * unit) * rows[u][1]
         if scheme == "pstars_noma":
             return x, 0.0, None
         amp_noise = cfg.amp_lambda * beta * cfg.path_eta0 * unit
@@ -294,9 +372,9 @@ def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict, psum: dict,
         return x, y, (amp_noise * cfg.noise_sigma_s2) * psum[u] if integrated else None
 
     (x_r, y_r, mu_r), (x_t, y_t, mu_t) = user("h_r", cfg.beta_r), user("h_t", cfg.beta_t)
-    return _Fades(amp["h_r"], amp["h_t"], amp_sq["h_r"], amp_sq["h_t"],
-                  x_r, x_t, y_r, y_t, cfg.noise_sigma_re2 * residual / cfg.noise_sigma_02,
-                  mu_r, mu_t)
+    w = np.multiply(cfg.noise_sigma_re2, residual)
+    w /= cfg.noise_sigma_02
+    return _Fades(rows["h_r"], rows["h_t"], x_r, x_t, y_r, y_t, w, mu_r, mu_t)
 
 
 def _distance_powers(seed: int, block: int, size: int, alphas: set[float]) -> dict:
@@ -315,22 +393,30 @@ def _block_fades(seed: int, block: int, size: int,
     (cfg, scheme, keys) of points, in order of element count, keys the
     point's estimate keys (``_keys``).  The n_s stream is drawn only if some
     cell reads drawn noise, and the channel powers are summed only if some
-    cell integrates it out (``_noise_reads``).  Raises
-    NumericIntegrityError if any fade term is not finite."""
+    cell integrates it out (``_noise_reads``) or regresses on them
+    (``_power_controlled``).  The power sets' product rows are the block's
+    own buffers, so a point's fades hold only until the next is drawn.
+    Raises NumericIntegrityError if any fade term is not finite (x and mu
+    are positive multiples of S_u^2 and P_u, of which the control rows are
+    built)."""
     residual = _stream(seed, block, "E").standard_exponential(size)
     by_length: dict[int, list[int]] = {}
     for i, (cfg, _, _) in enumerate(points):
         by_length.setdefault(cfg.num_elements, []).append(i)
     kappas = tuple(dict.fromkeys(cfg.rician_kappa for cfg, _, _ in points))
     reads = [_noise_reads(*point) for point in points]
+    powered = [_power_controlled(*point) for point in points]
+    # each user's rows S_u^2, P_u^2, S_u P_u, rewritten at every power point
+    buffers = {u: np.empty((3, size)) for u in ("h_r", "h_t")} if any(powered) else None
     sums = _element_sums(seed, block, size, kappas, ("h_r", "h_t"),
                          noise=any(drawn for _, drawn in reads),
-                         power=any(integrated for integrated, _ in reads))
+                         power=any(integrated for integrated, _ in reads) or any(powered))
     for L, at_l in zip(range(1, max(by_length) + 1), sums):
         for i in by_length.get(L, ()):
             cfg, scheme, _ = points[i]
-            fades = _fades(cfg, scheme, *at_l[cfg.rician_kappa], residual, reads[i])
-            if not all(np.isfinite(f).all() for f in fades if f is not None):
+            fades = _fades(cfg, scheme, *at_l[cfg.rician_kappa], residual, reads[i],
+                           buffers if powered[i] else None)
+            if not all(np.isfinite(f).all() for f in fades[2:] if f is not None):
                 raise NumericIntegrityError(
                     f"non-finite fade term: {scheme} block {block} at L = {L}")
             yield i, fades
@@ -500,8 +586,10 @@ def _noise_law(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The law of ``_integrated_outage`` for noise means mu: (mu, 1/mu,
     -mu expm1(-1/mu)), the last the outage at T = 1."""
     inv = np.divide(1.0, mu)
-    tail = np.expm1(-inv)
-    tail *= -mu
+    tail = np.negative(inv)
+    np.expm1(tail, out=tail)
+    tail *= mu
+    np.negative(tail, out=tail)
     return mu, inv, tail
 
 
@@ -529,12 +617,15 @@ def _integrated_outage(stage: tuple, law: tuple, ps: float) -> np.ndarray:
     arg = np.subtract(high, t)
     arg *= inv_mu
     np.maximum(arg, -_EXP_CUT, out=arg)
-    e = np.exp(arg)
-    e[arg == -_EXP_CUT] = 0.0
+    cut = arg == -_EXP_CUT
+    e = np.exp(arg, out=arg)
+    e[cut] = 0.0
     low = np.subtract(1.0, e)
     low *= mu
-    low += 1.0 - t
-    return np.where(high, np.multiply(tail, e, out=e), low)
+    low += np.subtract(1.0, t, out=t)
+    np.multiply(tail, e, out=e)
+    np.copyto(low, e, where=high)
+    return low
 
 
 def _user_outage(user: tuple, ps: float, exponent: float) -> np.ndarray:
@@ -804,17 +895,32 @@ def _edge_noise(cfg: NetworkConfig) -> float:
             / (cfg.noise_sigma_02 * cfg.radius_d ** cfg.path_alpha))
 
 
+def _integrates(cfg: NetworkConfig, scheme: str) -> bool:
+    """Whether a point at (cfg, scheme) integrates the amplified noise out of
+    its marginal users without an ipSIC stage: on the active surface with
+    drawn noise, at alpha = 2, where nu (``_edge_noise``) is at least 1/4."""
+    return (scheme != "pstars_noma" and not cfg.mean_noise_mode and cfg.path_alpha == 2.0
+            and _edge_noise(cfg) >= _INTEGRATE_FROM)
+
+
+def _power_controlled(cfg: NetworkConfig, scheme: str, keys: frozenset[str]) -> bool:
+    """Whether the control rows of a point's fades include the channel
+    power's: some key of a family in _POWER_CONTROLLED at a point that
+    integrates its noise out (``_control_key``)."""
+    return _integrates(cfg, scheme) and any(_family(key) in _POWER_CONTROLLED for key in keys)
+
+
 def _noise_reads(cfg: NetworkConfig, scheme: str, keys: frozenset[str]) -> tuple[bool, bool]:
     """(integrated, drawn): whether some cell of keys at (cfg, scheme)
     reads a user's amplified noise integrated out given the channels, and
     whether some cell reads it drawn.  Neither on the passive surface or in
     mean-noise mode.  The noise is integrated out of the marginal users
-    without an ipSIC stage (``_readers``) at alpha = 2 where nu
-    (``_edge_noise``) is at least 1/4; the system outage, the ipSIC stages
-    and the rates read it drawn."""
+    without an ipSIC stage (``_readers``) where the point integrates
+    (``_integrates``); the system outage, the ipSIC stages and the rates
+    read it drawn."""
     if scheme == "pstars_noma" or cfg.mean_noise_mode:
         return False, False
-    if cfg.path_alpha != 2.0 or _edge_noise(cfg) < _INTEGRATE_FROM:
+    if not _integrates(cfg, scheme):
         return False, True
     marginal, joint = _readers(keys)
     rates = any(_family(key) in _RATE_READERS for key in keys)
@@ -883,19 +989,15 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
     def run(block: int) -> tuple[list, dict]:
         v_alpha = _distance_powers(seed, block, sizes[block], alphas)
         out: list = [None] * len(runs)
-        # the sums and the full product matrix (einsum's is symmetric bit for
-        # bit) of the control rows each outage-type family reads, once per
-        # (kappa, L) and set of users
+        # the sums and the full product matrix of the control rows each
+        # outage-type family reads, once per control set (_control_key)
         controls: dict[tuple, tuple] = {}
         for i, fades in _block_fades(seed, block, sizes[block], kernels):
-            cfg_i, _, _, keys = runs[i]
+            cfg_i, scheme_i, _, keys = runs[i]
             for family in set(map(_family, keys)) - _RATE_READERS:
-                key = (cfg_i.rician_kappa, cfg_i.num_elements, _CONTROL_USERS[family])
+                key = _control_key(cfg_i, scheme_i, family)
                 if key not in controls:
-                    rows = _controls(fades, family)
-                    controls[key] = ([float(np.add.reduce(a)) for a in rows],
-                                     [[float(np.einsum("n,n->", a, b)) for b in rows]
-                                      for a in rows])
+                    controls[key] = _gram(_controls(fades, family), key[3])
             out[i] = _point_partials(*runs[i], fades, v_alpha)
             del fades
             if not np.isfinite([v for p in out[i] for cell in p.values() for v in cell]).all():
@@ -911,10 +1013,9 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
         fits[key] = _fit(sums, products, _control_means(*key), trials)
 
     results = []
-    for i, ((c, _, powers, keys), (_, _, ps_p, *_)) in enumerate(zip(runs, points)):
-        families = set(map(_family, keys))
-        own = {family: fits[c.rician_kappa, c.num_elements, users]
-               for family, users in _CONTROL_USERS.items() if family in families}
+    for i, ((c, s, powers, keys), (_, _, ps_p, *_)) in enumerate(zip(runs, points)):
+        own = {family: fits[_control_key(c, s, family)]
+               for family in set(map(_family, keys)) - _RATE_READERS}
         per_power = [_estimates([blk[0][i][k] for blk in by_block], trials, own,
                                 c.target_rate_r + c.target_rate_t)
                      for k in range(len(powers))]

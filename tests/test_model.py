@@ -9,11 +9,12 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy import special
 
 from astars_noma.model import (MAX_ELEMENTS, ConfigError, GammaApprox, NetworkConfig,
                                cascade_cdf, db_to_linear, dbm_to_watts,
-                               distance_pdf, element_moments, gamma_fit,
-                               noise_power_factor, sample_distance,
+                               distance_pdf, element_moments, envelope_moments,
+                               gamma_fit, noise_power_factor, sample_distance,
                                watts_to_dbm)
 
 KAPPA_REF = 10.0 ** -0.5  # -5 dB
@@ -131,6 +132,21 @@ def test_element_moment_identities():
         assert var == pytest.approx(1.0 - mean * mean, rel=1e-12)
     with pytest.raises(ConfigError):
         element_moments(-0.5)
+
+
+@pytest.mark.parametrize("kappa", [0.0, 0.316, 3.0, 30.0, 1e3])
+def test_envelope_moments_match_the_confluent_series(kappa):
+    # E|h|^k = Gamma(1 + k/2) (kappa + 1)^(-k/2) 1F1(-k/2; 1; -kappa) for a
+    # unit-power Rician envelope
+    for k, got in zip((1, 3, 4), envelope_moments(kappa)):
+        want = (math.gamma(1.0 + 0.5 * k) * (kappa + 1.0) ** (-0.5 * k)
+                * special.hyp1f1(-0.5 * k, 1.0, -kappa))
+        assert got == pytest.approx(want, rel=1e-13), (kappa, k)
+    # the first moment is element_moments' per-element mean, squared
+    assert envelope_moments(kappa)[0] ** 2 == pytest.approx(element_moments(kappa)[0],
+                                                            rel=1e-14)
+    with pytest.raises(ConfigError):
+        envelope_moments(-0.5)
 
 
 def test_element_moments_pure_los_limit():

@@ -143,7 +143,10 @@ def test_draw_trial_shapes_and_ranges():
     fades, v_alpha = block_fades(CFG, size=size)
     # the noise means mu are formed only where a point integrates the noise out
     assert fades.mu_r is None and fades.mu_t is None
-    assert all(f.shape == (size,) for f in fades if f is not None)
+    # no channel-power rows at a point that does not integrate the noise out
+    assert len(fades.rows_r) == len(fades.rows_t) == 2
+    assert all(f.shape == (size,) for f in (*fades.rows_r, *fades.rows_t, *fades[2:])
+               if f is not None)
     assert np.all(fades.w >= 0.0)
     assert np.all(fades.x_r > 0.0) and np.all(fades.x_t > 0.0)
     assert np.all(fades.y_r >= 0.0) and np.all(fades.y_t >= 0.0)
@@ -748,6 +751,139 @@ def test_a_wrong_control_mean_moves_the_estimate(monkeypatch):
     wrong = simulate(CFG, "astars_noma", ps, trials=50_000, seed=8, metrics=("outage_r",))
     assert abs(wrong[key].mean - right[key].mean) > right[key].ci95_halfwidth
     assert not wrong[key].fallback and not right[key].fallback
+
+
+FIG3A_L20 = replace(FIG3A_CFG, num_elements=20)
+FIG3A_PS = budget_to_ps(dbm_to_watts(20.0), FIG3A_L20)
+FIG3A_MARGINALS = (("astars_noma", ("outage_r_psic", "outage_t")),
+                   ("astars_oma", ("outage_r", "outage_t")))
+
+
+@pytest.mark.parametrize("num_elements", [1, 10])
+def test_control_means_match_a_large_draw(num_elements):
+    # the five rows (S, S^2, P, P^2, S P) of a 10^6-trial element draw
+    # against their exact means, within 5 sample sigma
+    kappa = FIG3A_CFG.rician_kappa
+    means = mc._control_means(kappa, num_elements, ("r",), True)
+    sums = np.zeros(5)
+    squares = np.zeros(5)
+    n = 0
+    for block in range(8):
+        at_l = next(islice(_element_sums(13, block, 125_000, (kappa,), ("h_r",), noise=False,
+                                         power=True), num_elements - 1, None))
+        amp, _, psum = at_l[kappa]
+        s, p = amp["h_r"], psum["h_r"]
+        rows = np.stack([s, s * s, p, p * p, s * p])
+        sums += rows.sum(axis=1)
+        squares += (rows * rows).sum(axis=1)
+        n += s.size
+    sample = sums / n
+    sigma = np.sqrt((squares / n - sample ** 2) / n)
+    assert np.all(np.abs(sample - means) <= 5.0 * sigma), (sample, means, sigma)
+    assert mc._control_means(kappa, num_elements, ("r",), False) == means[:2]
+
+
+@pytest.mark.parametrize("scheme, names", FIG3A_MARGINALS)
+def test_the_channel_power_controls_narrow_the_integrated_cells(scheme, names, monkeypatch):
+    # at fig3a's config each integrated marginal cell's CI is at least 4x
+    # below the one (S_u, S_u^2) alone give, with means that agree
+    full = simulate(FIG3A_L20, scheme, FIG3A_PS, trials=50_000, seed=11, metrics=names)
+    monkeypatch.setattr(mc, "_POWER_CONTROLLED", frozenset())
+    amplitude = simulate(FIG3A_L20, scheme, FIG3A_PS, trials=50_000, seed=11, metrics=names)
+    assert set(full) == set(amplitude) == set(names)
+    for key, est in full.items():
+        base = amplitude[key]
+        assert not est.fallback and not base.fallback
+        assert base.ci95_halfwidth >= 4.0 * est.ci95_halfwidth, (key, est, base)
+        sigma = math.hypot(est.ci95_halfwidth, base.ci95_halfwidth) / 1.96
+        assert abs(est.mean - base.mean) <= 4.0 * sigma, (key, est, base)
+
+
+@pytest.mark.parametrize("row", [2, 3, 4], ids=["E_P", "E_P2", "E_SP"])
+@pytest.mark.parametrize("scheme, names", FIG3A_MARGINALS)
+def test_a_wrong_channel_power_mean_moves_the_estimate(scheme, names, row, monkeypatch):
+    # each of the channel power's three exact means enters the estimate:
+    # 1% on it moves every integrated marginal cell by more than 3 of its CIs
+    right = simulate(FIG3A_L20, scheme, FIG3A_PS, trials=50_000, seed=11, metrics=names)
+    real = mc._control_means
+
+    def shifted(kappa, num_elements, users, power):
+        means = real(kappa, num_elements, users, power)
+        if power:
+            means[row] *= 1.01
+        return means
+
+    monkeypatch.setattr(mc, "_control_means", shifted)
+    wrong = simulate(FIG3A_L20, scheme, FIG3A_PS, trials=50_000, seed=11, metrics=names)
+    for key, est in right.items():
+        assert abs(wrong[key].mean - est.mean) > 3.0 * est.ci95_halfwidth, (key, row)
+        assert not est.fallback
+
+
+def test_the_control_set_follows_the_point_not_its_call():
+    # the channel power's rows join the marginal families' controls at
+    # points that integrate their noise out, whatever else the call asks;
+    # the joint families and every other point keep (S_u, S_u^2)
+    for cfg, scheme, family, power in ((FIG3A_CFG, "astars_noma", "outage_r", True),
+                                       (FIG3A_CFG, "astars_oma", "outage_t", True),
+                                       (FIG3A_CFG, "astars_noma", "outage_system", False),
+                                       (FIG3A_CFG, "astars_noma", "throughput_limited", False),
+                                       (FIG3A_CFG, "pstars_noma", "outage_r", False),
+                                       (CFG, "astars_noma", "outage_t", False),
+                                       (replace(FIG3A_CFG, path_alpha=3.0), "astars_noma",
+                                        "outage_t", False)):
+        assert mc._control_key(cfg, scheme, family)[3] is power, (scheme, family)
+    # the ipSIC outage reads the noise drawn but still regresses on P_r, so
+    # its estimate does not depend on whether the pSIC one shares its call
+    alone = simulate(FIG3A_CFG, "astars_noma", FIG3A_PS, trials=3000, seed=4,
+                     metrics=("outage_r_ipsic",))
+    both = simulate(FIG3A_CFG, "astars_noma", FIG3A_PS, trials=3000, seed=4,
+                    metrics=("outage_r",))
+    assert alone["outage_r_ipsic"] == both["outage_r_ipsic"]
+
+
+def test_the_power_gram_reads_each_monomial_once():
+    # the power set's products are the monomial sums S^a P^b, read once
+    # each; they agree with the pairwise products to rounding
+    keys = mc._keys(("outage_t",), "astars_noma")
+    [(_, fades)] = _block_fades(5, 0, 4096, [(FIG3A_L20, "astars_noma", keys)])
+    rows = mc._controls(fades, "outage_t")
+    assert len(rows) == 5
+    sums, products = mc._gram(rows, True)
+    pair_sums, pairwise = mc._gram(rows, False)
+    assert sums == pair_sums
+    assert products == [list(col) for col in zip(*products)]
+    for got, want in zip(products, pairwise):
+        assert got == pytest.approx(want, rel=1e-12)
+    # the block's row buffers serve one power point after another: points
+    # at several element counts in one call get their lone calls' estimates
+    points = [(replace(FIG3A_CFG, num_elements=L), scheme, FIG3A_PS, names)
+              for L in (2, 5, 9) for scheme, names in FIG3A_MARGINALS]
+    for (cfg, scheme, ps, names), got in zip(points, simulate(points, trials=3000, seed=6)):
+        assert got == simulate(cfg, scheme, ps, trials=3000, seed=6, metrics=names)
+
+
+def test_pure_line_of_sight_falls_back_instead_of_raising(monkeypatch):
+    # at kappa = 1e6 the gains are nearly deterministic: at L = 40 _fit finds
+    # the five rows collinear, and below it the controls fit every trial
+    # to rounding; either way the cells fall back and stay finite
+    losses = []
+    real = mc._fit
+
+    def spy(*args):
+        fit = real(*args)
+        losses.append(fit is None)
+        return fit
+
+    monkeypatch.setattr(mc, "_fit", spy)
+    points = [(replace(FIG3A_CFG, rician_kappa=1e6, num_elements=L), scheme, FIG3A_PS, names)
+              for L in (2, 40) for scheme, names in FIG3A_MARGINALS]
+    sims = simulate(points, trials=20_000, seed=3)
+    assert any(losses)
+    for point in sims:
+        for key, est in point.items():
+            assert math.isfinite(est.mean) and math.isfinite(est.ci95_halfwidth), key
+            assert 0.0 < est.mean < 1.0 and est.fallback, key
 
 
 def outage_users(cfg, scheme, size, seed):
