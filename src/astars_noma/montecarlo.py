@@ -174,8 +174,7 @@ class _Fades(NamedTuple):
     shared by every point at the block's (kappa, L), and its square) and,
     where the point's marginal outages regress on the channel power
     P_u = sum_l |h_u,l|^2 (``_power_controlled``), P_u, P_u^2 and S_u P_u,
-    the power set (S_u^2, P_u^2 and S_u P_u then in the block's buffers,
-    ``_block_fades``); each user's signal x per unit power and amplified
+    the power set; each user's signal x per unit power and amplified
     noise y at d = D (a float where no noise is drawn, None where no cell
     of the point reads it drawn), the residual power per unit power w, and
     the mean mu of each user's y given its channels, where the point
@@ -225,9 +224,8 @@ def _element_rows(seed: int, block: int, size: int, purpose: str) -> Iterator[np
 
 def _rician(kappa: float, z: np.ndarray) -> np.ndarray:
     """Unit-power Rician gains los + sc z with K-factor kappa."""
-    h = np.multiply(math.sqrt(1.0 / (2.0 * (kappa + 1.0))), z)
-    h += math.sqrt(kappa / (kappa + 1.0))
-    return h
+    return (math.sqrt(kappa / (kappa + 1.0))
+            + math.sqrt(1.0 / (2.0 * (kappa + 1.0))) * z)
 
 
 def _element_sums(seed: int, block: int, size: int, kappas: Sequence[float],
@@ -266,18 +264,20 @@ def _element_sums(seed: int, block: int, size: int, kappas: Sequence[float],
 
 def _controls(fades: _Fades, family: str) -> tuple[np.ndarray, ...]:
     """The control rows an outage-type family regresses on, for each of its
-    users (_CONTROL_USERS) in order: all of the user's rows for a marginal
-    family (``_Fades``), the first two, S_u and S_u^2, for a joint one."""
+    users (_CONTROL_USERS) in order: all of the user's rows (``_Fades``)
+    for a marginal family, the first two, S_u and S_u^2, for a joint one."""
+    users = _CONTROL_USERS[family]
     rows = {"r": fades.rows_r, "t": fades.rows_t}
-    return tuple(row for user in _CONTROL_USERS[family]
-                 for row in (rows[user] if family in _POWER_CONTROLLED else rows[user][:2]))
+    return tuple(row for user in users
+                 for row in (rows[user] if len(users) == 1 else rows[user][:2]))
 
 
 def _control_key(cfg: NetworkConfig, scheme: str, family: str) -> tuple:
     """The key (kappa, L, users, power) of an outage-type family's control
     fit at (cfg, scheme): the rows depend on the config through kappa and L
     alone, and power says whether they include the channel power's three
-    rows (``_controls``)."""
+    rows (``_controls``).  The one place that decides it: a family in
+    _POWER_CONTROLLED at a point that integrates its noise out."""
     return (cfg.rician_kappa, cfg.num_elements, _CONTROL_USERS[family],
             family in _POWER_CONTROLLED and _integrates(cfg, scheme))
 
@@ -301,36 +301,8 @@ def _control_means(kappa: float, num_elements: int, users: tuple[str, ...],
     return means * len(users)
 
 
-# the exponents (a, b) of the monomials S_u^a P_u^b that a power set's rows
-# (S_u, S_u^2, P_u, P_u^2, S_u P_u) are, in row order (``_fades``)
-_POWER_ROWS = ((1, 0), (2, 0), (0, 1), (0, 2), (1, 1))
-
-
-def _gram(rows: tuple[np.ndarray, ...],
-          power: bool) -> tuple[list[float], list[list[float]]]:
-    """The sums of a control set's rows and their full product matrix, in
-    Python floats, by einsum: the lower triangle, mirrored (einsum's matrix
-    is symmetric bit for bit).  A power set's products are monomial sums
-    sum_n S^a P^b (_POWER_ROWS): those of degree 2 are its rows' own sums,
-    and each of the 9 of degree 3 and 4 takes one pass."""
-    sums = [float(np.add.reduce(a)) for a in rows]
-    if power:
-        moment = dict(zip(_POWER_ROWS, sums))
-        for i, (a, b) in enumerate(_POWER_ROWS):
-            for j, (c, d) in enumerate(_POWER_ROWS[:i + 1]):
-                if (a + c, b + d) not in moment:
-                    moment[a + c, b + d] = float(np.einsum("n,n->", rows[i], rows[j]))
-        return sums, [[moment[a + c, b + d] for c, d in _POWER_ROWS] for a, b in _POWER_ROWS]
-    q = len(rows)
-    products = [[0.0] * q for _ in range(q)]
-    for i in range(q):
-        for j in range(i + 1):
-            products[i][j] = products[j][i] = float(np.einsum("n,n->", rows[i], rows[j]))
-    return sums, products
-
-
 def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict, psum: dict,
-           residual: np.ndarray, reads: tuple[bool, bool], buffers: dict | None) -> _Fades:
+           residual: np.ndarray, reads: tuple[bool, bool], power: bool) -> _Fades:
     """A block's fades at cfg, from the element sums at its K-factor and
     element count and the standard exponentials of the residual power.
     The phase controller aligns the cascade, so its amplitude S is the sum
@@ -341,9 +313,9 @@ def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict, psum: dict,
     mode, and 0 on the passive surface.  Given the channels, y is
     exponential with mean mu = lambda beta eta0 sigma_s^2 sum_l |h_u,l|^2 /
     (sigma_0^2 D^alpha).  reads = (integrated, drawn) says which of mu and
-    the drawn y the point's cells read (``_noise_reads``).  buffers holds
-    each user's three row buffers where the control rows include the
-    channel power's (``_power_controlled``), and is None elsewhere."""
+    the drawn y the point's cells read (``_noise_reads``), and power
+    whether the control rows include the channel power's
+    (``_power_controlled``)."""
     unit = 1.0 / (cfg.noise_sigma_02 * cfg.radius_d ** cfg.path_alpha)
     lam = 1.0 if scheme == "pstars_noma" else cfg.amp_lambda
     bs_loss = cfg.path_eta0 ** 2 * cfg.dist_bs ** -cfg.path_alpha
@@ -351,12 +323,10 @@ def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict, psum: dict,
 
     def control_rows(u):
         s = amp[u]
-        if buffers is None:
+        if not power:
             return s, s * s
         p = psum[u]
-        s2, p2, sp = buffers[u]
-        return (s, np.multiply(s, s, out=s2), p, np.multiply(p, p, out=p2),
-                np.multiply(s, p, out=sp))
+        return s, s * s, p, p * p, s * p
 
     rows = {u: control_rows(u) for u in ("h_r", "h_t")}
 
@@ -372,9 +342,8 @@ def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict, psum: dict,
         return x, y, (amp_noise * cfg.noise_sigma_s2) * psum[u] if integrated else None
 
     (x_r, y_r, mu_r), (x_t, y_t, mu_t) = user("h_r", cfg.beta_r), user("h_t", cfg.beta_t)
-    w = np.multiply(cfg.noise_sigma_re2, residual)
-    w /= cfg.noise_sigma_02
-    return _Fades(rows["h_r"], rows["h_t"], x_r, x_t, y_r, y_t, w, mu_r, mu_t)
+    return _Fades(rows["h_r"], rows["h_t"], x_r, x_t, y_r, y_t,
+                  cfg.noise_sigma_re2 * residual / cfg.noise_sigma_02, mu_r, mu_t)
 
 
 def _distance_powers(seed: int, block: int, size: int, alphas: set[float]) -> dict:
@@ -394,11 +363,8 @@ def _block_fades(seed: int, block: int, size: int,
     point's estimate keys (``_keys``).  The n_s stream is drawn only if some
     cell reads drawn noise, and the channel powers are summed only if some
     cell integrates it out (``_noise_reads``) or regresses on them
-    (``_power_controlled``).  The power sets' product rows are the block's
-    own buffers, so a point's fades hold only until the next is drawn.
-    Raises NumericIntegrityError if any fade term is not finite (x and mu
-    are positive multiples of S_u^2 and P_u, of which the control rows are
-    built)."""
+    (``_power_controlled``).  Raises NumericIntegrityError if any fade
+    term, control rows included, is not finite."""
     residual = _stream(seed, block, "E").standard_exponential(size)
     by_length: dict[int, list[int]] = {}
     for i, (cfg, _, _) in enumerate(points):
@@ -406,8 +372,6 @@ def _block_fades(seed: int, block: int, size: int,
     kappas = tuple(dict.fromkeys(cfg.rician_kappa for cfg, _, _ in points))
     reads = [_noise_reads(*point) for point in points]
     powered = [_power_controlled(*point) for point in points]
-    # each user's rows S_u^2, P_u^2, S_u P_u, rewritten at every power point
-    buffers = {u: np.empty((3, size)) for u in ("h_r", "h_t")} if any(powered) else None
     sums = _element_sums(seed, block, size, kappas, ("h_r", "h_t"),
                          noise=any(drawn for _, drawn in reads),
                          power=any(integrated for integrated, _ in reads) or any(powered))
@@ -415,8 +379,9 @@ def _block_fades(seed: int, block: int, size: int,
         for i in by_length.get(L, ()):
             cfg, scheme, _ = points[i]
             fades = _fades(cfg, scheme, *at_l[cfg.rician_kappa], residual, reads[i],
-                           buffers if powered[i] else None)
-            if not all(np.isfinite(f).all() for f in fades[2:] if f is not None):
+                           powered[i])
+            if not all(np.isfinite(f).all()
+                       for f in (*fades.rows_r, *fades.rows_t, *fades[2:]) if f is not None):
                 raise NumericIntegrityError(
                     f"non-finite fade term: {scheme} block {block} at L = {L}")
             yield i, fades
@@ -586,10 +551,8 @@ def _noise_law(mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The law of ``_integrated_outage`` for noise means mu: (mu, 1/mu,
     -mu expm1(-1/mu)), the last the outage at T = 1."""
     inv = np.divide(1.0, mu)
-    tail = np.negative(inv)
-    np.expm1(tail, out=tail)
-    tail *= mu
-    np.negative(tail, out=tail)
+    tail = np.expm1(-inv)
+    tail *= -mu
     return mu, inv, tail
 
 
@@ -905,9 +868,10 @@ def _integrates(cfg: NetworkConfig, scheme: str) -> bool:
 
 def _power_controlled(cfg: NetworkConfig, scheme: str, keys: frozenset[str]) -> bool:
     """Whether the control rows of a point's fades include the channel
-    power's: some key of a family in _POWER_CONTROLLED at a point that
-    integrates its noise out (``_control_key``)."""
-    return _integrates(cfg, scheme) and any(_family(key) in _POWER_CONTROLLED for key in keys)
+    power's: whether some outage-type family of keys regresses on it
+    (``_control_key``)."""
+    return any(_control_key(cfg, scheme, family)[3]
+               for family in set(map(_family, keys)) - _RATE_READERS)
 
 
 def _noise_reads(cfg: NetworkConfig, scheme: str, keys: frozenset[str]) -> tuple[bool, bool]:
@@ -990,14 +954,21 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
         v_alpha = _distance_powers(seed, block, sizes[block], alphas)
         out: list = [None] * len(runs)
         # the sums and the full product matrix of the control rows each
-        # outage-type family reads, once per control set (_control_key)
+        # outage-type family reads, once per control set (_control_key): the
+        # lower triangle, mirrored (einsum's matrix is symmetric bit for bit)
         controls: dict[tuple, tuple] = {}
         for i, fades in _block_fades(seed, block, sizes[block], kernels):
             cfg_i, scheme_i, _, keys = runs[i]
             for family in set(map(_family, keys)) - _RATE_READERS:
                 key = _control_key(cfg_i, scheme_i, family)
                 if key not in controls:
-                    controls[key] = _gram(_controls(fades, family), key[3])
+                    rows = _controls(fades, family)
+                    products = [[0.0] * len(rows) for _ in rows]
+                    for a in range(len(rows)):
+                        for b in range(a + 1):
+                            products[a][b] = products[b][a] = float(
+                                np.einsum("n,n->", rows[a], rows[b]))
+                    controls[key] = ([float(np.add.reduce(row)) for row in rows], products)
             out[i] = _point_partials(*runs[i], fades, v_alpha)
             del fades
             if not np.isfinite([v for p in out[i] for cell in p.values() for v in cell]).all():
