@@ -1,6 +1,7 @@
 """Closed-form finite-SNR evaluators: outage probabilities, ergodic rates,
 and both throughput modes for the two-sided amplifying-surface NOMA link.
 
+Decoding is read from the simulator's stage table (``model.decode_stages``).
 Every evaluator composes three ingredients:
 
 * the Gamma moment-matched law of the phase-aligned cascade amplitude
@@ -27,7 +28,8 @@ import math
 
 import numpy as np
 
-from .model import NetworkConfig, cascade_cdf, gamma_fit, noise_power_factor
+from .model import (NetworkConfig, cascade_cdf, decode_stages, gamma_fit, noise_power_factor,
+                    stage_gains, target_sinr)
 from .numerics import (NumericIntegrityError, QuadratureRule, exp_e1,
                        gauss_jacobi_rule, gauss_laguerre_rule)
 
@@ -53,11 +55,6 @@ class SicMode(enum.Enum):
 
     PSIC = "pSIC"
     IPSIC = "ipSIC"
-
-
-def target_sinr(rate: float) -> float:
-    """Decoding threshold 2^rate - 1 for a target of `rate` BPCU."""
-    return 2.0 ** rate - 1.0
 
 
 def _check_power(ps: float) -> None:
@@ -98,71 +95,61 @@ def _noise_bracket(cfg: NetworkConfig, chi: np.ndarray, beta: float) -> np.ndarr
             / (cfg.path_eta0 ** 2 * beta * cfg.amp_lambda))
 
 
-def _residual_term(cfg: NetworkConfig, chi: np.ndarray, y=1.0) -> np.ndarray:
-    """Residual-interference addition to the reflection user's bracket per
-    unit transmit power, at distances chi and residual powers y (the two
-    broadcast against each other): chi^alpha y sigma_re^2/(eta0^2 beta_r lambda)."""
+def _residual_term(cfg: NetworkConfig, chi: np.ndarray, beta: float, y=1.0) -> np.ndarray:
+    """Residual-interference addition to the bracket of the user with share
+    beta per unit transmit power, at distances chi and residual powers y
+    (broadcast against each other): chi^alpha y sigma_re^2/(eta0^2 beta lambda)."""
     return (chi ** cfg.path_alpha * y * cfg.noise_sigma_re2
-            / (cfg.path_eta0 ** 2 * cfg.beta_r * cfg.amp_lambda))
+            / (cfg.path_eta0 ** 2 * beta * cfg.amp_lambda))
 
 
-def _decode_scale_r(cfg: NetworkConfig, ps: float) -> float:
-    """Decode threshold of the reflection user's own signal: its SNR
-    a_r S^2 ps/(d_s^alpha bracket) falls to gamma_r_hat where the squared
-    cascade amplitude S^2 falls to this scale times the bracket."""
-    return target_sinr(cfg.target_rate_r) * cfg.dist_bs ** cfg.path_alpha / (cfg.a_r * ps)
+def _user_stages(cfg: NetworkConfig, mode: SicMode | None) -> list[tuple]:
+    """The NOMA decoding stages (``model.decode_stages``) of the reflection
+    user under mode, or of the transmission user for mode None."""
+    stages_t, stages_r = decode_stages(cfg, "astars_noma")
+    return stages_t if mode is None else stages_r["_" + mode.name.lower()]
 
 
-def _decode_scale_t(cfg: NetworkConfig, ps: float) -> float:
-    """The same for the transmission user's signal, decoded by that user
-    and in the reflection user's first SIC stage: with g = S^2 ps/(d_s^alpha
-    bracket), a_t g/(a_r g + 1) reaches gamma_t_hat where g reaches
-    gamma_t_hat/(a_t - gamma_t_hat a_r); infinite if a_t <= gamma_t_hat a_r."""
-    gamma_t_hat = target_sinr(cfg.target_rate_t)
-    if cfg.a_t <= gamma_t_hat * cfg.a_r:
-        return math.inf
-    return gamma_t_hat / (cfg.a_t - gamma_t_hat * cfg.a_r) * cfg.dist_bs ** cfg.path_alpha / ps
+def _decode_scales(cfg: NetworkConfig, stages: list[tuple], ps: float) -> list[float]:
+    """Thresholds on the squared cascade amplitude per unit noise bracket,
+    d_s^alpha/(k ps), for the gains k of ``model.stage_gains``, in its
+    order; inf where k <= 0, a stage that always fails."""
+    _check_power(ps)
+    return [cfg.dist_bs ** cfg.path_alpha / (k * ps) if k > 0.0 else math.inf
+            for k in stage_gains(stages)]
+
+
+def _user_outage(cfg: NetworkConfig, stages: list[tuple], beta: float, ps: float) -> float:
+    """Outage probability of the user with decoding stages `stages` and
+    amplitude share beta: the disk average of the cascade CDF at its largest
+    stage threshold, a decode scale times its noise bracket, to which an
+    ipSIC stage adds the residual interference."""
+    scales = _decode_scales(cfg, stages, ps)
+    if math.isinf(max(scales)):
+        return 1.0
+    approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
+    chi, w = _distance_rule(cfg)
+    bracket = _noise_bracket(cfg, chi, beta)
+    thresholds = scales[0] * bracket
+    if len(scales) == 1:
+        return float(w @ cascade_cdf(approx, thresholds))
+    y, y_w = _pruned(gauss_laguerre_rule(cfg.quad_k))
+    residual = _residual_term(cfg, chi[None, :], beta, y[:, None]) * ps
+    for scale in scales[1:]:
+        thresholds = np.maximum(thresholds, scale * (bracket + residual))
+    return float(y_w @ cascade_cdf(approx, thresholds) @ w)
 
 
 def outage_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
-    """Outage probability of the reflection-side (SIC) user.
-
-    The user is in outage when either SIC stage fails: decoding the
-    transmission user's signal, then its own.  The outage is the disk
-    average (Gauss-Jacobi) of the cascade CDF at the larger of the two
-    stage thresholds; under ipSIC only the second stage carries the
-    residual interference, averaged on a pruned Gauss-Laguerre rule.
-    """
-    _check_power(ps)
-    scale_t = _decode_scale_t(cfg, ps)
-    if math.isinf(scale_t):
-        return 1.0
-    scale_r = _decode_scale_r(cfg, ps)
-    approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
-    chi, w = _distance_rule(cfg)
-    bracket = _noise_bracket(cfg, chi, cfg.beta_r)
-    if mode is SicMode.PSIC:
-        value = float(w @ cascade_cdf(approx, max(scale_t, scale_r) * bracket))
-    else:
-        y, y_w = _pruned(gauss_laguerre_rule(cfg.quad_k))
-        residual = _residual_term(cfg, chi[None, :], y[:, None]) * ps
-        thresholds = scale_r * (bracket + residual)
-        np.maximum(thresholds, scale_t * bracket, out=thresholds)
-        value = float(y_w @ cascade_cdf(approx, thresholds) @ w)
+    """Outage probability of the reflection-side (SIC) user: some SIC stage
+    fails, decoding the transmission user's signal or then its own."""
+    value = _user_outage(cfg, _user_stages(cfg, mode), cfg.beta_r, ps)
     return _check_probability(value, f"outage_r[{mode.value}]")
 
 
 def outage_t(cfg: NetworkConfig, ps: float) -> float:
-    """Outage probability of the transmission-side user: the disk average
-    (Gauss-Jacobi) of the cascade CDF at the interference-limited
-    threshold, with the transmission amplitude coefficient beta_t."""
-    _check_power(ps)
-    scale_t = _decode_scale_t(cfg, ps)
-    if math.isinf(scale_t):
-        return 1.0
-    approx = gamma_fit(cfg.rician_kappa, cfg.num_elements)
-    chi, w = _distance_rule(cfg)
-    value = float(w @ cascade_cdf(approx, scale_t * _noise_bracket(cfg, chi, cfg.beta_t)))
+    """Outage probability of the transmission-side user."""
+    value = _user_outage(cfg, _user_stages(cfg, None), cfg.beta_t, ps)
     return _check_probability(value, "outage_t")
 
 
@@ -195,27 +182,36 @@ def _rate_sum(gamma_w: np.ndarray, nats: np.ndarray, dist_w: np.ndarray) -> floa
     return float(gamma_w @ (nats @ dist_w)) / math.log(2.0)
 
 
-def ergodic_rate_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
-    """Ergodic rate of the reflection-side user after SIC, in BPCU.
-
-    The rate expectation over the Gamma-distributed cascade amplitude
-    S = q t is a generalized Laguerre sum over t and a disk average over
-    the user distance.  Under ipSIC the residual-interference power
-    Y ~ Exp(1) adds C Y to the bracket B, and with g(x) = e^x E1(x) it
-    integrates out exactly:
-    E ln(1 + A/(B + C Y)) = ln(1 + A/B) + g(x0 (1 + A/B)) - g(x0), x0 = B/C.
-    """
+def _user_rate(cfg: NetworkConfig, stage: tuple, beta: float, ps: float) -> float:
+    """Ergodic rate in BPCU of the user with amplitude share beta whose last
+    decoding stage is stage (A, B, gamma_hat, ipsic).  With the SNR
+    g = (q t)^2 ps/(d_s^alpha bracket) the SINR is A g/(B g + 1), so the
+    rate is log2(1 + (A + B) g) - log2(1 + B g).  On the ipSIC stage, which
+    has B = 0, the residual power Y ~ Exp(1) adds C Y to the bracket, and
+    with e(x) = e^x E1(x) it integrates out exactly:
+    E ln(1 + A g/(1 + C Y/bracket)) = ln(1 + A g) + e(x0 (1 + A g)) - e(x0),
+    x0 = bracket/C."""
+    a, b, _, ipsic = stage
     _check_power(ps)
     q, t, gamma_w = _amplitude_rule(cfg)
     chi, w = _distance_rule(cfg)
-    bracket = _noise_bracket(cfg, chi, cfg.beta_r)
-    # SNR = (q t)^2 * a_r ps / (d_s^alpha * bracket(d))
-    snr = np.outer(t ** 2, cfg.a_r * ps * q ** 2 / (cfg.dist_bs ** cfg.path_alpha * bracket))
+    bracket = _noise_bracket(cfg, chi, beta)
+    g = ps * q ** 2 / (cfg.dist_bs ** cfg.path_alpha * bracket)
+    t2 = t ** 2
+    snr = np.outer(t2, (a + b) * g)
     nats = np.log1p(snr)
-    if mode is SicMode.IPSIC:
-        x0 = bracket / (_residual_term(cfg, chi) * ps)
+    if ipsic:
+        x0 = bracket / (_residual_term(cfg, chi, beta) * ps)
         nats += exp_e1(x0 * (1.0 + snr)) - exp_e1(x0)
     value = _rate_sum(gamma_w, nats, w)
+    if b:
+        value -= _rate_sum(gamma_w, np.log1p(np.outer(t2, b * g)), w)
+    return value
+
+
+def ergodic_rate_r(cfg: NetworkConfig, mode: SicMode, ps: float) -> float:
+    """Ergodic rate of the reflection-side user after SIC, in BPCU."""
+    value = _user_rate(cfg, _user_stages(cfg, mode)[-1], cfg.beta_r, ps)
     if value < 0.0:
         raise NumericIntegrityError(f"rate_r[{mode.value}] negative: {value}")
     return value
@@ -228,27 +224,14 @@ def rate_ceiling_t(cfg: NetworkConfig) -> float:
 
 
 def ergodic_rate_t(cfg: NetworkConfig, ps: float) -> float:
-    """Ergodic rate of the transmission-side user, in BPCU.
-
-    With g = (q t)^2 ps / (d_s^alpha bracket) the SINR is a_t g/(a_r g + 1),
-    and log2(1 + a_t g/(a_r g + 1)) = log2(1 + (a_r + a_t) g) - log2(1 + a_r g):
-    two log-sums over the amplitude and distance rules.  The result must
-    stay below the ceiling log2(1 + a_t/a_r).
-    """
-    _check_power(ps)
-    q, t, gamma_w = _amplitude_rule(cfg)
-    chi, w = _distance_rule(cfg)
-    snr = ps * q ** 2 / (cfg.dist_bs ** cfg.path_alpha
-                         * _noise_bracket(cfg, chi, cfg.beta_t))
-    t2 = t ** 2
-    value = (_rate_sum(gamma_w, np.log1p(np.outer(t2, (cfg.a_r + cfg.a_t) * snr)), w)
-             - _rate_sum(gamma_w, np.log1p(np.outer(t2, cfg.a_r * snr)), w))
+    """Ergodic rate of the transmission-side user, in BPCU; it must stay
+    below the ceiling log2(1 + a_t/a_r)."""
+    value = _user_rate(cfg, _user_stages(cfg, None)[-1], cfg.beta_t, ps)
     if value < -1.0e-12:
         raise NumericIntegrityError(f"rate_t negative: {value}")
     ceiling = rate_ceiling_t(cfg)
     if value > ceiling + 1.0e-6:
-        raise NumericIntegrityError(
-            f"rate_t {value} above its ceiling {ceiling}")
+        raise NumericIntegrityError(f"rate_t {value} above its ceiling {ceiling}")
     return value
 
 

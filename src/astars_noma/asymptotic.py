@@ -25,8 +25,8 @@ import numpy as np
 
 from .model import NetworkConfig, element_moments
 from .numerics import exp_e1
-from .analytic import (_amplitude_rule, _check_power, _decode_scale_r, _decode_scale_t,
-                       _distance_rule, _noise_bracket, _rate_sum, _residual_term)
+from .analytic import (SicMode, _amplitude_rule, _check_power, _decode_scales, _distance_rule,
+                       _noise_bracket, _rate_sum, _residual_term, _user_stages)
 
 __all__ = [
     "OutOfRegimeError",
@@ -127,10 +127,11 @@ def high_snr_cascade_cdf(kappa: float, num_elements: int, x,
     return out
 
 
-def _asym_outage(cfg: NetworkConfig, ps: float, scale: float, beta: float,
+def _asym_outage(cfg: NetworkConfig, stages: list[tuple], beta: float, ps: float,
                  label: str) -> float:
-    """Disk average of the degree-L cascade CDF at the decode thresholds
+    """Disk average of the degree-L cascade CDF at the merged stage's decode
     scale times the noise bracket of the user with amplitude share beta."""
+    scale = _decode_scales(cfg, stages, ps)[0]
     if math.isinf(scale):
         raise OutOfRegimeError(
             "degenerate allocation a_t <= gamma_t_hat a_r: outage is surely 1")
@@ -148,17 +149,14 @@ def outage_asym_r_psic(cfg: NetworkConfig, ps: float) -> float:
     larger of the two SIC stage thresholds.  Decays as ps^{-L}, which is
     the full diversity order; degenerate power allocations have no
     asymptote (the outage is surely 1)."""
-    _check_power(ps)
-    scale = max(_decode_scale_t(cfg, ps), _decode_scale_r(cfg, ps))
-    return _asym_outage(cfg, ps, scale, cfg.beta_r, "asymptotic pSIC outage")
+    return _asym_outage(cfg, _user_stages(cfg, SicMode.PSIC), cfg.beta_r, ps,
+                        "asymptotic pSIC outage")
 
 
 def outage_asym_t(cfg: NetworkConfig, ps: float) -> float:
     """High-SNR outage asymptote of the transmission user; degenerate
     power allocations have no asymptote (the outage is surely 1)."""
-    _check_power(ps)
-    return _asym_outage(cfg, ps, _decode_scale_t(cfg, ps), cfg.beta_t,
-                        "asymptotic outage_t")
+    return _asym_outage(cfg, _user_stages(cfg, None), cfg.beta_t, ps, "asymptotic outage_t")
 
 
 def outage_floor_r_ipsic(cfg: NetworkConfig) -> float:
@@ -166,13 +164,17 @@ def outage_floor_r_ipsic(cfg: NetworkConfig) -> float:
 
     Exact infinite-power limit of the finite-SNR ipSIC evaluator: the
     thermal terms and the first SIC stage vanish as 1/ps, leaving the
-    power-free outage event S^2 < c_d Y at distance d.  For the residual
-    power Y ~ Exp(1) its probability is E_S[exp(-S^2/c_d)], a sum over the
-    amplitude and distance rules; it is the large-ps limit of outage_r(ipSIC).
+    power-free outage event S^2 < c_d Y at distance d, c_d the own stage's
+    unit-power threshold.  For the residual power Y ~ Exp(1) its
+    probability is E_S[exp(-S^2/c_d)], a sum over the amplitude and distance
+    rules; 0 for a zero target, whose own stage never fails.
     """
+    scale = _decode_scales(cfg, _user_stages(cfg, SicMode.IPSIC), 1.0)[-1]
+    if scale == 0.0:
+        return 0.0
     q, t, gamma_w = _amplitude_rule(cfg)
     chi, w = _distance_rule(cfg)
-    c = _decode_scale_r(cfg, 1.0) * _residual_term(cfg, chi)
+    c = scale * _residual_term(cfg, chi, cfg.beta_r)
     return float(gamma_w @ np.exp(-np.outer((q * t) ** 2, 1.0 / c)) @ w)
 
 
@@ -186,7 +188,7 @@ def ergodic_asym_r_ipsic(cfg: NetworkConfig) -> float:
     q, t, gamma_w = _amplitude_rule(cfg)
     chi, w = _distance_rule(cfg)
     c = np.outer(t ** 2, cfg.a_r * q ** 2 / (cfg.dist_bs ** cfg.path_alpha
-                                             * _residual_term(cfg, chi)))
+                                             * _residual_term(cfg, chi, cfg.beta_r)))
     return _rate_sum(gamma_w, np.log(c) + exp_e1(c) + np.euler_gamma, w)
 
 

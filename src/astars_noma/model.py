@@ -25,12 +25,15 @@ __all__ = [
     "cascade_cdf",
     "db_to_linear",
     "dbm_to_watts",
+    "decode_stages",
     "distance_pdf",
     "element_moments",
     "envelope_moments",
     "gamma_fit",
     "noise_power_factor",
     "sample_distance",
+    "stage_gains",
+    "target_sinr",
     "watts_to_dbm",
 ]
 
@@ -229,6 +232,40 @@ def noise_power_factor(kappa: float, num_elements: int) -> float:
         raise ConfigError("num_elements >= 1 violated")
     L = float(num_elements)
     return L * (L * kappa + 1.0) / (kappa + 1.0)
+
+
+def target_sinr(rate: float) -> float:
+    """Decoding threshold 2^rate - 1 for a target of `rate` BPCU."""
+    return 2.0 ** rate - 1.0
+
+
+def decode_stages(cfg: NetworkConfig, scheme: str) -> tuple[list[tuple], dict[str, list[tuple]]]:
+    """The decoding stages of scheme at cfg, the one table that the closed
+    forms and the simulator read: the transmission user's, and the reflection
+    user's keyed by SIC-mode suffix ("_psic", "_ipsic"; "" for astars_oma).
+    A stage (A, B, gamma_hat, ipsic) has the SINR A g/(B g + N) at received
+    power g and noise N, with the residual power where ipsic.  A user decodes
+    iff each stage meets its target gamma_hat; its rate is its last stage's."""
+    if scheme == "astars_oma":
+        # dedicated slots: full power, doubled spectral-efficiency target
+        return ([(1.0, 0.0, target_sinr(2.0 * cfg.target_rate_t), False)],
+                {"": [(1.0, 0.0, target_sinr(2.0 * cfg.target_rate_r), False)]})
+    # decoding the transmission user's signal, under the reflection user's
+    # own signal as interference; then the reflection user's own signal
+    first = (cfg.a_t, cfg.a_r, target_sinr(cfg.target_rate_t), False)
+    gamma_r_hat = target_sinr(cfg.target_rate_r)
+    return ([first], {"_psic": [first, (cfg.a_r, 0.0, gamma_r_hat, False)],
+                      "_ipsic": [first, (cfg.a_r, 0.0, gamma_r_hat, True)]})
+
+
+def stage_gains(stages: list[tuple]) -> list[float]:
+    """The gains k = (A - B gamma_hat)/gamma_hat of a user's stages, each
+    succeeding iff k g > N: first the smallest over the stages without the
+    residual power, which share N and so merge, then each ipSIC stage's.  A
+    zero target makes k infinite (never fails), a degenerate allocation
+    nonpositive (always fails)."""
+    ks = [((a - b * g) / g if g > 0.0 else math.inf, ipsic) for a, b, g, ipsic in stages]
+    return [min(k for k, ipsic in ks if not ipsic), *(k for k, ipsic in ks if ipsic)]
 
 
 def distance_pdf(x, radius: float):

@@ -25,9 +25,10 @@ the sums, and (d/D)^alpha once per block for each alpha in the call.
 
 One link kernel serves every estimator: in units of sigma_0^2 D^alpha each
 decoding stage's SINR is A ps x / (B ps x + y + (1 + ps w) v^alpha), v = d/D
-(``_sinr``), and each scheme's stages are one table (``_stages``).  The
-rates and the delay-tolerant throughput average log2(1 + SINR) of each
-user's last stage at the drawn distances.  The outage families and the
+(``_sinr``), and each scheme's stages are the closed forms' table
+(``decode_stages``).  The rates and the delay-tolerant throughput average
+log2(1 + SINR) of each user's last stage at the drawn distances.  The
+outage families and the
 delay-limited throughput integrate the two user distances out exactly:
 given the fades a stage succeeds iff v^alpha lies below a threshold, so
 the disk law gives P(outage | fades) in closed form.  Averaging that over
@@ -110,9 +111,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .analytic import _check_power, target_sinr
-from .model import (ConfigError, NetworkConfig, element_moments, envelope_moments,
-                    noise_power_factor, sample_distance)
+from .analytic import _check_power
+from .model import (ConfigError, NetworkConfig, decode_stages, element_moments,
+                    envelope_moments, noise_power_factor, sample_distance, stage_gains)
 from .numerics import NumericIntegrityError
 
 __all__ = [
@@ -388,32 +389,12 @@ def _block_fades(seed: int, block: int, size: int,
             del fades
 
 
-def _stages(cfg: NetworkConfig, scheme: str) -> tuple[list[tuple], dict[str, list[tuple]]]:
-    """The decoding-stage table of scheme at cfg: the transmission user's
-    stages, and the reflection user's keyed by SIC-mode suffix ("_psic"
-    and "_ipsic" for the NOMA schemes, "" for astars_oma).  A stage is
-    (A, B, gamma_hat, ipsic): the signal and interference shares of its
-    SINR (``_sinr``), its target, and whether the residual power enters.
-    A user decodes iff every stage meets its target; its rate is its last
-    stage's."""
-    if scheme == "astars_oma":
-        # dedicated slots: full power, doubled spectral-efficiency target
-        return ([(1.0, 0.0, target_sinr(2.0 * cfg.target_rate_t), False)],
-                {"": [(1.0, 0.0, target_sinr(2.0 * cfg.target_rate_r), False)]})
-    # decoding the transmission user's signal, under the reflection user's
-    # own signal as interference; then the reflection user's own signal
-    first = (cfg.a_t, cfg.a_r, target_sinr(cfg.target_rate_t), False)
-    gamma_r_hat = target_sinr(cfg.target_rate_r)
-    return ([first], {"_psic": [first, (cfg.a_r, 0.0, gamma_r_hat, False)],
-                      "_ipsic": [first, (cfg.a_r, 0.0, gamma_r_hat, True)]})
-
-
 def _sinr(stage: tuple, x: np.ndarray, y: np.ndarray | float, w: np.ndarray,
           v_alpha: np.ndarray, ps: float) -> np.ndarray:
     """The link kernel: every trial's SINR at one decoding stage (A, B,
-    gamma_hat, ipsic) of ``_stages``, at transmit power ps and the user's
-    v^alpha = (d/D)^alpha, A ps x / (B ps x + y + (1 + ps w) v^alpha), with
-    w read on the ipSIC stage alone (``_Fades``)."""
+    gamma_hat, ipsic) of ``decode_stages``, at transmit power ps and the
+    user's v^alpha = (d/D)^alpha, A ps x / (B ps x + y + (1 + ps w) v^alpha),
+    with w read on the ipSIC stage alone (``_Fades``)."""
     a, b, _, ipsic = stage
     den = (v_alpha * (1.0 + ps * w) if ipsic else v_alpha) + y
     if b:
@@ -433,7 +414,7 @@ def _partials(cfg: NetworkConfig, scheme: str, fades: _Fades, v_alpha: np.ndarra
     decoding stage at the drawn distances (rows of v_alpha: reflection
     user, transmission user), halved for astars_oma's slots.  A user, or a
     SIC mode of the reflection user, that no key reads is not evaluated."""
-    stages_t, stages_r = _stages(cfg, scheme)
+    stages_t, stages_r = decode_stages(cfg, scheme)
 
     def rate(stages, x, y, row):
         values = np.log2(1.0 + _sinr(stages[-1], x, y, fades.w, v_alpha[row], ps))
@@ -458,9 +439,9 @@ def _partials(cfg: NetworkConfig, scheme: str, fades: _Fades, v_alpha: np.ndarra
 def _readers(keys: Iterable[str]) -> tuple[set[str], set[str]]:
     """The users whose outage given the fades the outage-type keys read, by
     name: "t" for the transmission user, the SIC-mode suffix of
-    ``_stages`` for the reflection user.  Marginal users are read one at a
-    time (outage_t, outage_r, throughput_limited, which is linear in the
-    two), joint ones together with the other user (outage_system)."""
+    ``decode_stages`` for the reflection user.  Marginal users are read one
+    at a time (outage_t, outage_r, throughput_limited, which is linear in
+    the two), joint ones together with the other user (outage_system)."""
     marginal: set[str] = set()
     joint: set[str] = set()
     for key in keys:
@@ -480,13 +461,10 @@ def _thresholds(cfg: NetworkConfig, scheme: str, fades: _Fades,
     """One block's outage evaluators at cfg for the outage-type keys, free
     of power and distance: {user name (``_readers``): (stages, law)}.
 
-    A stage of ``_sinr``'s form with target gamma_hat succeeds iff
-    v^alpha < t = (ps k x - y) / (1 + ps w), k = (A - B gamma_hat) / gamma_hat,
-    with w = 0 off the ipSIC stage.  A stage is stored as (k, x, 1 + y, w),
-    with w None where it is 0, and law None.  A user's stages without w
-    share x and y, so they merge into one with the smallest k.  A zero
-    target makes k infinite, a stage that never fails; a degenerate
-    allocation makes it nonpositive, a stage that always does.
+    A stage of ``_sinr``'s form with gain k (``stage_gains``, which merges
+    the stages without w) succeeds iff v^alpha < t = (ps k x - y) / (1 + ps w),
+    with w = 0 off the ipSIC stage.  It is stored as (k, x, 1 + y, w), with
+    w None where it is 0, and law None.
 
     Where the fades carry the noise mean mu, a user without an ipSIC stage
     is read with y integrated out (``_integrated_outage``): its one stage is
@@ -496,7 +474,7 @@ def _thresholds(cfg: NetworkConfig, scheme: str, fades: _Fades,
     such a user's drawn twin, if a joint key reads it, is named with a
     trailing "~".
     """
-    stages_t, stages_r = _stages(cfg, scheme)
+    stages_t, stages_r = decode_stages(cfg, scheme)
     table = {"t": ("t", stages_t),
              **{suffix: ("r", stages) for suffix, stages in stages_r.items()}}
     terms = {"t": (fades.x_t, fades.y_t, fades.mu_t), "r": (fades.x_r, fades.y_r, fades.mu_r)}
@@ -506,9 +484,8 @@ def _thresholds(cfg: NetworkConfig, scheme: str, fades: _Fades,
     for name in sorted(marginal | joint):
         user, stages = table[name]
         x, y, mu = terms[user]
-        ks = [((a - b * g) / g if g > 0.0 else math.inf, ipsic) for a, b, g, ipsic in stages]
-        k = min(k for k, ipsic in ks if not ipsic)
-        if mu is not None and not any(ipsic for _, ipsic in ks):
+        k, *ks_ipsic = stage_gains(stages)
+        if mu is not None and not ks_ipsic:
             if name in marginal:
                 users[name] = ([(k, x, 1.0 + _EXP_CUT * mu, None)], _noise_law(mu))
             if name not in joint:
@@ -518,7 +495,7 @@ def _thresholds(cfg: NetworkConfig, scheme: str, fades: _Fades,
             offsets[user] = 1.0 + y
         offset = offsets[user]
         users[name] = ([(k, x, offset, None)]
-                       + [(k_i, x, offset, fades.w) for k_i, ipsic in ks if ipsic], None)
+                       + [(k_i, x, offset, fades.w) for k_i in ks_ipsic], None)
     return users
 
 

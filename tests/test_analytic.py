@@ -18,16 +18,16 @@ from scipy import integrate, special
 
 from astars_noma import analytic
 from astars_noma.analytic import (NumericIntegrityError, SicMode, _amplitude_rule,
-                                  _distance_rule, _noise_bracket, ergodic_rate_r,
+                                  _distance_rule, _noise_bracket, _user_outage, ergodic_rate_r,
                                   ergodic_rate_t, outage_r,
                                   outage_t, rate_ceiling_t, system_outage,
                                   target_sinr, throughput_delay_limited,
                                   throughput_delay_tolerant)
 from astars_noma.asymptotic import (ergodic_asym_r_ipsic, ergodic_bound_r_psic,
                                     outage_asym_r_psic, outage_asym_t)
-from astars_noma.model import (NetworkConfig, db_to_linear, dbm_to_watts,
+from astars_noma.model import (NetworkConfig, db_to_linear, dbm_to_watts, decode_stages,
                                gamma_fit, noise_power_factor)
-from astars_noma.montecarlo import simulate
+from astars_noma.montecarlo import budget_to_ps, simulate
 from astars_noma.numerics import (QuadratureRule, exp_e1, gauss_laguerre_rule,
                                   reg_lower_gamma)
 
@@ -63,6 +63,19 @@ def test_sure_outage_when_allocation_cannot_meet_target():
     assert outage_r(cfg, SicMode.IPSIC, 1.0) == 1.0
     assert outage_t(cfg, 1.0) == 1.0
     assert system_outage(cfg, SicMode.PSIC, 1.0) == 1.0
+
+
+def test_zero_targets_never_outage():
+    # the closed-form mirror of the simulator's zero-target test: a zero
+    # target makes every stage's gain infinite and its threshold 0
+    cfg = replace(CFG, target_rate_r=0.0, target_rate_t=0.0)
+    for dbm in (0.0, 30.0, 120.0):
+        ps = dbm_to_watts(dbm)
+        assert outage_r(cfg, SicMode.PSIC, ps) == 0.0
+        assert outage_r(cfg, SicMode.IPSIC, ps) == 0.0
+        assert outage_t(cfg, ps) == 0.0
+        assert outage_asym_r_psic(cfg, ps) == 0.0
+        assert outage_asym_t(cfg, ps) == 0.0
 
 
 def test_outage_r_first_sic_stage_threshold_dominates():
@@ -558,3 +571,26 @@ def test_distance_rule_disk_moments():
     for a in (2.0, 4.0):
         exact = 2.0 * CFG.radius_d ** a / (a + 2.0)
         assert float(w @ chi ** a) == pytest.approx(exact, rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# the shared stage table beyond NOMA
+# ---------------------------------------------------------------------------
+
+def test_oma_closed_forms_from_the_stage_table_agree_with_the_simulator():
+    # the per-user outage evaluator applied to astars_oma's stages (one
+    # stage per user at full power and the doubled target) against the
+    # simulator in mean-noise mode, where the closed form's noise
+    # substitution is exact: what is left is the Gamma fit's error
+    cfg = replace(CFG, mean_noise_mode=True)
+    stages_t, stages_r = decode_stages(cfg, "astars_oma")
+    budgets = (10.0, 15.0, 20.0, 25.0)
+    powers = [budget_to_ps(dbm_to_watts(q), cfg) for q in budgets]
+    sims = simulate(cfg, "astars_oma", powers, trials=200_000, seed=11,
+                    metrics=("outage_r", "outage_t"))
+    for q, ps, est in zip(budgets, powers, sims):
+        for key, stages, beta in (("outage_r", stages_r[""], cfg.beta_r),
+                                  ("outage_t", stages_t, cfg.beta_t)):
+            value = _user_outage(cfg, stages, beta, ps)
+            sigma = est[key].ci95_halfwidth / 1.96
+            assert abs(value - est[key].mean) <= 4.0 * sigma, (q, key, value, est[key])

@@ -121,6 +121,14 @@ def test_floor_vs_nested_adaptive_integration(alpha):
     assert outage_floor_r_ipsic(cfg) == pytest.approx(oracle, rel=1e-9)
 
 
+@pytest.mark.parametrize("targets", [(0.0, 1.0), (0.0, 0.0)])
+def test_floor_is_zero_at_a_zero_own_target(targets):
+    # the own stage's gain is infinite, so it never fails: exactly 0, with
+    # no division by a zero threshold on the way
+    cfg = replace(CFG, target_rate_r=targets[0], target_rate_t=targets[1])
+    assert outage_floor_r_ipsic(cfg) == 0.0
+
+
 def test_floor_vanishes_with_residual_interference():
     faint = replace(CFG, noise_sigma_re2=1e-22)
     assert outage_floor_r_ipsic(faint) < 1e-12

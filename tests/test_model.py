@@ -5,17 +5,17 @@ closed-form moments and the fitted CDF against them.
 """
 
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from scipy import special
 
 from astars_noma.model import (MAX_ELEMENTS, ConfigError, GammaApprox, NetworkConfig,
-                               cascade_cdf, db_to_linear, dbm_to_watts,
+                               cascade_cdf, db_to_linear, dbm_to_watts, decode_stages,
                                distance_pdf, element_moments, envelope_moments,
                                gamma_fit, noise_power_factor, sample_distance,
-                               watts_to_dbm)
+                               stage_gains, watts_to_dbm)
 
 KAPPA_REF = 10.0 ** -0.5  # -5 dB
 
@@ -212,6 +212,33 @@ def test_cascade_cdf_median_vs_monte_carlo():
 def test_cascade_cdf_rejects_negative():
     with pytest.raises(ValueError):
         cascade_cdf(gamma_fit(0.0, 2), -1.0)
+
+
+# ---------------------------------------------------------------------------
+# decoding stages
+# ---------------------------------------------------------------------------
+
+def test_stage_gains_merge_the_stages_without_residual_power():
+    cfg = NetworkConfig()  # a_r = 0.3, a_t = 0.7, both targets 1 BPCU
+    stages_t, stages_r = decode_stages(cfg, "astars_noma")
+    k_t, k_r = (0.7 - 0.3) / 1.0, 0.3 / 1.0
+    assert stage_gains(stages_t) == [pytest.approx(k_t)]
+    # pSIC: both stages share the noise, so the smaller gain decides alone
+    assert stage_gains(stages_r["_psic"]) == [pytest.approx(min(k_t, k_r))]
+    assert stage_gains(stages_r["_ipsic"]) == [pytest.approx(k_t), pytest.approx(k_r)]
+    oma_t, oma_r = decode_stages(cfg, "astars_oma")
+    assert stage_gains(oma_t) == stage_gains(oma_r[""]) == [pytest.approx(1.0 / 3.0)]
+    assert decode_stages(cfg, "pstars_noma") == (stages_t, stages_r)
+
+
+def test_stage_gains_at_zero_targets_and_degenerate_allocations():
+    zero = replace(NetworkConfig(), target_rate_r=0.0, target_rate_t=0.0)
+    assert stage_gains(decode_stages(zero, "astars_noma")[1]["_ipsic"]) == [math.inf] * 2
+    # a_t = 0.7 < gamma_t_hat a_r = 3 * 0.3: the first stage never succeeds
+    degenerate = replace(NetworkConfig(), target_rate_t=2.0)
+    stages_t, stages_r = decode_stages(degenerate, "astars_noma")
+    assert stage_gains(stages_t)[0] < 0.0
+    assert stage_gains(stages_r["_psic"])[0] < 0.0
 
 
 # ---------------------------------------------------------------------------

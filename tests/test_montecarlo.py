@@ -25,11 +25,12 @@ import numpy as np
 import pytest
 
 from astars_noma import montecarlo as mc
-from astars_noma.analytic import NumericIntegrityError, SicMode, target_sinr
-from astars_noma.model import ConfigError, NetworkConfig, dbm_to_watts, noise_power_factor
+from astars_noma.analytic import NumericIntegrityError, SicMode
+from astars_noma.model import (ConfigError, NetworkConfig, dbm_to_watts, decode_stages,
+                               noise_power_factor, target_sinr)
 from astars_noma.montecarlo import (BLOCK_TRIALS, SCHEMES, _block_fades, _distance_powers,
-                                    _element_rows, _element_sums, _rician, _sinr, _stages,
-                                    _stream, budget_to_ps, simulate, surface_output_power)
+                                    _element_rows, _element_sums, _rician, _sinr, _stream,
+                                    budget_to_ps, simulate, surface_output_power)
 
 CFG = NetworkConfig()
 
@@ -80,7 +81,7 @@ def stage_sinrs(cfg, scheme, fades, v_alpha, ps):
     """Every decoding stage's SINR per trial, by the simulator's link
     kernel: the transmission user's list, and the reflection user's keyed
     by SIC-mode suffix."""
-    stages_t, stages_r = _stages(cfg, scheme)
+    stages_t, stages_r = decode_stages(cfg, scheme)
 
     def user(stages, x, y, row):
         return [_sinr(stage, x, y, fades.w, v_alpha[row], ps) for stage in stages]
@@ -93,7 +94,7 @@ def raw_indicators(cfg, scheme, fades, v_alpha, ps):
     """Each trial's outage events at its drawn distances: the transmission
     user's, and the reflection user's keyed by SIC-mode suffix.  A user is
     in outage when some stage of its decoding misses its target."""
-    stages_t, stages_r = _stages(cfg, scheme)
+    stages_t, stages_r = decode_stages(cfg, scheme)
     gammas_t, gammas_r = stage_sinrs(cfg, scheme, fades, v_alpha, ps)
 
     def missed(stages, gammas):
@@ -311,7 +312,7 @@ def test_stage_sinrs_rebuilt_in_watts_from_the_raw_streams():
                         {"_psic": [first, (cfg.a_r * s_r / n_r, g_r)],
                          "_ipsic": [first, (cfg.a_r * s_r / (n_r + residual * ps), g_r)]})
             got = stage_sinrs(cfg, scheme, fades, v_alpha, ps)
-            stages_t, stages_r = _stages(cfg, scheme)
+            stages_t, stages_r = decode_stages(cfg, scheme)
             assert set(stages_r) == set(want[1])
             for gammas, stages, expect in ((got[0], stages_t, want[0]),
                                            *((got[1][k], stages_r[k], want[1][k])
@@ -1325,7 +1326,7 @@ def test_rate_families_form_only_the_stages_they_read(monkeypatch):
         return real(stage, *args)
 
     monkeypatch.setattr(mc, "_sinr", recording)
-    first, psic = _stages(CFG, "astars_noma")[1]["_psic"]
+    first, psic = decode_stages(CFG, "astars_noma")[1]["_psic"]
     for families, want in ((("rate_t",), [first]), (("rate_r",), [psic, psic[:3] + (True,)]),
                            (mc._RATE_READERS, [first, psic, psic[:3] + (True,)])):
         calls.clear()
