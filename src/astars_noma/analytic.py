@@ -191,21 +191,21 @@ def _user_rate(cfg: NetworkConfig, stage: tuple, beta: float, ps: float) -> floa
     with e(x) = e^x E1(x) it integrates out exactly:
     E ln(1 + A g/(1 + C Y/bracket)) = ln(1 + A g) + e(x0 (1 + A g)) - e(x0),
     x0 = bracket/C."""
-    a, b, _, ipsic = stage
     _check_power(ps)
+    a, b, _, ipsic = stage
     q, t, gamma_w = _amplitude_rule(cfg)
     chi, w = _distance_rule(cfg)
     bracket = _noise_bracket(cfg, chi, beta)
-    g = ps * q ** 2 / (cfg.dist_bs ** cfg.path_alpha * bracket)
+    g1 = ps * q ** 2 / (cfg.dist_bs ** cfg.path_alpha * bracket)  # g at t = 1
     t2 = t ** 2
-    snr = np.outer(t2, (a + b) * g)
+    snr = np.outer(t2, (a + b) * g1)
     nats = np.log1p(snr)
     if ipsic:
         x0 = bracket / (_residual_term(cfg, chi, beta) * ps)
         nats += exp_e1(x0 * (1.0 + snr)) - exp_e1(x0)
     value = _rate_sum(gamma_w, nats, w)
     if b:
-        value -= _rate_sum(gamma_w, np.log1p(np.outer(t2, b * g)), w)
+        value -= _rate_sum(gamma_w, np.log1p(np.outer(t2, b * g1)), w)
     return value
 
 
