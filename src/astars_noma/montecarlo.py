@@ -28,13 +28,12 @@ decoding stage's SINR is A ps x / (B ps x + y + (1 + ps w) v^alpha), v = d/D
 (``_sinr``), and each scheme's stages are the closed forms' table
 (``decode_stages``).  The rates and the delay-tolerant throughput average
 log2(1 + SINR) of each user's last stage at the drawn distances.  The
-outage families and the
-delay-limited throughput integrate the two user distances out exactly:
-given the fades a stage succeeds iff v^alpha lies below a threshold, so
-the disk law gives P(outage | fades) in closed form.  Averaging that over
-trials (conditional Monte Carlo, a Rao-Blackwellization) keeps the mean of
-the outage indicator at drawn distances and cannot widen its CI.  A call
-that asks for no rate family does not draw the U stream.
+outage families and the delay-limited throughput integrate the two user
+distances out exactly: given the fades a stage succeeds iff v^alpha lies
+below a threshold, so the disk law gives P(outage | fades) in closed form.
+Averaging that over trials (conditional Monte Carlo, a Rao-Blackwellization)
+keeps the mean of the outage indicator at drawn distances and cannot widen
+its CI.  A call that asks for no rate family does not draw the U stream.
 
 Where the amplified surface noise dominates, the per-user outages
 integrate it out too.  Given the channels, the drawn noise y is
