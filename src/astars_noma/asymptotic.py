@@ -167,9 +167,12 @@ def outage_floor_r_ipsic(cfg: NetworkConfig) -> float:
     power-free outage event S^2 < c_d Y at distance d, c_d the own stage's
     unit-power threshold.  For the residual power Y ~ Exp(1) its
     probability is E_S[exp(-S^2/c_d)], a sum over the amplitude and distance
-    rules; 0 for a zero target, whose own stage never fails.
+    rules; 0 for a zero target, whose own stage never fails, and 1 where
+    the first SIC stage always fails (a_t <= gamma_t_hat a_r), at every power.
     """
-    scale = _decode_scales(cfg, _user_stages(cfg, SicMode.IPSIC), 1.0)[-1]
+    first, *_, scale = _decode_scales(cfg, _user_stages(cfg, SicMode.IPSIC), 1.0)
+    if math.isinf(first):
+        return 1.0
     if scale == 0.0:
         return 0.0
     q, t, gamma_w = _amplitude_rule(cfg)

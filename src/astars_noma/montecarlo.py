@@ -33,7 +33,8 @@ distances out exactly: given the fades a stage succeeds iff v^alpha lies
 below a threshold, so the disk law gives P(outage | fades) in closed form.
 Averaging that over trials (conditional Monte Carlo, a Rao-Blackwellization)
 keeps the mean of the outage indicator at drawn distances and cannot widen
-its CI.  A call that asks for no rate family does not draw the U stream.
+its CI.  A call that asks for no rate family does not draw the U stream,
+and one that reads no ipSIC stage does not draw the E stream.
 
 Where the amplified surface noise dominates, the per-user outages
 integrate it out too.  Given the channels, the drawn noise y is
@@ -48,9 +49,11 @@ pSIC (and OMA) outage_r, and both users' terms of throughput_limited but
 the ipSIC reflection user's.  The system outage, which needs the joint law
 of the two users' noise, every ipSIC stage, whose threshold holds the
 drawn residual w, the rates, mean-noise mode, the passive surface and
-alpha != 2 keep the drawn noise.  The n_s stream is drawn only when some
-cell of the call reads drawn noise, and the channel powers sum_l
-|h_u,l|^2 are summed only when some cell integrates it out.
+alpha != 2 keep the drawn noise.  What each cell reads is decided once
+per point and call, from the point alone (``_plan``): the n_s stream is
+drawn only when some cell reads drawn noise, and the channel powers
+sum_l |h_u,l|^2 are summed only when some cell integrates it out or
+regresses on them.
 
 Each outage-type estimate then uses control variates.  The controls are
 the phase-aligned cascade amplitude S_u = sum_l |h_s,l| |h_u,l| and its
@@ -173,12 +176,12 @@ class _Fades(NamedTuple):
     user's control rows S_u and S_u^2 (the cascade amplitude, a running sum
     shared by every point at the block's (kappa, L), and its square) and,
     where the point's marginal outages regress on the channel power
-    P_u = sum_l |h_u,l|^2 (``_power_controlled``), P_u, P_u^2 and S_u P_u,
-    the power set; each user's signal x per unit power and amplified
-    noise y at d = D (a float where no noise is drawn, None where no cell
-    of the point reads it drawn), the residual power per unit power w, and
-    the mean mu of each user's y given its channels, where the point
-    integrates y out (None elsewhere; ``_fades``, ``_noise_reads``)."""
+    P_u = sum_l |h_u,l|^2, P_u, P_u^2 and S_u P_u, the power set; each
+    user's signal x per unit power and amplified noise y at d = D (a float
+    where no noise is drawn, None where no cell of the point reads it
+    drawn), the residual power per unit power w (None where no cell reads
+    an ipSIC stage), and the mean mu of each user's y given its channels,
+    where the point integrates y out (None elsewhere; ``_plan``)."""
 
     rows_r: tuple[np.ndarray, ...]
     rows_t: tuple[np.ndarray, ...]
@@ -186,9 +189,31 @@ class _Fades(NamedTuple):
     x_t: np.ndarray
     y_r: np.ndarray | float | None
     y_t: np.ndarray | float | None
-    w: np.ndarray
+    w: np.ndarray | None
     mu_r: np.ndarray | None
     mu_t: np.ndarray | None
+
+
+class _Point(NamedTuple):
+    """A point of a simulate call and what its cells read (``_plan``): its
+    config, scheme and powers; its rate keys; its outage-type cells (key,
+    family, reads), reads the users a cell reads, reflection user first,
+    each (name, integrated): name "t" or a SIC-mode suffix of
+    ``decode_stages``, integrated whether its noise is integrated out given
+    the channels; the set of those users; noise = (integrated, drawn),
+    whether some cell, rates included, reads the noise that way; fits, each
+    outage-type family's control key (kappa, L, users, power); and ipsic,
+    whether some key reads an ipSIC stage, the one reader of w."""
+
+    cfg: NetworkConfig
+    scheme: str
+    powers: list[float]
+    rates: frozenset[str]
+    cells: tuple[tuple[str, str, tuple[tuple[str, bool], ...]], ...]
+    users: frozenset[tuple[str, bool]]
+    noise: tuple[bool, bool]
+    fits: dict[str, tuple]
+    ipsic: bool
 
 
 @dataclass(frozen=True)
@@ -272,19 +297,9 @@ def _controls(fades: _Fades, family: str) -> tuple[np.ndarray, ...]:
                  for row in (rows[user] if len(users) == 1 else rows[user][:2]))
 
 
-def _control_key(cfg: NetworkConfig, scheme: str, family: str) -> tuple:
-    """The key (kappa, L, users, power) of an outage-type family's control
-    fit at (cfg, scheme): the rows depend on the config through kappa and L
-    alone, and power says whether they include the channel power's three
-    rows (``_controls``).  The one place that decides it: a family in
-    _POWER_CONTROLLED at a point that integrates its noise out."""
-    return (cfg.rician_kappa, cfg.num_elements, _CONTROL_USERS[family],
-            family in _POWER_CONTROLLED and _integrates(cfg, scheme))
-
-
 def _control_means(kappa: float, num_elements: int, users: tuple[str, ...],
                    power: bool) -> list[float]:
-    """The exact means of the control rows of ``_control_key``, in row
+    """The exact means of a control key's rows (``_Point.fits``), in row
     order: E S_u = L m and E S_u^2 = L v + (L m)^2, with (m, v) the
     per-element product's mean and variance (model.element_moments), and
     with power E P_u = L, E P_u^2 = L M4 + L (L - 1) and
@@ -301,9 +316,9 @@ def _control_means(kappa: float, num_elements: int, users: tuple[str, ...],
     return means * len(users)
 
 
-def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict, psum: dict,
-           residual: np.ndarray, reads: tuple[bool, bool], power: bool) -> _Fades:
-    """A block's fades at cfg, from the element sums at its K-factor and
+def _fades(point: _Point, amp: dict, nsum: dict, psum: dict,
+           residual: np.ndarray | None) -> _Fades:
+    """A block's fades at a point, from the element sums at its K-factor and
     element count and the standard exponentials of the residual power.
     The phase controller aligns the cascade, so its amplitude S is the sum
     of per-element products of envelopes: x = lambda beta eta0^2 d_s^-alpha
@@ -312,14 +327,15 @@ def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict, psum: dict,
     1/2 sigma_s^2 |nsum|^2, its analysis value zeta sigma_s^2 in mean-noise
     mode, and 0 on the passive surface.  Given the channels, y is
     exponential with mean mu = lambda beta eta0 sigma_s^2 sum_l |h_u,l|^2 /
-    (sigma_0^2 D^alpha).  reads = (integrated, drawn) says which of mu and
-    the drawn y the point's cells read (``_noise_reads``), and power
-    whether the control rows include the channel power's
-    (``_power_controlled``)."""
+    (sigma_0^2 D^alpha).  The point's noise = (integrated, drawn) says which
+    of mu and the drawn y its cells read, its fits whether the control rows
+    include the channel power's, and its ipsic whether w is formed."""
+    cfg, scheme = point.cfg, point.scheme
     unit = 1.0 / (cfg.noise_sigma_02 * cfg.radius_d ** cfg.path_alpha)
     lam = 1.0 if scheme == "pstars_noma" else cfg.amp_lambda
     bs_loss = cfg.path_eta0 ** 2 * cfg.dist_bs ** -cfg.path_alpha
-    integrated, drawn = reads
+    integrated, drawn = point.noise
+    power = any(fit[3] for fit in point.fits.values())
 
     def control_rows(u):
         s = amp[u]
@@ -342,8 +358,8 @@ def _fades(cfg: NetworkConfig, scheme: str, amp: dict, nsum: dict, psum: dict,
         return x, y, (amp_noise * cfg.noise_sigma_s2) * psum[u] if integrated else None
 
     (x_r, y_r, mu_r), (x_t, y_t, mu_t) = user("h_r", cfg.beta_r), user("h_t", cfg.beta_t)
-    return _Fades(rows["h_r"], rows["h_t"], x_r, x_t, y_r, y_t,
-                  cfg.noise_sigma_re2 * residual / cfg.noise_sigma_02, mu_r, mu_t)
+    w = cfg.noise_sigma_re2 * residual / cfg.noise_sigma_02 if point.ipsic else None
+    return _Fades(rows["h_r"], rows["h_t"], x_r, x_t, y_r, y_t, w, mu_r, mu_t)
 
 
 def _distance_powers(seed: int, block: int, size: int, alphas: set[float]) -> dict:
@@ -357,33 +373,31 @@ def _distance_powers(seed: int, block: int, size: int, alphas: set[float]) -> di
 
 
 def _block_fades(seed: int, block: int, size: int,
-                 points: Sequence[tuple]) -> Iterator[tuple[int, _Fades]]:
+                 points: Sequence[_Point]) -> Iterator[tuple[int, _Fades]]:
     """Draw one block's fades once and yield (index, fades) for every point
-    (cfg, scheme, keys) of points, in order of element count, keys the
-    point's estimate keys (``_keys``).  The n_s stream is drawn only if some
-    cell reads drawn noise, and the channel powers are summed only if some
-    cell integrates it out (``_noise_reads``) or regresses on them
-    (``_power_controlled``).  Raises NumericIntegrityError if any fade
-    term, control rows included, is not finite."""
-    residual = _stream(seed, block, "E").standard_exponential(size)
+    of points (``_plan``), in order of element count.  The E stream is
+    drawn only if some point reads an ipSIC stage, the n_s stream only if
+    some cell reads drawn noise, and the channel powers are summed only if
+    some cell integrates the noise out or regresses on them.  Raises
+    NumericIntegrityError if any fade term, control rows included, is not
+    finite."""
+    residual = (_stream(seed, block, "E").standard_exponential(size)
+                if any(point.ipsic for point in points) else None)
     by_length: dict[int, list[int]] = {}
-    for i, (cfg, _, _) in enumerate(points):
-        by_length.setdefault(cfg.num_elements, []).append(i)
-    kappas = tuple(dict.fromkeys(cfg.rician_kappa for cfg, _, _ in points))
-    reads = [_noise_reads(*point) for point in points]
-    powered = [_power_controlled(*point) for point in points]
+    for i, point in enumerate(points):
+        by_length.setdefault(point.cfg.num_elements, []).append(i)
+    kappas = tuple(dict.fromkeys(point.cfg.rician_kappa for point in points))
     sums = _element_sums(seed, block, size, kappas, ("h_r", "h_t"),
-                         noise=any(drawn for _, drawn in reads),
-                         power=any(integrated for integrated, _ in reads) or any(powered))
+                         noise=any(point.noise[1] for point in points),
+                         power=any(point.noise[0] or any(fit[3] for fit in point.fits.values())
+                                   for point in points))
     for L, at_l in zip(range(1, max(by_length) + 1), sums):
         for i in by_length.get(L, ()):
-            cfg, scheme, _ = points[i]
-            fades = _fades(cfg, scheme, *at_l[cfg.rician_kappa], residual, reads[i],
-                           powered[i])
+            fades = _fades(points[i], *at_l[points[i].cfg.rician_kappa], residual)
             if not all(np.isfinite(f).all()
                        for f in (*fades.rows_r, *fades.rows_t, *fades[2:]) if f is not None):
                 raise NumericIntegrityError(
-                    f"non-finite fade term: {scheme} block {block} at L = {L}")
+                    f"non-finite fade term: {points[i].scheme} block {block} at L = {L}")
             yield i, fades
             del fades
 
@@ -435,66 +449,40 @@ def _partials(cfg: NetworkConfig, scheme: str, fades: _Fades, v_alpha: np.ndarra
     return out
 
 
-def _readers(keys: Iterable[str]) -> tuple[set[str], set[str]]:
-    """The users whose outage given the fades the outage-type keys read, by
-    name: "t" for the transmission user, the SIC-mode suffix of
-    ``decode_stages`` for the reflection user.  Marginal users are read one
-    at a time (outage_t, outage_r, throughput_limited, which is linear in
-    the two), joint ones together with the other user (outage_system)."""
-    marginal: set[str] = set()
-    joint: set[str] = set()
-    for key in keys:
-        family = _family(key)
-        suffix = key[len(family):]
-        if family in ("outage_t", "throughput_limited"):
-            marginal.add("t")
-        if family in ("outage_r", "throughput_limited"):
-            marginal.add(suffix)
-        if family == "outage_system":
-            joint |= {"t", suffix}
-    return marginal, joint
-
-
-def _thresholds(cfg: NetworkConfig, scheme: str, fades: _Fades,
-                keys: frozenset[str]) -> dict[str, tuple[list[tuple], tuple | None]]:
-    """One block's outage evaluators at cfg for the outage-type keys, free
-    of power and distance: {user name (``_readers``): (stages, law)}.
+def _thresholds(point: _Point, fades: _Fades) -> dict[tuple[str, bool], tuple]:
+    """One block's outage evaluators at a point for the users its cells
+    read, free of power and distance: {(name, integrated) (``_Point``):
+    (stages, law)}.
 
     A stage of ``_sinr``'s form with gain k (``stage_gains``, which merges
     the stages without w) succeeds iff v^alpha < t = (ps k x - y) / (1 + ps w),
     with w = 0 off the ipSIC stage.  It is stored as (k, x, 1 + y, w), with
     w None where it is 0, and law None.
 
-    Where the fades carry the noise mean mu, a user without an ipSIC stage
-    is read with y integrated out (``_integrated_outage``): its one stage is
-    stored as (k, x, 1 + C mu, None), C = 37, the offset from which its
+    A user read integrated, which has one stage, is read with y
+    integrated out given the channels (``_integrated_outage``): its stage
+    is stored as (k, x, 1 + C mu, None), C = 37, the offset from which its
     outage is exactly 0 (``_zero_power``), with the law (mu, 1/mu,
-    -mu expm1(-1/mu)).  The system outage needs both users' drawn noise:
-    such a user's drawn twin, if a joint key reads it, is named with a
-    trailing "~".
+    -mu expm1(-1/mu)).
     """
-    stages_t, stages_r = decode_stages(cfg, scheme)
+    stages_t, stages_r = decode_stages(point.cfg, point.scheme)
     table = {"t": ("t", stages_t),
              **{suffix: ("r", stages) for suffix, stages in stages_r.items()}}
     terms = {"t": (fades.x_t, fades.y_t, fades.mu_t), "r": (fades.x_r, fades.y_r, fades.mu_r)}
     offsets: dict[str, np.ndarray | float] = {}
-    marginal, joint = _readers(keys)
     users = {}
-    for name in sorted(marginal | joint):
+    for name, integrated in sorted(point.users):
         user, stages = table[name]
         x, y, mu = terms[user]
         k, *ks_ipsic = stage_gains(stages)
-        if mu is not None and not ks_ipsic:
-            if name in marginal:
-                users[name] = ([(k, x, 1.0 + _EXP_CUT * mu, None)], _noise_law(mu))
-            if name not in joint:
-                continue
-            name += "~"
+        if integrated:
+            users[name, True] = ([(k, x, 1.0 + _EXP_CUT * mu, None)], _noise_law(mu))
+            continue
         if user not in offsets:
             offsets[user] = 1.0 + y
         offset = offsets[user]
-        users[name] = ([(k, x, offset, None)]
-                       + [(k_i, x, offset, fades.w) for k_i in ks_ipsic], None)
+        users[name, False] = ([(k, x, offset, None)]
+                              + [(k_i, x, offset, fades.w) for k_i in ks_ipsic], None)
     return users
 
 
@@ -614,46 +602,37 @@ def _cv_moments(values: np.ndarray | float,
             *(float(np.einsum("n,n->", values, row)) for row in controls))
 
 
-def _conditional_partials(cfg: NetworkConfig, users: dict[str, tuple],
-                          zero_from: dict[str, float], ps: float, keys: frozenset[str],
+def _conditional_partials(point: _Point, users: dict[tuple, tuple],
+                          zero_from: dict[tuple, float], ps: float,
                           controls: dict[str, tuple]) -> dict[str, tuple[float, ...]]:
     """Conditional partial sums of one block at one transmit power for the
-    outage-type keys, from the users of ``_thresholds``: the sum and sum
-    of squares of each trial's value given its fades, then its sums of
-    products with the family's control rows (``_controls``).  The two
+    point's outage-type cells, from the users of ``_thresholds``: the sum
+    and sum of squares of each trial's value given its fades, then its sums
+    of products with the family's control rows (``_controls``).  The two
     distances are independent given the fades, so the system outage is
     p_r + p_t - p_r p_t, at the drawn noise, and the delay-limited
     throughput, linear in the two, (1 - p_r) R_r + (1 - p_t) R_t.  A user at
     or above its zero power (``_zero_power``; the 1e-9 relative margin
     keeps the float evaluation at exact 0 too) is not evaluated: its
     outage is the exact 0 that evaluating it gives."""
+    cfg = point.cfg
     exponent = 2.0 / cfg.path_alpha
-    probs: dict[str, np.ndarray | float] = {}
-
-    def outage(name):
-        if name not in probs:
-            probs[name] = (0.0 if ps >= zero_from[name] * _ZERO_MARGIN
-                           else _user_outage(users[name], ps, exponent))
-        return probs[name]
-
-    def drawn(name):
-        return outage(name + "~" if name + "~" in users else name)
-
+    probs: dict[tuple, np.ndarray | float] = {}
     out: dict[str, tuple[float, ...]] = {}
-    if "outage_t" in keys:
-        out["outage_t"] = _cv_moments(outage("t"), controls["outage_t"])
-    for suffix in ("", "_psic", "_ipsic"):
-        if f"outage_r{suffix}" in keys:
-            out[f"outage_r{suffix}"] = _cv_moments(outage(suffix), controls["outage_r"])
-        if f"outage_system{suffix}" in keys:
-            p_r, p_t = drawn(suffix), drawn("t")
-            out[f"outage_system{suffix}"] = _cv_moments(p_r + p_t - p_r * p_t,
-                                                        controls["outage_system"])
-        if f"throughput_limited{suffix}" in keys:
-            p_r, p_t = outage(suffix), outage("t")
-            out[f"throughput_limited{suffix}"] = _cv_moments(
-                (1.0 - p_r) * cfg.target_rate_r + (1.0 - p_t) * cfg.target_rate_t,
-                controls["throughput_limited"])
+    for key, family, reads in point.cells:
+        for user in reads:
+            if user not in probs:
+                probs[user] = (0.0 if ps >= zero_from[user] * _ZERO_MARGIN
+                               else _user_outage(users[user], ps, exponent))
+        # (p_r, p_t) for the joint families, the reflection user first
+        p = [probs[user] for user in reads]
+        if family == "outage_system":
+            value = p[0] + p[1] - p[0] * p[1]
+        elif family == "throughput_limited":
+            value = (1.0 - p[0]) * cfg.target_rate_r + (1.0 - p[1]) * cfg.target_rate_t
+        else:
+            value = p[0]
+        out[key] = _cv_moments(value, controls[family])
     return out
 
 
@@ -770,27 +749,26 @@ def _map_blocks(fn: Callable, blocks: Iterable, workers: int) -> list:
     return [fn(b) for b in blocks]
 
 
-def _point_partials(cfg: NetworkConfig, scheme: str, powers: list[float],
-                    keys: frozenset[str], fades: _Fades, v_alpha: dict) -> list[dict]:
+def _point_partials(point: _Point, fades: _Fades, v_alpha: dict) -> list[dict]:
     """One point's partial sums of one block, one dict per power: the rate
     keys from its fades at the drawn distances (v_alpha, by path-loss
-    exponent), the outage-type ones from its users' threshold coefficients
-    and its control rows."""
+    exponent), the outage-type cells from its users' threshold
+    coefficients and its control rows."""
+    cfg, powers = point.cfg, point.powers
     parts: list[dict] = [{} for _ in powers]
-    rates = frozenset(key for key in keys if _family(key) in _RATE_READERS)
-    cond = keys - rates
-    if rates:
+    if point.rates:
         # d = 0 without amplified noise is an infinite SINR, refused by simulate
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             for part, ps in zip(parts, powers):
-                part.update(_partials(cfg, scheme, fades, v_alpha[cfg.path_alpha], ps, rates))
-    if cond:
-        users = _thresholds(cfg, scheme, fades, cond)
+                part.update(_partials(cfg, point.scheme, fades, v_alpha[cfg.path_alpha], ps,
+                                      point.rates))
+    if point.cells:
+        users = _thresholds(point, fades)
         top = max(powers)
-        zero_from = {name: _zero_power(stages, top) for name, (stages, _) in users.items()}
-        controls = {family: _controls(fades, family) for family in map(_family, cond)}
+        zero_from = {user: _zero_power(stages, top) for user, (stages, _) in users.items()}
+        controls = {family: _controls(fades, family) for family in point.fits}
         for part, ps in zip(parts, powers):
-            part.update(_conditional_partials(cfg, users, zero_from, ps, cond, controls))
+            part.update(_conditional_partials(point, users, zero_from, ps, controls))
     return parts
 
 
@@ -842,29 +820,36 @@ def _integrates(cfg: NetworkConfig, scheme: str) -> bool:
             and _edge_noise(cfg) >= _INTEGRATE_FROM)
 
 
-def _power_controlled(cfg: NetworkConfig, scheme: str, keys: frozenset[str]) -> bool:
-    """Whether the control rows of a point's fades include the channel
-    power's: whether some outage-type family of keys regresses on it
-    (``_control_key``)."""
-    return any(_control_key(cfg, scheme, family)[3]
-               for family in set(map(_family, keys)) - _RATE_READERS)
-
-
-def _noise_reads(cfg: NetworkConfig, scheme: str, keys: frozenset[str]) -> tuple[bool, bool]:
-    """(integrated, drawn): whether some cell of keys at (cfg, scheme)
-    reads a user's amplified noise integrated out given the channels, and
-    whether some cell reads it drawn.  Neither on the passive surface or in
-    mean-noise mode.  The noise is integrated out of the marginal users
-    without an ipSIC stage (``_readers``) where the point integrates
-    (``_integrates``); the system outage, the ipSIC stages and the rates
-    read it drawn."""
-    if scheme == "pstars_noma" or cfg.mean_noise_mode:
-        return False, False
-    if not _integrates(cfg, scheme):
-        return False, True
-    marginal, joint = _readers(keys)
-    rates = any(_family(key) in _RATE_READERS for key in keys)
-    return bool(marginal - {"_ipsic"}), bool(joint or "_ipsic" in marginal or rates)
+def _plan(cfg: NetworkConfig, scheme: str, powers: list[float],
+          keys: frozenset[str]) -> _Point:
+    """The point (cfg, scheme, powers) with estimate keys keys (``_keys``),
+    and what each of its cells reads (``_Point``): the one place that
+    decides it.  outage_t, outage_r and throughput_limited (linear in the
+    two) read a user's outage on its own, outage_system both users'
+    jointly.  Where the point integrates (``_integrates``), a user read on
+    its own without an ipSIC stage is read with its noise integrated out,
+    and a family of _POWER_CONTROLLED regresses on the channel power; the
+    system outage, the ipSIC stages and the rates read the noise drawn, and
+    nothing reads it on the passive surface or in mean-noise mode.  The
+    control rows depend on the config through kappa and L alone."""
+    integrates = _integrates(cfg, scheme)
+    rates = frozenset(key for key in keys if _family(key) in _RATE_READERS)
+    cells = []
+    for key in sorted(keys - rates):
+        family = _family(key)
+        suffix = key[len(family):]
+        names = {"outage_t": ("t",), "outage_r": (suffix,)}.get(family, (suffix, "t"))
+        cells.append((key, family, tuple(
+            (name, integrates and family != "outage_system" and name != "_ipsic")
+            for name in names)))
+    users = frozenset(user for _, _, reads in cells for user in reads)
+    noisy = scheme != "pstars_noma" and not cfg.mean_noise_mode
+    noise = (any(integrated for _, integrated in users),
+             noisy and (bool(rates) or not all(integrated for _, integrated in users)))
+    fits = {family: (cfg.rician_kappa, cfg.num_elements, _CONTROL_USERS[family],
+                     family in _POWER_CONTROLLED and integrates) for _, family, _ in cells}
+    return _Point(cfg, scheme, powers, rates, tuple(cells), users, noise, fits,
+                  any(key.endswith("_ipsic") for key in keys))
 
 
 def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
@@ -905,7 +890,7 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
     points = [(cfg, scheme, ps)] if lone else list(cfg)
     if not points:
         raise ValueError("at least one point required")
-    runs = []
+    plan = []
     for cfg_p, scheme_p, ps_p, *own in points:
         if len(own) > 1:
             raise ValueError("a point is (cfg, scheme, ps) or (cfg, scheme, ps, metrics)")
@@ -916,27 +901,23 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
             raise ValueError("at least one transmit power required")
         for p in powers:
             _check_power(p)
-        runs.append((cfg_p, scheme_p, powers, _keys(own[0] if own else metrics, scheme_p)))
+        plan.append(_plan(cfg_p, scheme_p, powers, _keys(own[0] if own else metrics, scheme_p)))
     trials = points[0][0].mc_trials if trials is None else int(trials)
     if trials < 1:
         raise ValueError("at least one trial required")
     seed = points[0][0].seed if seed is None else int(seed)
     sizes = [min(BLOCK_TRIALS, trials - start) for start in range(0, trials, BLOCK_TRIALS)]
-    kernels = [(c, s, keys) for c, s, _, keys in runs]
-    alphas = {c.path_alpha for c, _, _, keys in runs
-              if any(_family(key) in _RATE_READERS for key in keys)}
+    alphas = {point.cfg.path_alpha for point in plan if point.rates}
 
     def run(block: int) -> tuple[list, dict]:
         v_alpha = _distance_powers(seed, block, sizes[block], alphas)
-        out: list = [None] * len(runs)
+        out: list = [None] * len(plan)
         # the sums and the full product matrix of the control rows each
-        # outage-type family reads, once per control set (_control_key): the
-        # lower triangle, mirrored (einsum's matrix is symmetric bit for bit)
+        # outage-type family reads, once per control key (_plan): the lower
+        # triangle, mirrored (einsum's matrix is symmetric bit for bit)
         controls: dict[tuple, tuple] = {}
-        for i, fades in _block_fades(seed, block, sizes[block], kernels):
-            cfg_i, scheme_i, _, keys = runs[i]
-            for family in set(map(_family, keys)) - _RATE_READERS:
-                key = _control_key(cfg_i, scheme_i, family)
+        for i, fades in _block_fades(seed, block, sizes[block], plan):
+            for family, key in plan[i].fits.items():
                 if key not in controls:
                     rows = _controls(fades, family)
                     products = [[0.0] * len(rows) for _ in rows]
@@ -945,10 +926,10 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
                             products[a][b] = products[b][a] = float(
                                 np.einsum("n,n->", rows[a], rows[b]))
                     controls[key] = ([float(np.add.reduce(row)) for row in rows], products)
-            out[i] = _point_partials(*runs[i], fades, v_alpha)
+            out[i] = _point_partials(plan[i], fades, v_alpha)
             del fades
             if not np.isfinite([v for p in out[i] for cell in p.values() for v in cell]).all():
-                raise NumericIntegrityError(f"non-finite partial sum: {runs[i][1]} block {block}")
+                raise NumericIntegrityError(f"non-finite partial sum: {plan[i].scheme} block {block}")
         return out, controls
 
     by_block = _map_blocks(run, range(len(sizes)), workers)
@@ -960,12 +941,11 @@ def simulate(cfg: NetworkConfig | Sequence[tuple], scheme: str | None = None,
         fits[key] = _fit(sums, products, _control_means(*key), trials)
 
     results = []
-    for i, ((c, s, powers, keys), (_, _, ps_p, *_)) in enumerate(zip(runs, points)):
-        own = {family: fits[_control_key(c, s, family)]
-               for family in set(map(_family, keys)) - _RATE_READERS}
+    for i, (point, (_, _, ps_p, *_)) in enumerate(zip(plan, points)):
+        own = {family: fits[key] for family, key in point.fits.items()}
         per_power = [_estimates([blk[0][i][k] for blk in by_block], trials, own,
-                                c.target_rate_r + c.target_rate_t)
-                     for k in range(len(powers))]
+                                point.cfg.target_rate_r + point.cfg.target_rate_t)
+                     for k in range(len(point.powers))]
         results.append(per_power[0] if np.ndim(ps_p) == 0 else per_power)
     return results[0] if lone else results
 

@@ -129,6 +129,16 @@ def test_floor_is_zero_at_a_zero_own_target(targets):
     assert outage_floor_r_ipsic(cfg) == 0.0
 
 
+def test_floor_is_one_where_the_first_sic_stage_always_fails():
+    # a_t = 0.7 < gamma_t_hat a_r = 0.9: decoding the transmission user's
+    # signal fails at every power, so the ipSIC outage is 1 and so is its
+    # infinite-power limit
+    cfg = replace(CFG, target_rate_t=2.0)
+    for ps in (1e3, 1e6):
+        assert outage_r(cfg, SicMode.IPSIC, ps) == 1.0
+    assert outage_floor_r_ipsic(cfg) == 1.0
+
+
 def test_floor_vanishes_with_residual_interference():
     faint = replace(CFG, noise_sigma_re2=1e-22)
     assert outage_floor_r_ipsic(faint) < 1e-12

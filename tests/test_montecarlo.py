@@ -70,10 +70,16 @@ ARCHIVE_CONDITIONAL = {
 OUTAGE_FAMILIES = ("outage_r", "outage_t", "outage_system", "throughput_limited")
 
 
+def plan(cfg, scheme="astars_noma", names=None):
+    """simulate's plan of the point (cfg, scheme) at one power, estimating
+    the families or keys names (None: every family)."""
+    return mc._plan(cfg, scheme, [1.0], mc._keys(names, scheme))
+
+
 def block_fades(cfg, scheme="astars_noma", size=64, seed=0, block=0):
     """One block of one (cfg, scheme): its fades and its drawn (d/D)^alpha,
     rows (reflection user, transmission user)."""
-    [(_, fades)] = _block_fades(seed, block, size, [(cfg, scheme, mc._keys(None, scheme))])
+    [(_, fades)] = _block_fades(seed, block, size, [plan(cfg, scheme)])
     return fades, _distance_powers(seed, block, size, {cfg.path_alpha})[cfg.path_alpha]
 
 
@@ -850,7 +856,7 @@ def test_the_control_set_follows_the_point_not_its_call():
                                        (CFG, "astars_noma", "outage_t", False),
                                        (replace(FIG3A_CFG, path_alpha=3.0), "astars_noma",
                                         "outage_t", False)):
-        assert mc._control_key(cfg, scheme, family)[3] is power, (scheme, family)
+        assert plan(cfg, scheme, (family,)).fits[family][3] is power, (scheme, family)
     # the ipSIC outage reads the noise drawn but still regresses on P_r, so
     # its estimate does not depend on whether the pSIC one shares its call
     alone = simulate(FIG3A_CFG, "astars_noma", FIG3A_PS, trials=3000, seed=4,
@@ -864,8 +870,7 @@ def test_power_points_of_several_lengths_match_their_lone_calls():
     # a marginal family reads all five of its user's rows at a power point;
     # points at several element counts in one call get their lone calls'
     # estimates
-    keys = mc._keys(("outage_t",), "astars_noma")
-    [(_, fades)] = _block_fades(5, 0, 4096, [(FIG3A_L20, "astars_noma", keys)])
+    [(_, fades)] = _block_fades(5, 0, 4096, [plan(FIG3A_L20, "astars_noma", ("outage_t",))])
     assert len(mc._controls(fades, "outage_t")) == 5
     assert len(mc._controls(fades, "outage_system")) == 4
     points = [(replace(FIG3A_CFG, num_elements=L), scheme, FIG3A_PS, names)
@@ -899,13 +904,14 @@ def test_pure_line_of_sight_falls_back_instead_of_raising(monkeypatch):
 
 def outage_users(cfg, scheme, size, seed):
     """One block's outage users of every outage-type key at (cfg, scheme),
-    with the keys and the fades they read."""
-    keys = mc._keys(OUTAGE_FAMILIES, scheme)
-    [(_, fades)] = _block_fades(seed, 0, size, [(cfg, scheme, keys)])
-    users = mc._thresholds(cfg, scheme, fades, keys)
+    with the point and the fades they read."""
+    point = plan(cfg, scheme, OUTAGE_FAMILIES)
+    [(_, fades)] = _block_fades(seed, 0, size, [point])
+    users = mc._thresholds(point, fades)
     integrated = any(law is not None for _, law in users.values())
     assert integrated == (cfg is FIG3A_CFG)
-    return keys, fades, users
+    assert integrated == any(flag for _, flag in users)
+    return point, fades, users
 
 
 @pytest.mark.parametrize("cfg, scheme", FIG3A_COND_CELLS, ids=FIG3A_COND_IDS)
@@ -915,7 +921,7 @@ def test_zero_power_skip_is_exact(cfg, scheme):
     # bit for bit, for every family; just below ps* some trial has an
     # outage, so ps* is the least such power, not merely a bound; for a user
     # with the noise integrated out ps* is where its exponential is cut to 0
-    keys, fades, users = outage_users(cfg, scheme, 512, 5)
+    point, fades, users = outage_users(cfg, scheme, 512, 5)
     stars = {name: mc._zero_power(stages, math.inf) for name, (stages, _) in users.items()}
     forced = dict.fromkeys(users, math.inf)
     controls = {family: mc._controls(fades, family) for family in OUTAGE_FAMILIES}
@@ -934,8 +940,8 @@ def test_zero_power_skip_is_exact(cfg, scheme):
                 full = mc._user_outage(users[name], ps, exponent)
                 assert not full.any()
                 skipped += 1
-            got = mc._conditional_partials(cfg, users, stars, ps, keys, controls)
-            want = mc._conditional_partials(cfg, users, forced, ps, keys, controls)
+            got = mc._conditional_partials(point, users, stars, ps, controls)
+            want = mc._conditional_partials(point, users, forced, ps, controls)
             assert got == want, (cfg, scheme, ps)
     assert skipped == 3 * sum(map(math.isfinite, stars.values())) > 0
 
@@ -1002,8 +1008,7 @@ def test_one_point_fades_are_alive_at_a_time(monkeypatch):
     monkeypatch.setattr(mc, "_fades", spy)
     points = [(replace(CFG, num_elements=L), scheme) for L in (2, 3, 5)
               for scheme in ("astars_noma", "pstars_noma")]
-    deque(_block_fades(4, 0, 256, [(*point, mc._keys(None, point[1])) for point in points]),
-          maxlen=0)
+    deque(_block_fades(4, 0, 256, [plan(*point) for point in points]), maxlen=0)
     assert alive == [False] * (len(points) - 1)
     alive.clear()
     # two blocks; the first point of each finds the last one's fades dead
@@ -1019,16 +1024,16 @@ def test_conditional_outage_is_the_disk_average_of_the_raw_indicator():
     v = np.sqrt((np.arange(M) + 0.5) / M)
     ps = dbm_to_watts(15.0)
     for cfg, scheme in COND_CELLS:
-        keys = mc._keys(("outage_r", "outage_t"), scheme)
-        [(_, fades)] = _block_fades(3, 0, size, [(cfg, scheme, keys)])
-        users = mc._thresholds(cfg, scheme, fades, keys)
+        point = plan(cfg, scheme, ("outage_r", "outage_t"))
+        [(_, fades)] = _block_fades(3, 0, size, [point])
+        users = mc._thresholds(point, fades)
         every = fades._replace(**{name: np.repeat(value, M) for name, value
                                   in fades._asdict().items() if isinstance(value, np.ndarray)})
         v_alpha = np.tile(v ** cfg.path_alpha, size)
         out_t, out_r = raw_indicators(cfg, scheme, every, np.stack([v_alpha, v_alpha]), ps)
-        assert set(users) == {"t", *out_r}
+        assert set(users) == {(name, False) for name in ("t", *out_r)}
         for name, out in (("t", out_t), *out_r.items()):
-            exact = mc._user_outage(users[name], ps, 2.0 / cfg.path_alpha)
+            exact = mc._user_outage(users[name, False], ps, 2.0 / cfg.path_alpha)
             grid = out.reshape(size, M).mean(axis=1)
             assert np.all(np.abs(exact - grid) <= 1.0 / M + 1e-12), (cfg, scheme)
             assert 0.0 < exact.mean() < 1.0
@@ -1215,7 +1220,6 @@ def test_conditional_families_skip_the_distance_draw(monkeypatch):
 def test_noise_is_integrated_out_by_the_nu_rule():
     # per point, from its config: nu = lambda eta0 sigma_s^2 L / (sigma_0^2
     # D^alpha) >= 1/4 at alpha = 2 with drawn noise on the active surface
-    keys = mc._keys(("outage_r_psic", "outage_t"), "astars_noma")
     assert mc._edge_noise(CFG) == pytest.approx(4.08e-3, rel=1e-3)
     assert mc._edge_noise(replace(FIG3A_CFG, num_elements=2)) == pytest.approx(16.3, rel=1e-2)
     at_quarter = replace(CFG, num_elements=1, noise_sigma_s2=0.25 / mc._edge_noise(
@@ -1231,7 +1235,7 @@ def test_noise_is_integrated_out_by_the_nu_rule():
                               (replace(FIG3A_CFG, mean_noise_mode=True), "astars_noma",
                                (False, False)),
                               (replace(FIG3A_CFG, path_alpha=3.0), "astars_noma", (False, True))):
-        assert mc._noise_reads(cfg, scheme, keys) == want, (cfg, scheme)
+        assert plan(cfg, scheme, ("outage_r_psic", "outage_t")).noise == want, (cfg, scheme)
     # the system outage, the ipSIC stage and the rates read the noise drawn
     for names, want in ((("outage_system_psic",), (False, True)),
                         (("outage_r_ipsic",), (False, True)),
@@ -1239,7 +1243,7 @@ def test_noise_is_integrated_out_by_the_nu_rule():
                         (("throughput_limited_psic",), (True, False)),
                         (("rate_t", "outage_t"), (True, True)),
                         (("outage_r",), (True, True))):
-        assert mc._noise_reads(FIG3A_CFG, "astars_noma", mc._keys(names, "astars_noma")) == want
+        assert plan(FIG3A_CFG, "astars_noma", names).noise == want
 
 
 def test_a_fig3a_shaped_call_draws_no_surface_noise(monkeypatch):
@@ -1265,11 +1269,47 @@ def test_a_fig3a_shaped_call_draws_no_surface_noise(monkeypatch):
                     metrics=("outage_r_psic", "outage_t"))
     assert all(set(point) == {"outage_r_psic", "outage_t"} for point in sims)
     assert "n_s" not in purposes and purposes.count("h_s") == 3
+    # nor the E stream, which only the ipSIC stage reads
+    assert "E" not in purposes
     assert drawn == []
-    # the same call with the ipSIC outage draws n_s for that stage alone
+    # the same call with the ipSIC outage draws n_s and E for that stage alone
     purposes.clear()
     simulate(points, trials=2 * BLOCK_TRIALS + 5, seed=3, metrics=("outage_r", "outage_t"))
-    assert purposes.count("n_s") == 3 and drawn and all(drawn)
+    assert purposes.count("n_s") == purposes.count("E") == 3 and drawn and all(drawn)
+
+
+def test_the_plan_pins_what_each_cell_reads():
+    # each outage-type cell reads its users reflection user first, each
+    # with its noise integrated out or drawn: at fig3a's config a one-stage
+    # user read on its own integrates it, while the ipSIC stage and the
+    # system outage's users read it drawn
+    cells = {key: reads for key, _, reads in plan(FIG3A_CFG).cells}
+    assert cells["throughput_limited_ipsic"] == (("_ipsic", False), ("t", True))
+    assert cells["outage_system_psic"] == (("_psic", False), ("t", False))
+    assert cells["outage_r_psic"] == (("_psic", True),)
+    assert cells["outage_t"] == (("t", True),)
+    # at the default config every read is drawn
+    point = plan(CFG)
+    assert {key for key, _, _ in point.cells} == mc._keys(OUTAGE_FAMILIES, "astars_noma")
+    assert point.users == {("t", False), ("_psic", False), ("_ipsic", False)}
+    # only a key of an ipSIC stage reads the residual power, so w is formed
+    # for it alone
+    assert point.ipsic and block_fades(CFG)[0].w is not None
+    assert not plan(CFG, "astars_noma", ("outage_r_psic", "rate_t")).ipsic
+    assert not plan(CFG, "astars_oma").ipsic
+    assert block_fades(CFG, "astars_oma")[0].w is None
+
+
+def test_the_per_point_choices_are_made_once_per_call(monkeypatch):
+    # _plan decides whether a point integrates its noise once per call,
+    # not once per block or per family
+    calls = []
+    real = mc._integrates
+    monkeypatch.setattr(mc, "_integrates", lambda *args: calls.append(args) or real(*args))
+    points = [(cfg, scheme, [0.1, 1.0]) for cfg in (CFG, replace(FIG3A_CFG, num_elements=4))
+              for scheme in SCHEMES]
+    simulate(points, trials=2 * BLOCK_TRIALS + 5, seed=3)
+    assert len(calls) == len(points)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
