@@ -86,7 +86,7 @@ def _hyp_factor(z: np.ndarray) -> np.ndarray:
 
 
 def high_snr_cascade_cdf(kappa: float, num_elements: int, x,
-                         z_cap: float = 1.0 - 1.0e-3):
+                         z_cap: float = NetworkConfig.hyp2f1_z_cap):
     """Leading small-x behaviour of the squared-cascade-gain CDF,
 
         F(x) = C(x)^L x^L / ((2L)! Lambda^L),

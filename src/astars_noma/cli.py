@@ -86,7 +86,10 @@ def _parse_bool(s: str) -> bool:
 def parse_config(path: str | Path) -> NetworkConfig:
     """Load a flat key = value config; absent keys keep their defaults, and
     a key set twice is refused."""
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
     overrides = {}
     first_line: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):

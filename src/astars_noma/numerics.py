@@ -11,8 +11,8 @@ Contents
 * modified Bessel functions: exponentially scaled I0/I1 and general K_nu
 * the half-order Laguerre polynomial L_{1/2}(x), x <= 0, used by Rician
   moments
-* Golub-Welsch Gauss rules: generalized Laguerre (weight t^alpha e^{-t})
-  and Jacobi (0, 1) for the disk-radius density 2v on [0, 1]
+* Golub-Welsch Gauss rules, nodes the Jacobi-matrix eigenvalues: generalized
+  Laguerre (weight t^alpha e^{-t}) and Jacobi (0, 1) for the density 2v on [0, 1]
 """
 
 from __future__ import annotations
@@ -370,15 +370,15 @@ def gauss_laguerre_rule(size: int, alpha: float = 0.0) -> QuadratureRule:
     sum_k w_k f(y_k) = int_0^inf t^alpha e^{-t} f(t) dt / Gamma(alpha+1),
     exact for polynomials of degree <= 2K - 1; alpha > -1.
 
-    Golub-Welsch seeding: the nodes start as eigenvalues of the symmetric
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric
     tridiagonal Jacobi matrix (diagonal 2i+1+alpha, off-diagonal
-    sqrt(i(i+alpha))) and are then Newton-polished on the Laguerre
-    recurrence to full relative precision.  Weights come from the
-    derivative identity w_k = Gamma(K+alpha+1)/(K! Gamma(alpha+1))
-    / (y_k L_K'(y_k)^2) evaluated in log form; tail weights whose true
-    value sits below the float64 subnormal range are floored at the
-    smallest subnormal so every weight stays strictly positive.  Weights
-    sum to 1.
+    sqrt(i(i+alpha))), within about 2e-13 relative of the true zeros at
+    K = 200.  Weights come from one Laguerre recurrence pass at the nodes,
+    through w_k = Gamma(K+alpha+1)/(K! Gamma(alpha+1)) / (y_k L_K'(y_k)^2)
+    with y L_K'(y) = K (L_K(y) - L_{K-1}(y)) - alpha L_{K-1}(y), in log
+    form; tail weights whose true value sits below the float64 subnormal
+    range are floored at the smallest subnormal so every weight stays
+    strictly positive.  Weights sum to 1.
     """
     if not 1 <= size <= 2000:
         raise ValueError(f"Gauss-Laguerre size must be in [1, 2000], got {size}")
@@ -390,10 +390,6 @@ def gauss_laguerre_rule(size: int, alpha: float = 0.0) -> QuadratureRule:
         off = np.sqrt(idx[1:] * (idx[1:] + alpha))
         jacobi += np.diag(off, 1) + np.diag(off, -1)
     nodes = np.linalg.eigvalsh(jacobi)
-    # Newton steps: y L_K'(y) = K (L_K(y) - L_{K-1}(y)) - alpha L_{K-1}(y)
-    for _ in range(3):
-        lk, lkm1, _ = _laguerre_pair(size, alpha, nodes)
-        nodes = nodes - lk * nodes / (size * (lk - lkm1) - alpha * lkm1)
     lk, lkm1, scale = _laguerre_pair(size, alpha, nodes)
     log_deriv = np.log(np.abs(size * (lk - lkm1) - alpha * lkm1) / nodes) + scale
     log_w = (math.lgamma(size + alpha + 1.0) - math.lgamma(size + 1.0)

@@ -631,6 +631,16 @@ def test_cli_num_elements_above_bound_exits_1(tmp_path, capsys, argv):
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_cli_config_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"seed = 1\n# caf\xe9\n")
+    rc = main(["--config", str(bad), "show-config"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "bad.cfg" in err and "UTF-8" in err
+
+
 def test_cli_missing_config_is_io_error(tmp_path, capsys):
     rc = main(["--config", str(tmp_path / "ghost.cfg"), "show-config"])
     assert rc == 3

@@ -18,7 +18,7 @@ from scipy.special import exp1, gammainc, hyp2f1
 
 from astars_noma import numerics
 from astars_noma.asymptotic import _hyp_factor, high_snr_cascade_cdf
-from astars_noma.model import gamma_fit
+from astars_noma.model import NetworkConfig, gamma_fit
 from astars_noma.numerics import (_E1_SERIES, _EULER_GAMMA, NumericIntegrityError,
                                   QuadratureRule, _bessel_i01e, bessel_k, exp_e1,
                                   gauss_jacobi_rule, gauss_laguerre_rule,
@@ -350,6 +350,57 @@ def test_generalized_laguerre_gamma_moments(p, size):
     for m in range(11):
         est = float(np.sum(rule.weights * rule.nodes ** m))
         assert est == pytest.approx(math.prod(p + i for i in range(m)), rel=1e-10), f"m={m}"
+
+
+def mp_laguerre_pair(size, alpha, y):
+    """L^alpha_size(y) and L^alpha_{size-1}(y) by the three-term recurrence in
+    mpmath arithmetic."""
+    prev, cur = mpmath.mpf(1), 1 + alpha - y
+    for n in range(1, size):
+        prev, cur = cur, ((2 * n + 1 + alpha - y) * cur - (n + alpha) * prev) / (n + 1)
+    return cur, prev
+
+
+DEFAULT_ALPHA = gamma_fit(NetworkConfig.rician_kappa, NetworkConfig.num_elements).p - 1.0
+
+
+@pytest.mark.parametrize("size, alpha", [(20, 0.0), (200, 0.0), (200, DEFAULT_ALPHA)])
+def test_gauss_laguerre_rule_vs_mpmath_zeros_and_weights(size, alpha):
+    # the true rule at 40 digits: Newton on the recurrence from each node to
+    # the zero of L_K^alpha (1e-13 -> 1e-26 -> 1e-40), and
+    # w = Gamma(K+alpha+1)/(K! Gamma(alpha+1)) / (y L_K'(y)^2) with
+    # y L_K'(y) = K L_K(y) - (K+alpha) L_{K-1}(y) from the last step
+    rule = gauss_laguerre_rule(size, alpha)
+    node_err = weight_err = 0.0
+    with mpmath.workdps(40):
+        a = mpmath.mpf(alpha)
+        norm = mpmath.gamma(size + a + 1) / (mpmath.factorial(size) * mpmath.gamma(a + 1))
+        for node, weight in zip(rule.nodes, rule.weights):
+            y = mpmath.mpf(float(node))
+            for _ in range(3):
+                lk, lkm1 = mp_laguerre_pair(size, a, y)
+                y_deriv = size * lk - (size + a) * lkm1
+                y -= lk * y / y_deriv
+            true_w = norm * y / y_deriv ** 2
+            node_err = max(node_err, float(abs(node - y) / y))
+            if weight > 1e-300:
+                weight_err = max(weight_err, float(abs(weight - true_w) / true_w))
+    assert node_err < 1e-12
+    assert weight_err < 1e-10
+
+
+def test_gauss_laguerre_build_runs_one_recurrence_pass(monkeypatch):
+    calls = []
+    pair = numerics._laguerre_pair
+
+    def spy(size, alpha, y):
+        calls.append(size)
+        return pair(size, alpha, y)
+
+    monkeypatch.setattr(numerics, "_laguerre_pair", spy)
+    gauss_laguerre_rule.cache_clear()
+    gauss_laguerre_rule(200, 0.0)
+    assert calls == [200]
 
 
 def test_generalized_laguerre_alpha_domain():
